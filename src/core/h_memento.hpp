@@ -17,6 +17,12 @@
 // + 2 Z_{1-delta} sqrt(V W) (line 8). Correct for any
 // tau >= Z_{1-delta/2} H W^-1 eps_s^-2 (Theorem 5.3).
 //
+// Sampling: the tau decision comes from H-Memento's own random_table_sampler
+// (util/random.hpp, seeded apart from the inner sketch's), whose table holds
+// only the positions of its sampled draws; the batch path takes a chunk's
+// sampled offsets straight from it, so per-chunk sampling cost tracks
+// tau * chunk rather than the chunk length.
+//
 // Template parameter H supplies the hierarchy (source_hierarchy with H = 5,
 // two_dim_hierarchy with H = 25, or any user-defined traits with the same
 // shape).
@@ -83,8 +89,9 @@ class h_memento {
   /// Batched UPDATE: state-identical to n scalar update(p) calls with the
   /// same seed (sampler and generalization rng are consumed in the same
   /// order). Per 256-packet chunk the pipeline is columnar:
-  ///   1. bulk-draw the chunk's sampling decisions (random_table_sampler::fill)
-  ///      and compact the sampled packet indices;
+  ///   1. take the chunk's sampled packet offsets straight from the
+  ///      sampler's position list (random_table_sampler::take - O(sampled),
+  ///      no per-packet decision scan);
   ///   2. bulk-draw one generalization level per sampled packet
   ///      (xoshiro256::fill_bounded_u8 - the rng is consumed exactly as the
   ///      scalar path's per-sample bounded() calls would);
@@ -111,12 +118,7 @@ class h_memento {
     const bool dense = inner_.tau() >= 0.25;
     for (std::size_t i = 0; i < n; i += kChunk) {
       const std::size_t m = std::min(kChunk, n - i);
-      sampler_.fill(decisions, m);
-      std::size_t sampled = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        idx[sampled] = static_cast<std::uint32_t>(j);
-        sampled += decisions[j] ? 1 : 0;  // branchless compaction
-      }
+      const std::size_t sampled = sampler_.take(idx, m);
       rng_.fill_bounded_u8(levels, sampled, H::hierarchy_size);
       if constexpr (requires {
                       H::materialize_keys(ps, idx, levels, packed, sampled);
@@ -128,7 +130,11 @@ class h_memento {
         }
       }
       if (dense) {
-        for (std::size_t t = 0; t < sampled; ++t) keys[idx[t]] = packed[t];
+        std::fill_n(decisions, m, false);
+        for (std::size_t t = 0; t < sampled; ++t) {
+          keys[idx[t]] = packed[t];
+          decisions[idx[t]] = true;
+        }
         inner_.update_batch_decided(keys, decisions, m);
       } else {
         inner_.update_batch_sampled(packed, idx, sampled, m);

@@ -42,12 +42,15 @@
 // calls - the sampler is consumed in the same order, so the sampled sequence
 // is the same for the same seed, and every queue/table mutation happens in
 // the same order. The batch path is faster because it (a) pre-draws the
-// chunk's sampling decisions with random_table_sampler::fill, (b) hashes the
-// chunk's keys in one vectorizable pass and prefetches their flat-table
-// slots, (c) hoists the per-packet frame/block boundary checks into a
-// packets-until-boundary countdown per run, and (d) replaces the per-packet
-// overflow division with a multiply-based divisibility test. Composite
-// samplers (H-Memento) drive the same kernel through update_batch_decided.
+// chunk's sampling decisions from the sampler's sampled-position list -
+// random_table_sampler::fill for dense taus; below tau 1/8, ::take hands over
+// just the sampled offsets, so the gap walk (update_batch_sampled) never
+// touches an unsampled packet - (b) hashes the chunk's keys in one
+// vectorizable pass and prefetches their flat-table slots, (c) hoists the
+// per-packet frame/block boundary checks into a packets-until-boundary
+// countdown per run, and (d) replaces the per-packet overflow division with
+// a multiply-based divisibility test. Composite samplers (H-Memento) drive
+// the same kernel through update_batch_decided / update_batch_sampled.
 #pragma once
 
 #include <algorithm>
@@ -158,18 +161,15 @@ class memento_sketch {
     Key packed[kBatchChunk];
     for (std::size_t i = 0; i < n; i += kBatchChunk) {
       const std::size_t m = std::min(kBatchChunk, n - i);
-      sampler_.fill(decisions, m);
       // Dense taus amortize a branch-free hash-precompute pass over every
-      // slot; sparse taus compact the sampled positions and take the
-      // gap-skipping kernel, whose cost tracks the sampled count.
+      // slot; sparse taus take the sampled offsets straight from the
+      // sampler and run the gap-skipping kernel, so the chunk's cost tracks
+      // the sampled count.
       if (tau_ >= 0.125) {
+        sampler_.fill(decisions, m);
         process_chunk<false, true>(xs + i, decisions, m);
       } else {
-        std::size_t sampled = 0;
-        for (std::size_t j = 0; j < m; ++j) {
-          idx[sampled] = static_cast<std::uint32_t>(j);
-          sampled += decisions[j] ? 1 : 0;  // branchless compaction
-        }
+        const std::size_t sampled = sampler_.take(idx, m);
         for (std::size_t t = 0; t < sampled; ++t) packed[t] = xs[i + idx[t]];
         update_batch_sampled(packed, idx, sampled, m);
       }

@@ -20,8 +20,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/prefix1d.hpp"
@@ -60,13 +62,36 @@ class mitigation_policy {
   /// traffic vanished), so recovery needs no special casing.
   [[nodiscard]] std::vector<mitigation_decision> evaluate(
       const std::unordered_map<std::uint64_t, double>& shares) {
+    std::vector<std::pair<std::uint64_t, double>> pairs(shares.begin(), shares.end());
     std::vector<mitigation_decision> decisions;
+    evaluate(pairs, decisions);
+    return decisions;
+  }
+
+  /// Allocation-free form of evaluate() for per-sweep callers that keep
+  /// their own scratch: the snapshot arrives as (prefix key, share) pairs
+  /// with distinct keys, and is REORDERED in place (sorted heaviest first);
+  /// `out` is cleared and receives the transitions, so once its capacity
+  /// has grown, only a brand-new rule (an active-table insert) allocates.
+  /// Same decisions, in the same order, as the map overload handed a map
+  /// that iterates in the pairs' order.
+  void evaluate(std::span<std::pair<std::uint64_t, double>> shares,
+                std::vector<mitigation_decision>& out) {
+    out.clear();
+    // Stamp each active rule with its share in this snapshot; a rule
+    // without this sweep's stamp is absent from it (share 0).
+    ++epoch_;
+    for (const auto& [key, share] : shares) {
+      if (const auto it = active_.find(key); it != active_.end()) {
+        it->second.share = share;
+        it->second.epoch = epoch_;
+      }
+    }
 
     // Release or downgrade existing rules first - this frees capacity.
     for (auto it = active_.begin(); it != active_.end();) {
-      const auto found = shares.find(it->first);
-      const double share = found == shares.end() ? 0.0 : found->second;
-      const mitigation_level current = it->second;
+      const double share = it->second.epoch == epoch_ ? it->second.share : 0.0;
+      const mitigation_level current = it->second.level;
       mitigation_level next = current;
       if (share < config_.release_theta) {
         next = mitigation_level::none;
@@ -74,21 +99,20 @@ class mitigation_policy {
         next = mitigation_level::rate_limited;
       }
       if (next != current) {
-        decisions.push_back({it->first, current, next});
+        out.push_back({it->first, current, next});
         if (next == mitigation_level::none) {
           it = active_.erase(it);
           continue;
         }
-        it->second = next;
+        it->second.level = next;
       }
       ++it;
     }
 
     // Escalations and new rules, heaviest subnets first.
-    std::vector<std::pair<std::uint64_t, double>> ordered(shares.begin(), shares.end());
-    std::sort(ordered.begin(), ordered.end(),
+    std::sort(shares.begin(), shares.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });
-    for (const auto& [key, share] : ordered) {
+    for (const auto& [key, share] : shares) {
       const mitigation_level target = share >= config_.block_theta
                                           ? mitigation_level::blocked
                                       : share >= config_.limit_theta
@@ -97,30 +121,38 @@ class mitigation_policy {
       if (target == mitigation_level::none) continue;
       const auto it = active_.find(key);
       const mitigation_level current =
-          it == active_.end() ? mitigation_level::none : it->second;
+          it == active_.end() ? mitigation_level::none : it->second.level;
       if (current == target) continue;
       // Never *downgrade* here (handled above); only escalate or add.
       if (current == mitigation_level::blocked) continue;
       if (current == mitigation_level::none && active_.size() >= config_.max_rules) {
         continue;  // table full: lighter subnets wait for capacity
       }
-      active_[key] = target;
-      decisions.push_back({key, current, target});
+      active_[key].level = target;
+      out.push_back({key, current, target});
     }
-    return decisions;
   }
 
   [[nodiscard]] mitigation_level level_of(std::uint64_t prefix_key) const {
     const auto it = active_.find(prefix_key);
-    return it == active_.end() ? mitigation_level::none : it->second;
+    return it == active_.end() ? mitigation_level::none : it->second.level;
   }
 
   [[nodiscard]] std::size_t active_rules() const noexcept { return active_.size(); }
   [[nodiscard]] const mitigation_config& config() const noexcept { return config_; }
 
  private:
+  /// An active rule, plus the share the current evaluate() sweep saw for
+  /// it (valid only when `epoch` is the sweep's).
+  struct rule {
+    mitigation_level level = mitigation_level::none;
+    double share = 0.0;
+    std::uint64_t epoch = 0;
+  };
+
   mitigation_config config_;
-  std::unordered_map<std::uint64_t, mitigation_level> active_;
+  std::unordered_map<std::uint64_t, rule> active_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace memento::lb

@@ -17,7 +17,8 @@
 //             from its pre-steered packet_ring slice (pull/soak mode);
 //   parse     flow keys are extracted in place from the packet span
 //             (Traits::key_of); under `enforce`, packets from blocked /8
-//             subnets are dropped here, before they cost a sketch update;
+//             subnets are dropped here (branch-free compaction), before
+//             they cost a sketch update;
 //   route     resolved before the ring: the producer (or the RSS pre-steer)
 //             partitions by the same shard_partitioner the frontend routes
 //             with, so core c's ring carries exactly shard c's keyspace;
@@ -68,7 +69,7 @@
 #include <span>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/prefix1d.hpp"
@@ -352,8 +353,13 @@ class pipeline {
           policy(config.mitigation) {}
 
     std::unique_ptr<spsc_ring<packet>> rx;
-    std::vector<key_type> keys;                       ///< parse-stage scratch
-    std::unordered_map<std::uint64_t, double> shares; ///< detect-stage scratch
+    std::vector<key_type> keys;  ///< parse-stage scratch (sized to the largest burst)
+    // detect-stage scratch, reused every sweep: the per-/8 share
+    // accumulator, the (prefix key, share) snapshot handed to the policy,
+    // and the policy's decision buffer.
+    std::array<double, 256> subnet_share{};
+    std::array<std::pair<std::uint64_t, double>, 256> snapshot{};
+    std::vector<lb::mitigation_decision> decisions;
     lb::mitigation_policy policy;
     std::array<std::uint64_t, 4> blocked{};  ///< 256-bit /8 deny bitmap
     bool any_blocked = false;
@@ -387,26 +393,27 @@ class pipeline {
     const auto t0 = timed ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
 
-    // parse (in place from the packet span) + enforce-mode mitigate filter
-    ctx.keys.clear();
+    // parse (in place from the packet span) + enforce-mode mitigate filter.
+    // The filter is branch-free in-place compaction: every key is written,
+    // and the write cursor advances only past unblocked packets - a flood's
+    // unpredictable blocked/allowed mix never reaches the branch predictor.
+    if (ctx.keys.size() < burst.size()) ctx.keys.resize(burst.size());
+    key_type* const keys = ctx.keys.data();
+    std::size_t kept = 0;
     if (config_.enforce && ctx.any_blocked) {
       for (const packet& p : burst) {
-        if (test_bit(ctx.blocked, p.src >> 24)) {
-          ++ctx.mitigated;
-          continue;
-        }
-        ctx.keys.push_back(Traits::key_of(p));
+        keys[kept] = Traits::key_of(p);
+        kept += test_bit(ctx.blocked, p.src >> 24) ? 0 : 1;
       }
+      ctx.mitigated += burst.size() - kept;
     } else {
-      for (const packet& p : burst) ctx.keys.push_back(Traits::key_of(p));
+      for (const packet& p : burst) keys[kept++] = Traits::key_of(p);
     }
 
     // update: the batch kernel on this core's own shard. Resolved after the
     // ring acquire (push mode), so a rebalance-swapped frontend publishes
     // through the same pairs as the bursts - see rebalance().
-    if (!ctx.keys.empty()) {
-      frontend_.shard_mut(c).update_batch(ctx.keys.data(), ctx.keys.size());
-    }
+    if (kept > 0) frontend_.shard_mut(c).update_batch(keys, kept);
 
     // detect -> mitigate, every detect_stride packets of this core's stream
     if (config_.detect_stride > 0) {
@@ -430,16 +437,26 @@ class pipeline {
   /// into per-/8-subnet window shares (read-only on the sketch), let the
   /// mitigation policy grade them, and apply its transitions to the subnet
   /// bitmaps. O(candidates) - a few hundred entries, amortized across
-  /// detect_stride packets.
+  /// detect_stride packets - into fixed per-core scratch: a 256-entry /8
+  /// accumulator instead of a map, and the policy's allocation-free form.
   void detect_sweep(std::size_t c) {
     core_context& ctx = *contexts_[c];
     const auto& shard = frontend_.shard(c);
     const double window = static_cast<double>(shard.window_size());
-    ctx.shares.clear();
+    ctx.subnet_share.fill(0.0);
     shard.for_each_candidate([&](const key_type& key, double est) {
-      ctx.shares[prefix1d::make_key(Traits::src_of(key), 3)] += est / window;
+      ctx.subnet_share[Traits::src_of(key) >> 24] += est / window;
     });
-    for (const auto& d : ctx.policy.evaluate(ctx.shares)) {
+    // A /8 with no candidate mass is left out: the policy reads an absent
+    // subnet as share 0, so the decisions are the same either way.
+    std::size_t n = 0;
+    for (std::uint32_t byte = 0; byte < 256; ++byte) {
+      if (ctx.subnet_share[byte] > 0.0) {
+        ctx.snapshot[n++] = {prefix1d::make_key(byte << 24, 3), ctx.subnet_share[byte]};
+      }
+    }
+    ctx.policy.evaluate(std::span(ctx.snapshot.data(), n), ctx.decisions);
+    for (const auto& d : ctx.decisions) {
       const std::uint32_t byte = prefix1d::key_addr(d.prefix_key) >> 24;
       assign_bit(ctx.blocked, byte, d.to == lb::mitigation_level::blocked);
     }

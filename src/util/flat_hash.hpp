@@ -30,9 +30,11 @@
 // invalidated by rehash (growth only - erase never moves the table).
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -56,6 +58,31 @@ struct flat_hash_stats {
   double mean_probe = 0.0;      ///< average probe distance over entries
   double load_factor = 0.0;     ///< size / capacity (0 for an empty table)
 };
+
+/// Calls fn(i) for every used control byte ctrl[i], i < n, in ascending
+/// order - the iteration kernel under flat_hash's for_each family. Eight
+/// control bytes are tested per 64-bit word (a used byte holds an H2 tag in
+/// [0, 0x80), so its top bit is clear), so a sparse table costs one load per
+/// eight slots plus one step per entry rather than a byte-wise walk. Reads
+/// stay inside ctrl[0, n): the tail below a whole word is walked byte-wise,
+/// so a trailing wraparound mirror is never visited.
+template <typename Fn>
+void for_each_used_ctrl(const std::uint8_t* ctrl, std::size_t n, Fn&& fn) {
+  static_assert(simd::kCtrlEmpty == 0x80, "used bytes are exactly those with the top bit clear");
+  constexpr std::uint64_t kTopBits = 0x8080808080808080ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, ctrl + i, sizeof word);
+    if constexpr (std::endian::native == std::endian::big) word = __builtin_bswap64(word);
+    for (std::uint64_t used = ~word & kTopBits; used != 0; used &= used - 1) {
+      fn(i + (static_cast<std::size_t>(std::countr_zero(used)) >> 3));
+    }
+  }
+  for (; i < n; ++i) {
+    if (ctrl[i] != simd::kCtrlEmpty) fn(i);
+  }
+}
 
 template <typename Key, typename Value = std::uint32_t, typename Hash = std::hash<Key>>
 class flat_hash {
@@ -143,9 +170,7 @@ class flat_hash {
   /// order - deterministic for a given operation history.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (is_used(i)) fn(slots_[i].key, slots_[i].value);
-    }
+    for_each_used([&](std::size_t i) { fn(slots_[i].key, slots_[i].value); });
   }
 
   /// Hints the cache about x's home slot; pairs with update_batch's
@@ -217,12 +242,11 @@ class flat_hash {
     if (slots_.empty()) return st;
     st.load_factor = static_cast<double>(size_) / static_cast<double>(slots_.size());
     std::size_t total = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!is_used(i)) continue;
+    for_each_used([&](std::size_t i) {
       const std::size_t dist = (i - (token_of(slots_[i].key) & mask_)) & mask_;
       total += dist;
       if (dist > st.max_probe) st.max_probe = dist;
-    }
+    });
     if (size_ > 0) st.mean_probe = static_cast<double>(total) / static_cast<double>(size_);
     return st;
   }
@@ -241,21 +265,18 @@ class flat_hash {
   /// restore-side cross-checks (e.g. Space-Saving's islot validation).
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (is_used(i)) fn(i, slots_[i].key, slots_[i].value);
-    }
+    for_each_used([&](std::size_t i) { fn(i, slots_[i].key, slots_[i].value); });
   }
 
   /// Serializes capacity + the used slots (ascending position).
   void save(wire::writer& w) const {
     w.varint(slots_.size());
     w.varint(size_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!is_used(i)) continue;
+    for_each_used([&](std::size_t i) {
       w.varint(i);
       wire::codec<Key>::put(w, slots_[i].key);
       w.varint(static_cast<std::uint64_t>(slots_[i].value));
-    }
+    });
   }
 
   /// Rebuilds the exact layout from save() output. Returns false - leaving
@@ -304,13 +325,8 @@ class flat_hash {
     s.varint(slots_.size());
     s.varint(size_);
     std::uint64_t pos[wire::kPackBlock];
-    std::size_t scan = 0;
-    std::size_t left = size_;
-    while (left > 0) {
-      const std::size_t m = std::min(wire::kPackBlock, left);
-      for (std::size_t i = 0; i < m; ++scan) {
-        if (is_used(scan)) pos[i++] = scan;
-      }
+    std::size_t m = 0;
+    const auto put_tile = [&] {
       std::size_t i = 0;
       wire::put_ascending_u64(s, m, packed, [&] { return pos[i++]; });
       i = 0;
@@ -320,8 +336,13 @@ class flat_hash {
       wire::put_u64_array(s, m, packed, [&] {
         return static_cast<std::uint64_t>(slots_[pos[i++]].value);
       });
-      left -= m;
-    }
+      m = 0;
+    };
+    for_each_used([&](std::size_t i) {
+      pos[m++] = i;
+      if (m == wire::kPackBlock) put_tile();
+    });
+    if (m > 0) put_tile();
   }
 
   /// Rebuilds the exact layout from save_stream() output, with the same
@@ -427,19 +448,15 @@ class flat_hash {
   /// probe" invariant true for restored tables - malformed bytes can never
   /// produce a table with silently unfindable entries.
   [[nodiscard]] bool probe_layout_valid() {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!is_used(i)) continue;
+    bool ok = true;
+    for_each_used([&](std::size_t i) {
       std::size_t walk = token_of(slots_[i].key) & mask_;
-      std::size_t steps = 0;
-      while (walk != i) {
-        if (!is_used(walk) || ++steps > size_) {
-          clear();
-          return false;
-        }
-        walk = next(walk);
+      for (std::size_t steps = 0; ok && walk != i; walk = next(walk)) {
+        ok = is_used(walk) && ++steps <= size_;
       }
-    }
-    return true;
+    });
+    if (!ok) clear();
+    return ok;
   }
 
   static constexpr std::size_t kMinCapacity = 8;
@@ -476,6 +493,12 @@ class flat_hash {
 
   [[nodiscard]] bool is_used(std::size_t i) const noexcept {
     return ctrl_[i] != simd::kCtrlEmpty;
+  }
+
+  /// fn(i) for every used slot, ascending (the mirror is never visited).
+  template <typename Fn>
+  void for_each_used(Fn&& fn) const {
+    for_each_used_ctrl(ctrl_.data(), slots_.size(), std::forward<Fn>(fn));
   }
 
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept { return (i + 1) & mask_; }

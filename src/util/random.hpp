@@ -7,7 +7,9 @@
 // provided here so the ablation bench can reproduce that comparison:
 //
 //   * `random_table_sampler`  - table-driven Bernoulli(tau) decisions, O(1)
-//                               with no floating point on the hot path.
+//                               with no floating point on the hot path; the
+//                               table keeps only its sampled positions, so a
+//                               batch of n decisions costs O(tau * n).
 //   * `geometric_sampler`     - skip-count sampling, one log() per *sampled*
 //                               packet (amortized fast at small tau).
 //
@@ -21,6 +23,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace memento {
@@ -126,26 +130,39 @@ class xoshiro256 {
 };
 
 /// Table-driven Bernoulli(tau) sampler: the paper's "random number table"
-/// (Section 6.2). A table of raw 64-bit draws is generated up front; each
-/// decision is one table read and one integer comparison. The cursor wraps,
-/// so the table acts as a recycled randomness pool: table_size only needs to
-/// be large relative to the correlation structure the consumer cares about
-/// (the benches use 2^16 entries, > 10x any counter count evaluated).
+/// (Section 6.2). Decision i of the table is `draw_i < tau * 2^64` for the
+/// i-th raw 64-bit draw of a seeded xoshiro256; the cursor wraps, so the
+/// table acts as a recycled randomness pool: table_size only needs to be
+/// large relative to the correlation structure the consumer cares about (the
+/// benches use 2^16 entries, > 10x any counter count evaluated).
+///
+/// Only the SAMPLED positions are stored: the table is built once (one pass
+/// of draws, branch-free compaction) into the sorted list of positions whose
+/// decision is true, terminated by a table_size sentinel, and the raw draws
+/// are dropped. State is therefore ~4 * tau * table_size bytes - 4 KB at
+/// tau = 1/64, nothing at all at tau = 1 - instead of 8 bytes per entry, and
+/// a run of n decisions costs O(sampled) rather than O(n): take() emits the
+/// sampled offsets directly, which is what lets the sparse batch kernels'
+/// per-burst cost track tau. sample(), fill(), take(), cursor() and
+/// set_cursor() all walk the same decision stream, draw for draw.
 class random_table_sampler {
  public:
   /// @param tau        sampling probability in [0, 1].
-  /// @param table_size number of precomputed draws (must be > 0).
+  /// @param table_size number of decisions in the table (> 0; 0 is taken as
+  ///                   1; must be < 2^32 so positions fit 32 bits).
   /// @param seed       PRNG seed for table generation.
   explicit random_table_sampler(double tau, std::size_t table_size = 1u << 16,
-                                std::uint64_t seed = 1) {
-    xoshiro256 rng(seed);
-    table_.resize(table_size > 0 ? table_size : 1);
-    for (auto& draw : table_) draw = rng();
+                                std::uint64_t seed = 1)
+      : table_size_(table_size > 0 ? table_size : 1), seed_(seed) {
+    if (table_size_ > std::numeric_limits<std::uint32_t>::max() - std::size_t{1}) {
+      throw std::invalid_argument("random_table_sampler: table_size must be < 2^32");
+    }
     set_probability(tau);
   }
 
-  /// Re-targets the sampler without regenerating the table.
-  void set_probability(double tau) noexcept {
+  /// Re-targets the sampler: the same seed's draws, compared against the new
+  /// threshold. The cursor is kept.
+  void set_probability(double tau) {
     if (tau >= 1.0) {
       threshold_ = std::numeric_limits<std::uint64_t>::max();
       always_ = true;
@@ -157,38 +174,48 @@ class random_table_sampler {
           tau * static_cast<double>(std::numeric_limits<std::uint64_t>::max()));
       always_ = false;
     }
+    rebuild();
   }
 
   /// One Bernoulli(tau) decision; O(1), no floating point.
   [[nodiscard]] bool sample() noexcept {
     if (always_) return true;
-    const std::uint64_t draw = table_[cursor_];
-    cursor_ = cursor_ + 1 == table_.size() ? 0 : cursor_ + 1;
-    return draw < threshold_;
+    const bool hit = positions_[next_] == cursor_;
+    next_ += hit ? 1 : 0;
+    advance(1);
+    return hit;
   }
 
   /// Bulk-decision API for batched update paths: writes the next n Bernoulli
   /// decisions into out, consuming the table exactly as n sequential sample()
-  /// calls would (same draws, same cursor advance), so batch and scalar
-  /// consumers see the same sampled sequence from the same seed. The inner
-  /// loop is wrap-free (segmented at the table edge) and vectorizable.
+  /// calls would (same decisions, same cursor advance), so batch and scalar
+  /// consumers see the same sampled sequence from the same seed.
   void fill(bool* out, std::size_t n) noexcept {
     if (always_) {
       std::fill_n(out, n, true);
       return;
     }
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t run = std::min(n - done, table_.size() - cursor_);
-      const std::uint64_t* draws = table_.data() + cursor_;
-      for (std::size_t i = 0; i < run; ++i) out[done + i] = draws[i] < threshold_;
-      cursor_ += run;
-      if (cursor_ == table_.size()) cursor_ = 0;
-      done += run;
-    }
+    std::fill_n(out, n, false);
+    walk(n, [out](std::size_t offset) { out[offset] = true; });
   }
 
-  [[nodiscard]] std::size_t table_size() const noexcept { return table_.size(); }
+  /// Compacted form of fill(): writes the offsets (in [0, n), ascending) of
+  /// the sampled decisions among the next n into idx and returns how many
+  /// there are. Same stream and cursor advance as fill(out, n); the cost is
+  /// O(sampled), not O(n). idx must hold n entries.
+  std::size_t take(std::uint32_t* idx, std::size_t n) noexcept {
+    if (always_) {
+      for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
+      return n;
+    }
+    std::size_t count = 0;
+    walk(n, [idx, &count](std::size_t offset) {
+      idx[count++] = static_cast<std::uint32_t>(offset);
+    });
+    return count;
+  }
+
+  [[nodiscard]] std::size_t table_size() const noexcept { return table_size_; }
 
   /// Read cursor into the table, for checkpoint/restore: a sampler rebuilt
   /// from the same (tau, table_size, seed) with the cursor restored emits
@@ -198,14 +225,74 @@ class random_table_sampler {
   /// Restores the cursor; false (and no change) when out of range, so a
   /// malformed snapshot cannot park the cursor past the table.
   bool set_cursor(std::size_t c) noexcept {
-    if (c >= table_.size()) return false;
+    if (c >= table_size_) return false;
     cursor_ = c;
+    seek();
     return true;
   }
 
  private:
-  std::vector<std::uint64_t> table_;
+  /// Regenerates the sampled-position list for the current threshold. The
+  /// compaction writes every position and advances by the decision, so the
+  /// pass has no data-dependent branch; the scratch buffer is left
+  /// uninitialized, so only the pages the hits reach are ever touched.
+  void rebuild() {
+    positions_.clear();
+    if (!always_) {
+      const auto hits = std::make_unique_for_overwrite<std::uint32_t[]>(table_size_ + 1);
+      xoshiro256 rng(seed_);
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < table_size_; ++i) {
+        hits[count] = static_cast<std::uint32_t>(i);
+        count += rng() < threshold_ ? 1 : 0;
+      }
+      hits[count] = static_cast<std::uint32_t>(table_size_);  // sentinel
+      positions_.assign(hits.get(), hits.get() + count + 1);
+    }
+    positions_.shrink_to_fit();
+    seek();
+  }
+
+  /// Re-derives next_ - the first sampled position at or after the cursor.
+  void seek() noexcept {
+    if (always_) return;
+    next_ = static_cast<std::size_t>(
+        std::lower_bound(positions_.begin(), positions_.end() - 1,
+                         static_cast<std::uint32_t>(cursor_)) -
+        positions_.begin());
+  }
+
+  void advance(std::size_t run) noexcept {
+    cursor_ += run;
+    if (cursor_ == table_size_) {
+      cursor_ = 0;
+      next_ = 0;
+    }
+  }
+
+  /// Consumes the next n decisions, calling hit(offset) for each sampled
+  /// one (offset relative to the first of the n). Runs are segmented at the
+  /// table edge; the sentinel (== table_size) ends every inner scan.
+  template <typename Hit>
+  void walk(std::size_t n, Hit&& hit) noexcept {
+    std::size_t done = 0;
+    while (done < n) {
+      const std::size_t run = std::min(n - done, table_size_ - cursor_);
+      const std::size_t end = cursor_ + run;
+      const std::size_t base = done - cursor_;  // offset = base + position (mod 2^64)
+      const std::uint32_t* p = positions_.data() + next_;
+      for (; *p < end; ++p) hit(base + *p);
+      next_ = static_cast<std::size_t>(p - positions_.data());
+      done += run;
+      advance(run);
+    }
+  }
+
+  std::vector<std::uint32_t> positions_;  ///< sampled positions + sentinel; empty when always_
+  std::size_t table_size_;
+  std::uint64_t seed_;
   std::size_t cursor_ = 0;
+  std::size_t next_ = 0;  ///< index into positions_ of the first position >= cursor_
   std::uint64_t threshold_ = 0;
   bool always_ = false;
 };

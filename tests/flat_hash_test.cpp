@@ -10,8 +10,11 @@
 // scalar oracle chooses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/flat_hash.hpp"
@@ -202,6 +205,80 @@ TEST(FlatHash, ForEachVisitsExactlyTheLiveEntries) {
   std::unordered_map<std::uint64_t, std::uint32_t> seen;
   h.for_each([&](std::uint64_t k, std::uint32_t v) { seen[k] = v; });
   EXPECT_EQ(seen, expect);
+}
+
+// The iteration kernel against the scalar control-byte walk it replaced, on
+// raw control arrays of every length 0..72 (word-sized or not) followed by a
+// fully used wraparound mirror that must never be visited.
+TEST(FlatHash, ForEachUsedCtrlMatchesScalarWalk) {
+  xoshiro256 rng(0xc7);
+  const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  for (std::size_t n = 0; n <= 72; ++n) {
+    for (const double density : densities) {
+      std::vector<std::uint8_t> ctrl(n + 31);
+      for (std::size_t i = 0; i < ctrl.size(); ++i) {
+        const bool used = i >= n || rng.uniform01() < density;
+        ctrl[i] = used ? static_cast<std::uint8_t>(rng.bounded(0x80)) : simd::kCtrlEmpty;
+      }
+      std::vector<std::size_t> expect;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (ctrl[i] != simd::kCtrlEmpty) expect.push_back(i);
+      }
+      std::vector<std::size_t> seen;
+      for_each_used_ctrl(ctrl.data(), n, [&](std::size_t i) { seen.push_back(i); });
+      EXPECT_EQ(seen, expect) << "n=" << n << " density=" << density;
+    }
+  }
+}
+
+// for_each / for_each_slot visit every used slot exactly once, ascending,
+// and nothing else - checked on real tables of every capacity from 8 to
+// 1024 after backward-shift erases, against slot positions tracked
+// independently through emplace_prehashed and erase_at's move callback.
+TEST(FlatHash, ForEachVisitsUsedSlotsOnceInSlotOrder) {
+  xoshiro256 rng(0xf0);
+  for (std::size_t cap = 8; cap <= 1024; cap *= 2) {
+    flat_hash<std::uint64_t> h(cap - cap / 4);
+    ASSERT_EQ(h.capacity(), cap);
+    std::unordered_map<std::uint32_t, std::size_t> slot_of_value;
+    std::unordered_map<std::uint32_t, std::uint64_t> key_of_value;
+    std::uint32_t next_value = 0;
+    for (int round = 0; round < 6; ++round) {
+      while (h.size() < cap - cap / 4) {  // fill to the load bound
+        const std::uint64_t k = rng() % (4 * cap);
+        if (h.contains(k)) continue;
+        slot_of_value[next_value] = h.emplace_prehashed(h.bucket(k), k, next_value);
+        key_of_value[next_value++] = k;
+      }
+      for (std::size_t e = 0; e < cap / 3; ++e) {  // backward-shift erases
+        auto victim = slot_of_value.begin();
+        std::advance(victim, static_cast<std::ptrdiff_t>(rng.bounded(slot_of_value.size())));
+        const std::uint32_t v = victim->first;
+        h.erase_at(victim->second,
+                   [&](std::uint32_t moved, std::size_t pos) { slot_of_value[moved] = pos; });
+        slot_of_value.erase(v);
+        key_of_value.erase(v);
+      }
+      std::vector<std::pair<std::size_t, std::uint32_t>> expect;
+      for (const auto& [value, pos] : slot_of_value) expect.emplace_back(pos, value);
+      std::sort(expect.begin(), expect.end());
+
+      std::vector<std::pair<std::size_t, std::uint32_t>> seen;
+      h.for_each_slot([&](std::size_t pos, std::uint64_t key, std::uint32_t value) {
+        EXPECT_EQ(key, key_of_value[value]);
+        seen.emplace_back(pos, value);
+      });
+      ASSERT_EQ(seen, expect) << "cap=" << cap << " round=" << round;
+      std::size_t i = 0;
+      h.for_each([&](std::uint64_t key, std::uint32_t value) {
+        ASSERT_LT(i, expect.size());
+        EXPECT_EQ(value, expect[i].second);
+        EXPECT_EQ(key, key_of_value[value]);
+        ++i;
+      });
+      EXPECT_EQ(i, h.size());
+    }
+  }
 }
 
 // Randomized differential test: a long mixed op stream, checked against

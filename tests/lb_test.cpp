@@ -2,14 +2,22 @@
 // the cluster's controller-driven mitigation loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "hierarchy/prefix1d.hpp"
 #include "lb/acl.hpp"
 #include "lb/cluster.hpp"
 #include "lb/http.hpp"
 #include "lb/load_balancer.hpp"
+#include "lb/mitigation_policy.hpp"
 #include "trace/flood_injector.hpp"
 #include "trace/trace_generator.hpp"
+#include "util/random.hpp"
 
 namespace memento::lb {
 namespace {
@@ -187,6 +195,125 @@ TEST(Cluster, MitigationReducesForwardedAttackTraffic) {
   const auto without_detection = run(1u << 30);
   EXPECT_LT(with_detection, without_detection / 5)
       << "mitigation must stop the vast majority of attack requests";
+}
+
+// --- mitigation policy: allocation-free evaluate ------------------------------
+
+bool same_decisions(const std::vector<mitigation_decision>& a,
+                    const std::vector<mitigation_decision>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].prefix_key != b[i].prefix_key || a[i].from != b[i].from || a[i].to != b[i].to) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Reference evaluation for the decision order: the direct map-based
+// algorithm (a map lookup per active rule, a sorted copy of the snapshot),
+// which both mitigation_policy overloads must match transition for
+// transition.
+struct map_policy_oracle {
+  mitigation_config config;
+  std::unordered_map<std::uint64_t, mitigation_level> active;
+
+  std::vector<mitigation_decision> evaluate(
+      const std::unordered_map<std::uint64_t, double>& shares) {
+    std::vector<mitigation_decision> decisions;
+    for (auto it = active.begin(); it != active.end();) {
+      const auto found = shares.find(it->first);
+      const double share = found == shares.end() ? 0.0 : found->second;
+      const mitigation_level current = it->second;
+      mitigation_level next = current;
+      if (share < config.release_theta) {
+        next = mitigation_level::none;
+      } else if (current == mitigation_level::blocked && share < config.limit_theta) {
+        next = mitigation_level::rate_limited;
+      }
+      if (next != current) {
+        decisions.push_back({it->first, current, next});
+        if (next == mitigation_level::none) {
+          it = active.erase(it);
+          continue;
+        }
+        it->second = next;
+      }
+      ++it;
+    }
+    std::vector<std::pair<std::uint64_t, double>> ordered(shares.begin(), shares.end());
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+    for (const auto& [key, share] : ordered) {
+      const mitigation_level target = share >= config.block_theta   ? mitigation_level::blocked
+                                      : share >= config.limit_theta ? mitigation_level::rate_limited
+                                                                    : mitigation_level::none;
+      if (target == mitigation_level::none) continue;
+      const auto it = active.find(key);
+      const mitigation_level current = it == active.end() ? mitigation_level::none : it->second;
+      if (current == target || current == mitigation_level::blocked) continue;
+      if (current == mitigation_level::none && active.size() >= config.max_rules) continue;
+      active[key] = target;
+      decisions.push_back({key, current, target});
+    }
+    return decisions;
+  }
+};
+
+// Three policies evolve in lockstep over randomized snapshots - the oracle,
+// the map overload, and the (prefix key, share) pair overload fed the map's
+// entries in iteration order - and must emit the same transitions in the
+// same order every round. Shares come from a small value set so ties are
+// common, and a 5-rule table saturates.
+TEST(MitigationPolicy, PairOverloadMatchesMapOverload) {
+  const mitigation_config cfg{0.05, 0.02, 0.01, 5};
+  const double levels[] = {0.0, 0.005, 0.01, 0.015, 0.02, 0.03, 0.05, 0.05, 0.08};
+  xoshiro256 rng(0x1b);
+  for (int trial = 0; trial < 20; ++trial) {
+    map_policy_oracle oracle{cfg, {}};
+    mitigation_policy by_map(cfg);
+    mitigation_policy by_pairs(cfg);
+    std::vector<std::pair<std::uint64_t, double>> pairs;
+    std::vector<mitigation_decision> out;
+    std::size_t saturated_rounds = 0;
+    for (int round = 0; round < 60; ++round) {
+      std::unordered_map<std::uint64_t, double> shares;
+      const std::size_t present = rng.bounded(24);
+      for (std::size_t i = 0; i < present; ++i) {
+        const auto subnet = static_cast<std::uint32_t>(rng.bounded(32)) << 24;
+        shares[prefix1d::make_key(subnet, 3)] = levels[rng.bounded(std::size(levels))];
+      }
+      pairs.assign(shares.begin(), shares.end());
+      const auto expect = oracle.evaluate(shares);
+      ASSERT_TRUE(same_decisions(by_map.evaluate(shares), expect))
+          << "trial " << trial << " round " << round;
+      by_pairs.evaluate(pairs, out);
+      ASSERT_TRUE(same_decisions(out, expect)) << "trial " << trial << " round " << round;
+      ASSERT_EQ(by_map.active_rules(), oracle.active.size());
+      ASSERT_EQ(by_pairs.active_rules(), oracle.active.size());
+      for (const auto& [key, share] : shares) {
+        ASSERT_EQ(by_pairs.level_of(key), by_map.level_of(key));
+      }
+      saturated_rounds += by_map.active_rules() == cfg.max_rules ? 1 : 0;
+    }
+    EXPECT_GT(saturated_rounds, 0u) << "trial " << trial << " never filled the rule table";
+  }
+}
+
+TEST(MitigationPolicy, PairOverloadReusesTheCallersBuffer) {
+  mitigation_policy policy({0.05, 0.02, 0.01, 256});
+  std::vector<std::pair<std::uint64_t, double>> pairs{
+      {prefix1d::make_key(10u << 24, 3), 0.03}, {prefix1d::make_key(11u << 24, 3), 0.09}};
+  std::vector<mitigation_decision> out(7);  // stale content is cleared
+  policy.evaluate(pairs, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].prefix_key, prefix1d::make_key(11u << 24, 3));  // heaviest first
+  EXPECT_EQ(out[0].to, mitigation_level::blocked);
+  EXPECT_EQ(out[1].to, mitigation_level::rate_limited);
+  pairs.clear();  // both subnets vanish: released
+  policy.evaluate(pairs, out);
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(policy.active_rules(), 0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 // for the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -26,6 +27,7 @@
 #include "shard/sharded_memento.hpp"
 #include "trace/packet_ring.hpp"
 #include "trace/trace_generator.hpp"
+#include "util/random.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -271,6 +273,93 @@ TEST(PipelineDetect, ObserveModeOnlyAccountsAndKeepsAllTraffic) {
   EXPECT_EQ(total.mitigated, 0u);
   EXPECT_GT(total.active_rules, 0u);  // the policy still graded the flood
   EXPECT_EQ(pipe.frontend().stream_length(), trace.size());
+}
+
+/// Source-/8 keyed traits (the flood-detection measurement domain): every
+/// packet of a /8 counts under one key, so a /8 lives on one core.
+struct subnet_traits {
+  using key_type = std::uint64_t;
+  [[nodiscard]] static key_type key_of(const packet& p) noexcept {
+    return std::uint64_t{p.src & 0xFF000000u} << 32;
+  }
+  [[nodiscard]] static std::uint32_t src_of(key_type key) noexcept {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
+};
+
+/// Half the packets come from eight flooding /8s (each ~6% of traffic over
+/// 16 flows, above the block threshold), half from background spread,
+/// interleaved at random - the mix the parse-stage filter has to sort
+/// without a pattern.
+std::vector<packet> half_blocked_trace(std::size_t n) {
+  std::vector<packet> pkts;
+  pkts.reserve(n);
+  xoshiro256 rng(0x5eed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t x = rng();
+    packet p;
+    if ((x & 1) != 0) {
+      const auto subnet = static_cast<std::uint32_t>(20 + ((x >> 1) & 7));
+      p.src = (subnet << 24) | static_cast<std::uint32_t>((x >> 4) & 15);
+      p.dst = 0x0A000001u;
+    } else {
+      p.src = static_cast<std::uint32_t>(x >> 32) | 0x80000000u;  // /8s 128..255
+      p.dst = static_cast<std::uint32_t>(x >> 8);
+    }
+    pkts.push_back(p);
+  }
+  return pkts;
+}
+
+/// Enforce mode drops exactly the packets whose core blocks their /8 when
+/// the burst arrives (read through blocks() before each burst, the way an
+/// external accountant would), and the survivors reach the sketch in order:
+/// the frontend ends byte-identical to a plain sharded_memento fed only the
+/// unblocked keys.
+template <typename Traits>
+void check_enforce_filter_accounting() {
+  auto cfg = small_config(3, /*detect_stride=*/1024);
+  cfg.enforce = true;
+  cfg.mitigation = {0.04, 0.02, 0.01, 256};
+  pipeline<Traits> pipe(cfg);
+  sharded_memento<std::uint64_t> reference(cfg.sharding);
+
+  const auto trace = half_blocked_trace(120'000);
+  std::vector<std::uint64_t> predicted(pipe.cores(), 0);
+  std::vector<std::uint64_t> kept;
+  for (std::size_t at = 0; at < trace.size(); at += 512) {
+    const std::size_t n = std::min<std::size_t>(512, trace.size() - at);
+    kept.clear();
+    for (std::size_t i = at; i < at + n; ++i) {
+      const std::size_t core = pipe.core_of(trace[i]);
+      if (pipe.blocks(core, trace[i].src >> 24)) {
+        ++predicted[core];
+      } else {
+        kept.push_back(Traits::key_of(trace[i]));
+      }
+    }
+    reference.update_batch(kept.data(), kept.size());
+    pipe.process(trace.data() + at, n);
+  }
+
+  std::uint64_t mitigated = 0;
+  for (std::size_t c = 0; c < pipe.cores(); ++c) {
+    EXPECT_EQ(pipe.report(c).mitigated, predicted[c]) << "core " << c;
+    mitigated += predicted[c];
+  }
+  // The flood /8s end up blocked, so a large share of the trace is dropped.
+  EXPECT_GT(mitigated, trace.size() / 4);
+  EXPECT_EQ(pipe.report().mitigated, mitigated);
+  EXPECT_EQ(pipe.frontend().stream_length() + mitigated, trace.size());
+  EXPECT_EQ(frontend_bytes(pipe.frontend()), frontend_bytes(reference));
+}
+
+TEST(PipelineDetect, EnforceFilterDropsExactlyTheBlockedPacketsFlowKeys) {
+  check_enforce_filter_accounting<flow_key_traits>();
+}
+
+TEST(PipelineDetect, EnforceFilterDropsExactlyTheBlockedPacketsSubnetKeys) {
+  check_enforce_filter_accounting<subnet_traits>();
 }
 
 // --- pull mode (the soak loop) -----------------------------------------------

@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "util/normal.hpp"
 #include "util/random.hpp"
@@ -110,6 +113,116 @@ TEST(RandomTableSampler, TinyTableStillWorks) {
   // Only one table entry: decisions are constant, but must not crash/UB.
   const bool first = sampler.sample();
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.sample(), first);
+}
+
+// Reference sampler for the decision stream: the plain raw-draw table
+// (every draw stored, one comparison per decision) that
+// random_table_sampler's sampled-position list must reproduce exactly.
+class raw_table_oracle {
+ public:
+  raw_table_oracle(double tau, std::size_t table_size, std::uint64_t seed) {
+    xoshiro256 rng(seed);
+    table_.resize(table_size > 0 ? table_size : 1);
+    for (auto& draw : table_) draw = rng();
+    set_probability(tau);
+  }
+
+  void set_probability(double tau) {
+    always_ = tau >= 1.0;
+    threshold_ = tau >= 1.0   ? std::numeric_limits<std::uint64_t>::max()
+                 : tau <= 0.0 ? 0
+                              : static_cast<std::uint64_t>(
+                                    tau * static_cast<double>(
+                                              std::numeric_limits<std::uint64_t>::max()));
+  }
+
+  bool sample() {
+    if (always_) return true;
+    const std::uint64_t draw = table_[cursor_];
+    cursor_ = cursor_ + 1 == table_.size() ? 0 : cursor_ + 1;
+    return draw < threshold_;
+  }
+
+  void fill(bool* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = sample();
+  }
+
+  [[nodiscard]] std::size_t cursor() const { return cursor_; }
+  bool set_cursor(std::size_t c) {
+    if (c >= table_.size()) return false;
+    cursor_ = c;
+    return true;
+  }
+
+ private:
+  std::vector<std::uint64_t> table_;
+  std::size_t cursor_ = 0;
+  std::uint64_t threshold_ = 0;
+  bool always_ = false;
+};
+
+// sample(), fill() and take() must replay the raw table's decision stream
+// exactly - across table wraps, cursor restores and re-targets - with the
+// cursor agreeing after every call: every sketch's save() bytes (which
+// carry the cursor) and sampled sequence depend on it.
+TEST(RandomTableSampler, MatchesRawTableOracleStream) {
+  const double taus[] = {0.0, 1e-4, 1.0 / 64, 0.25, 0.999, 1.0};
+  const std::size_t sizes[] = {1, 7, std::size_t{1} << 16};
+  xoshiro256 rng(0xfeed);
+  bool expect[700];
+  bool got[700];
+  std::uint32_t idx[700];
+  for (const double tau : taus) {
+    for (const std::size_t size : sizes) {
+      for (int rep = 0; rep < 3; ++rep) {
+        const std::uint64_t seed = rng();
+        raw_table_oracle oracle(tau, size, seed);
+        random_table_sampler sampler(tau, size, seed);
+        ASSERT_EQ(sampler.table_size(), size);
+        for (int op = 0; op < 400; ++op) {
+          SCOPED_TRACE(::testing::Message() << "tau=" << tau << " size=" << size
+                                            << " seed=" << seed << " op=" << op);
+          const std::uint64_t pick = rng() % 16;
+          const std::size_t n = static_cast<std::size_t>(rng() % 700);
+          if (pick < 4) {
+            ASSERT_EQ(sampler.sample(), oracle.sample());
+          } else if (pick < 8) {
+            oracle.fill(expect, n);
+            sampler.fill(got, n);
+            for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(got[i], expect[i]) << "i=" << i;
+          } else if (pick < 12) {
+            oracle.fill(expect, n);
+            const std::size_t sampled = sampler.take(idx, n);
+            std::size_t t = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+              if (!expect[i]) continue;
+              ASSERT_LT(t, sampled);
+              ASSERT_EQ(idx[t], i);
+              ++t;
+            }
+            ASSERT_EQ(t, sampled);
+          } else if (pick < 15) {
+            // Restore points near the table edge exercise the wrap.
+            const std::size_t c = (pick == 14 ? size - 1 - rng() % std::min<std::size_t>(size, 600)
+                                              : rng() % size);
+            ASSERT_TRUE(sampler.set_cursor(c));
+            ASSERT_TRUE(oracle.set_cursor(c));
+            ASSERT_FALSE(sampler.set_cursor(size));
+          } else {
+            const double retarget = taus[rng() % std::size(taus)];
+            sampler.set_probability(retarget);
+            oracle.set_probability(retarget);
+          }
+          ASSERT_EQ(sampler.cursor(), oracle.cursor());
+        }
+      }
+    }
+  }
+}
+
+TEST(RandomTableSampler, RejectsTablesBeyond32BitPositions) {
+  // Positions (and the table_size sentinel) are stored as 32-bit offsets.
+  EXPECT_THROW(random_table_sampler(0.5, std::size_t{1} << 32, 1), std::invalid_argument);
 }
 
 // --- geometric_sampler ------------------------------------------------------
