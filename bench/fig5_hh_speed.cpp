@@ -11,8 +11,9 @@
 // stream and end in identical sketch state; the delta is pure hot-path
 // mechanics (pre-drawn sampling, chunked hashing + prefetch, hoisted
 // window bookkeeping). `fig5/hh_speed_sharded` adds the multicore axis:
-// the same bursts through sharded_memento_pool at N = 1..8 shards, wall-
-// clock timed (scaling requires >= N physical cores to show).
+// the same bursts through the threaded pipeline (push mode, one worker per
+// core) at N = 1..8 cores, wall-clock timed (scaling requires >= N
+// physical cores to show).
 // `fig5/hh_speed_rebalanced` adds the skew axis: Zipf 0.6-1.2 elephant
 // mixes scored static-hashing vs the coverage_rebalancer's weighted table
 // (load ratio, window-coverage spread, recall vs an exact oracle). bench/
@@ -28,8 +29,8 @@
 #include <vector>
 
 #include "core/memento.hpp"
+#include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/shard_pool.hpp"
 #include "sketch/exact_window.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/simd.hpp"
@@ -117,13 +118,13 @@ void hh_speed_batch(benchmark::State& state) {
                  "/tau=1/" + std::to_string(state.range(2)) + "/burst=" + std::to_string(kBurst));
 }
 
-// Sharded variant: the same stream pushed through sharded_memento_pool with
-// N worker threads (args: kind, counters, inv_tau, shards). Window and
-// counter budgets are GLOBAL (divided across shards), so the N = 1 row is
-// the single-instance batch pipeline plus partition/queue overhead and the
-// N > 1 rows measure genuine multicore scaling. Each iteration ingests the
-// full trace in NIC bursts and drains, so queue flush time is inside the
-// measurement. bench/summarize.py turns these rows into the scaling curve
+// Sharded variant: the same stream pushed through pipeline<> in push mode
+// with N worker threads (args: kind, counters, inv_tau, shards), as the
+// packets the flow ids name (packet_of; detection off). Window
+// and counter budgets are GLOBAL (divided across shards), so the N = 1 row
+// is the single-instance batch path plus steer/ring overhead and the N > 1
+// rows measure multicore scaling. Each iteration ingests the full trace in
+// NIC bursts and drains, so ring flush time is inside the measurement. bench/summarize.py turns these rows into the scaling curve
 // recorded in BENCH_fig5.json (speedup vs N=1 and vs the batch baseline).
 void hh_speed_sharded(benchmark::State& state) {
   const auto kind = static_cast<trace_kind>(state.range(0));
@@ -132,13 +133,16 @@ void hh_speed_sharded(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(3));
 
   const auto& ids = trace_ids(kind);
-  shard_config cfg;
-  cfg.window_size = kWindow;
-  cfg.counters = counters;
-  cfg.tau = tau;
-  cfg.seed = 1;
-  cfg.shards = shards;
-  sharded_memento_pool<std::uint64_t> pool(cfg);
+  std::vector<packet> pkts;
+  for (const auto id : ids) pkts.push_back(packet_of(id));
+  pipeline_config cfg;
+  cfg.sharding.window_size = kWindow;
+  cfg.sharding.counters = counters;
+  cfg.sharding.tau = tau;
+  cfg.sharding.seed = 1;
+  cfg.sharding.shards = shards;
+  pipeline<> pipe(cfg);
+  pipe.start();
 
   // Mpps is computed against WALL time accumulated by hand: the kIsRate
   // counter divides by the main thread's CPU time, which misstates a
@@ -146,13 +150,14 @@ void hh_speed_sharded(benchmark::State& state) {
   double elapsed = 0.0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ids.size(); i += kBurst) {
-      pool.ingest(ids.data() + i, std::min(kBurst, ids.size() - i));
+    for (std::size_t i = 0; i < pkts.size(); i += kBurst) {
+      pipe.process(pkts.data() + i, std::min(kBurst, pkts.size() - i));
     }
-    pool.drain();
+    pipe.drain();
     elapsed += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    benchmark::DoNotOptimize(pool.frontend().stream_length());
+    benchmark::DoNotOptimize(pipe.frontend().stream_length());
   }
+  pipe.stop();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ids.size()));
   state.counters["Mpps"] =

@@ -40,9 +40,10 @@ args (e.g. `fig5/hh_speed/0/512/1` and `fig5/hh_speed_batch/0/512/1`), emits
 a pair entry with the batch-over-scalar speedup. `_sharded` rows (args
 `kind/counters/inv_tau/shards`) are additionally folded into a `scaling`
 section: one record per (kind, counters, inv_tau) with the per-N Mpps, the
-speedup of each N over the N=1 sharded row, and the speedup of each N over
-the single-instance `_batch` baseline at the same args - the multicore
-scaling curve. The output is stable-sorted and pretty-printed so diffs
+speedup of each N over the N=1 sharded row, the speedup of each N over
+the single-instance `_batch` baseline at the same args, and whether N
+exceeds the host's CPU count (`oversubscribed`) - the multicore scaling
+curve. The output is stable-sorted and pretty-printed so diffs
 across PRs read as a throughput trajectory.
 """
 
@@ -149,6 +150,11 @@ def reduce_benchmarks(raw: dict) -> dict:
     # count N is always the LAST arg (fig5: kind/counters/inv_tau/N, fig6:
     # counters/inv_tau/N); report per-N throughput, speedup vs the N=1
     # sharded row and vs the single-instance batch baseline, same base args.
+    # A point with more shards (worker threads) than the host has CPUs is
+    # marked oversubscribed: it shows time-slicing, not scaling (None when
+    # the run did not record num_cpus).
+    context = raw.get("context", {})
+    num_cpus = context.get("num_cpus")
     sharded = {}
     for e in entries:
         if not e["family"].endswith("_sharded") or e["mpps"] is None:
@@ -165,7 +171,11 @@ def reduce_benchmarks(raw: dict) -> dict:
         points = []
         for n in sorted(by_n):
             e = by_n[n]
-            point = {"shards": n, "mpps": e["mpps"]}
+            point = {
+                "shards": n,
+                "mpps": e["mpps"],
+                "oversubscribed": None if num_cpus is None else n > num_cpus,
+            }
             if one and one["mpps"]:
                 point["speedup_vs_1shard"] = round(e["mpps"] / one["mpps"], 3)
             if batch and batch["mpps"]:
@@ -180,7 +190,6 @@ def reduce_benchmarks(raw: dict) -> dict:
             }
         )
 
-    context = raw.get("context", {})
     summary = {
         "generated_by": "bench/summarize.py",
         "host": {

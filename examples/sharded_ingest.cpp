@@ -2,8 +2,9 @@
 // hash-partitioning the flow keyspace.
 //
 //   1. build a 4-shard frontend (global window/counter budgets divide evenly);
-//   2. ingest a skewed synthetic trace through the threaded pool in
-//      NIC-burst-sized spans (each shard's worker drives the batch kernel);
+//   2. ingest a skewed synthetic trace through the threaded pipeline in
+//      NIC-burst-sized spans (each core's worker drives the batch kernel on
+//      its own shard);
 //   3. drain() and query: point lookups route to the owning shard, set
 //      queries merge the disjoint per-shard candidate sets;
 //   4. print the per-shard load/phase picture an operator would monitor;
@@ -16,39 +17,42 @@
 #include <cstdio>
 #include <vector>
 
+#include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/shard_pool.hpp"
 #include "shard/sharded_memento.hpp"
 #include "trace/trace_generator.hpp"
 
 int main() {
   using namespace memento;
 
-  shard_config cfg;
+  pipeline_config pcfg;
+  shard_config& cfg = pcfg.sharding;
   cfg.window_size = 1 << 20;  // 1M-packet window, split across shards
   cfg.counters = 1024;        // total Space-Saving budget, split likewise
   cfg.tau = 1.0 / 16;         // sampled Full updates (Memento's speed lever)
   cfg.seed = 42;
-  cfg.shards = 4;
+  cfg.shards = 4;             // one shard per core
 
   std::printf("sharded Memento: %zu shards, W=%llu total, k=%zu total, tau=1/16\n\n",
               cfg.shards, static_cast<unsigned long long>(cfg.window_size), cfg.counters);
 
-  // Threaded mode: one worker per shard behind an SPSC ring; ingest() costs
-  // the caller one hash per packet, the sketch work happens on the workers.
-  sharded_memento_pool<std::uint64_t> pool(cfg);
+  // Threaded push mode: one worker per core behind an SPSC ring; process()
+  // costs the caller one hash per packet, the sketch work happens on the
+  // workers. Detection is off (detect_stride = 0): pure measurement.
+  pipeline<> pipe(pcfg);
+  pipe.start();
 
   trace_generator gen(trace_kind::backbone, /*seed=*/7);
   constexpr std::size_t kPackets = 4'000'000;
   constexpr std::size_t kBurst = 256;
-  std::vector<std::uint64_t> burst(kBurst);
+  std::vector<packet> burst(kBurst);
   for (std::size_t sent = 0; sent < kPackets; sent += kBurst) {
-    for (auto& id : burst) id = flow_id(gen.next());
-    pool.ingest(burst.data(), burst.size());
+    for (auto& p : burst) p = gen.next();
+    pipe.process(burst.data(), burst.size());
   }
-  pool.drain();  // barrier: all rings empty, shard state visible
+  pipe.drain();  // barrier: all rings empty, shard state visible
 
-  const auto& front = pool.frontend();
+  const auto& front = pipe.frontend();
   std::printf("ingested %llu packets\n\n", static_cast<unsigned long long>(front.stream_length()));
 
   std::printf("top flows across all shards (merged from disjoint candidate sets):\n");
@@ -77,22 +81,23 @@ int main() {
   // rebalancer's migration unit, so distinct buckets are what lets it split
   // them. Together they now carry 25% of the traffic: the classic mix
   // static hashing cannot balance.
-  std::vector<std::uint64_t> elephants;
+  std::vector<packet> elephants;
   std::vector<std::size_t> buckets_taken;
-  for (std::uint64_t x = 1u << 20; elephants.size() < 3; ++x) {
-    if (front.shard_of(x) != 0) continue;
-    const std::size_t b = front.partitioner().bucket_of(x);
+  for (std::uint32_t dst = 1u << 20; elephants.size() < 3; ++dst) {
+    const packet p{0, dst};  // flow key == dst
+    if (pipe.core_of(p) != 0) continue;
+    const std::size_t b = front.partitioner().bucket_of(flow_id(p));
     if (std::find(buckets_taken.begin(), buckets_taken.end(), b) != buckets_taken.end()) continue;
-    elephants.push_back(x);
+    elephants.push_back(p);
     buckets_taken.push_back(b);
   }
   for (std::size_t sent = 0; sent < kPackets; sent += kBurst) {
     for (std::size_t i = 0; i < kBurst; ++i) {
-      burst[i] = i % 4 == 0 ? elephants[(sent + i) % elephants.size()] : flow_id(gen.next());
+      burst[i] = i % 4 == 0 ? elephants[(sent + i) % elephants.size()] : gen.next();
     }
-    pool.ingest(burst.data(), burst.size());
+    pipe.process(burst.data(), burst.size());
   }
-  pool.drain();
+  pipe.drain();
   std::printf("\nafter an elephant-heavy phase (3 flows = 25%% of traffic on shard 0):\n");
   for (std::size_t s = 0; s < front.num_shards(); ++s) {
     std::printf("  shard %zu: %8llu pkts, coverage %.0f global pkts\n", s,
@@ -103,24 +108,25 @@ int main() {
   // rebalance(): drain barrier + plan (coverage_rebalancer) + state
   // migration through the snapshot reshard path + table publish. The
   // workers pick the new routing up with the next burst.
-  const bool moved = pool.rebalance(coverage_rebalancer{});
+  const bool moved = pipe.rebalance(coverage_rebalancer{});
   std::printf("\nrebalance(): %s\n", moved ? "migrated hot buckets" : "no-op (balanced)");
   for (std::size_t sent = 0; sent < kPackets; sent += kBurst) {  // same skewed mix
     for (std::size_t i = 0; i < kBurst; ++i) {
-      burst[i] = i % 4 == 0 ? elephants[(sent + i) % elephants.size()] : flow_id(gen.next());
+      burst[i] = i % 4 == 0 ? elephants[(sent + i) % elephants.size()] : gen.next();
     }
-    pool.ingest(burst.data(), burst.size());
+    pipe.process(burst.data(), burst.size());
   }
-  pool.drain();
+  pipe.drain();
   std::printf("same mix after rebalancing (weighted bucket table in effect):\n");
   for (std::size_t s = 0; s < front.num_shards(); ++s) {
     std::printf("  shard %zu: %8llu pkts, coverage %.0f global pkts (elephant owners:", s,
                 static_cast<unsigned long long>(front.shard(s).stream_length()),
                 front.window_coverage(s));
-    for (const auto e : elephants) {
-      if (front.shard_of(e) == s) std::printf(" %llx", static_cast<unsigned long long>(e));
+    for (const auto& e : elephants) {
+      if (pipe.core_of(e) == s) std::printf(" %llx", static_cast<unsigned long long>(flow_id(e)));
     }
     std::printf(")\n");
   }
+  pipe.stop();
   return 0;
 }

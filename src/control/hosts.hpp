@@ -8,9 +8,9 @@
 //   bool rescale(std::size_t m);    elastic N -> M (false when unsupported)
 //   std::size_t checkpoint();       stream a checkpoint; bytes, 0 = failed
 //
-// - and this file provides the three real bindings. The sampling rule is
+// - and this file provides the two real bindings. The sampling rule is
 // the same everywhere: read PRODUCER-SIDE cumulative counters (ring stats
-// for the threaded hosts, per-shard stream lengths for the deterministic
+// for the threaded host, per-shard stream lengths for the deterministic
 // one), never the workers' shard state, so a monitor tick needs no drain
 // barrier and perturbs nothing. Only the ACTIONS quiesce: rebalance /
 // rescale / checkpoint ride each deployment's existing drain discipline,
@@ -23,12 +23,11 @@
 //                  reshard for the flat frontend and reports unsupported for
 //                  the hierarchical one (HHH N -> M is future work;
 //                  the brain logs scale_rejected and carries on).
-//   pool_host      sharded_memento_pool - full lifecycle: rebalance and
-//                  elastic rescale behind the pool's drain barrier, plus the
-//                  kill/restore pair the fault-injection soak drives.
-//   pipeline_host  pipeline<Traits> - the appliance binding
-//                  (memento_appliance --controller): rebalance + checkpoint;
-//                  rescale is rejected (core count is the box's, not ours).
+//   pipeline_host  pipeline<Traits> - the threaded binding (the appliance's
+//                  memento_appliance --controller, the fault-injection soak):
+//                  full lifecycle behind the pipeline's drain barrier -
+//                  rebalance, elastic rescale, checkpoint, plus the
+//                  kill/restore pair the soak drives.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +38,6 @@
 #include "control/controller.hpp"
 #include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/shard_pool.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "snapshot/reshard.hpp"
@@ -85,10 +83,8 @@ class front_host {
  private:
   template <typename Key>
   static bool rescale_impl(sharded_memento<Key>& front, std::size_t target) {
-    if (target == 0 || target == front.num_shards()) return false;
-    shard_config cfg = front.config_snapshot();
-    cfg.shards = target;
-    auto next = snapshot_builder::reshard(front, cfg);
+    if (target == front.num_shards()) return false;
+    auto next = reshard_to(front, target);
     if (!next) return false;
     front = std::move(*next);
     return true;
@@ -103,67 +99,9 @@ class front_host {
   coverage_rebalancer balancer_;
 };
 
-/// Threaded-pool host: the binding the fault-injection soak runs under TSan.
-/// Samples the pool's producer-side ring stats (enqueued + drops = offered);
-/// all actions go through the pool's drain-barrier lifecycle hooks.
-template <typename Key = std::uint64_t>
-class pool_host {
- public:
-  using pool_type = sharded_memento_pool<Key>;
-  using frontend_type = typename pool_type::frontend_type;
-
-  pool_host(pool_type& pool, checkpoint_store& store, rebalance_config rcfg = {})
-      : pool_(&pool), store_(&store), balancer_(rcfg) {}
-
-  [[nodiscard]] control_sample sample() const {
-    control_sample s;
-    const std::size_t n = pool_->num_shards();
-    s.offered.reserve(n);
-    s.window.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ring_stats& st = pool_->ingest_stats(i);
-      s.offered.push_back(st.enqueued + st.drops);
-      // Window sizes are fixed at shard construction - the one piece of
-      // shard state a monitor may read without draining.
-      s.window.push_back(pool_->frontend().shard(i).window_size());
-    }
-    return s;
-  }
-
-  bool rebalance() { return pool_->rebalance(balancer_); }
-  bool rescale(std::size_t target) { return pool_->rescale(target); }
-
-  std::size_t checkpoint() {
-    pool_->drain();
-    return store_->capture(pool_->frontend());
-  }
-
-  /// Crash recovery: adopts the latest checkpoint image as the pool's
-  /// frontend (lanes rebuilt, accounting retired). Returns the restored
-  /// global stream length, 0 when there is no usable image.
-  std::uint64_t restore() {
-    auto image = store_->template restore_latest<frontend_type>();
-    if (!image) return 0;
-    const std::uint64_t len = image->stream_length();
-    pool_->adopt(std::move(*image));
-    return len;
-  }
-
-  /// Fault injection: wipe shard s as if its process died blank.
-  void kill_shard(std::size_t s) { pool_->kill_shard(s); }
-
-  [[nodiscard]] checkpoint_store& store() noexcept { return *store_; }
-
- private:
-  pool_type* pool_;
-  checkpoint_store* store_;
-  coverage_rebalancer balancer_;
-};
-
-/// Appliance host: the run-to-completion pipeline in threaded push mode.
-/// Rescale is rejected (one core per shard is the box's geometry); the
-/// controller still rebalances the keyspace across the fixed cores and
-/// checkpoints the frontend behind the pipeline's drain barrier.
+/// Threaded host: the run-to-completion pipeline in push mode. Samples the
+/// producer-side ring stats (enqueued + drops = offered); every action goes
+/// through the pipeline's drain-barrier lifecycle hooks.
 template <typename Traits = flow_key_traits>
 class pipeline_host {
  public:
@@ -181,18 +119,34 @@ class pipeline_host {
     for (std::size_t c = 0; c < n; ++c) {
       const ring_stats& st = pipe_->ingest_stats(c);
       s.offered.push_back(st.enqueued + st.drops);
+      // Window sizes are fixed at shard construction - the one piece of
+      // shard state a monitor may read without draining.
       s.window.push_back(pipe_->frontend().shard(c).window_size());
     }
     return s;
   }
 
   bool rebalance() { return pipe_->rebalance(balancer_); }
-  bool rescale(std::size_t) { return false; }
+  bool rescale(std::size_t target) { return pipe_->rescale(target); }
 
   std::size_t checkpoint() {
     pipe_->drain();
     return store_->capture(pipe_->frontend());
   }
+
+  /// Crash recovery: adopts the latest checkpoint image as the pipeline's
+  /// frontend (cores rebuilt, accounting retired). Returns the restored
+  /// global stream length, 0 when there is no usable image.
+  std::uint64_t restore() {
+    auto image = store_->template restore_latest<frontend_type>();
+    if (!image) return 0;
+    const std::uint64_t len = image->stream_length();
+    pipe_->adopt(std::move(*image));
+    return len;
+  }
+
+  /// Fault injection: wipe core c's shard as if its process died blank.
+  void kill_shard(std::size_t c) { pipe_->kill_shard(c); }
 
   [[nodiscard]] checkpoint_store& store() noexcept { return *store_; }
 

@@ -8,7 +8,7 @@
 // surface - ingest bursts, monitor ticks, operator actions - against each
 // other:
 //
-//   application thread        apply([&]{ pool.ingest(burst); })
+//   application thread        apply([&]{ pipe.process(burst); })
 //   monitor thread            lock; brain.tick(host); unlock
 //   operator / fault harness  apply(...), restore()
 //
@@ -99,7 +99,7 @@ class controller_service {
   /// Crash recovery: replaces the deployment from the latest checkpoint
   /// (host restore under the lock) and logs it. Returns the restored global
   /// stream length, 0 when no image was usable. Only instantiable against
-  /// hosts that support restore (front_host / pool_host).
+  /// hosts that support restore (front_host / pipeline_host).
   std::uint64_t restore() {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t len = host_->restore();

@@ -1,14 +1,13 @@
 // Run-to-completion ingest pipeline: the staged trace -> shard -> detect ->
 // mitigate path as one subsystem, with per-core contexts.
 //
-// Before this layer existed, the pieces only met inside short-lived bench
-// main()s: the shard pool moved keys (not packets), detection and mitigation
-// ran as caller-side loops, and every experiment re-plumbed them. This file
-// is the appliance-shaped front door the ROADMAP's "millions of users" north
-// star asks for: each core owns a core_context and runs EVERY stage to
-// completion locally, the way real fast paths (DPDK-style run-to-completion,
-// RSS-steered NIC queues) do - no packet crosses a core boundary after
-// steering, and the only inter-thread traffic is the batched RX rings.
+// This is the repository's one threaded front door: the appliance, the
+// controller's threaded host and the benches all ingest through it (key-only
+// streams as the packets their flow ids name - flow_id is one-to-one). Each
+// core owns a core_context and runs EVERY stage to completion locally, the
+// way real fast paths (DPDK-style run-to-completion, RSS-steered NIC queues)
+// do - no packet crosses a core boundary after steering, and the only
+// inter-thread traffic is the batched RX rings.
 //
 // Stages, per core:
 //
@@ -42,11 +41,12 @@
 //   * threaded push: start() spawns one worker per core consuming its RX
 //     ring; process()/offer() feed them under an explicit backpressure
 //     policy (block = lossless, drop = tail-drop with exact per-core
-//     accounting; see shard/backpressure.hpp). Same single-producer /
-//     single-consumer-per-ring ownership discipline as the shard pool, so
-//     the rings' acquire/release pairs are the only synchronization
-//     (TSan-proven); drain() is the quiescence barrier, and rebalance()
-//     rides it exactly like sharded_memento_pool.
+//     accounting; see shard/backpressure.hpp). The caller is the single
+//     producer of every ring and worker c the single consumer of ring c
+//     AND the only thread that mutates shard c, so the rings'
+//     acquire/release pairs are the only synchronization (TSan-proven);
+//     drain() is the quiescence barrier that rebalance(), rescale(),
+//     adopt() and kill_shard() all ride.
 //   * threaded pull (run_pull): one thread per core pulls bursts directly
 //     from its pre-steered packet_ring until a deadline - the soak
 //     configuration, with zero producer on the measured path. Per-burst
@@ -77,6 +77,7 @@
 #include "shard/backpressure.hpp"
 #include "shard/sharded_memento.hpp"
 #include "shard/spsc_queue.hpp"
+#include "snapshot/reshard.hpp"
 #include "trace/packet.hpp"
 #include "trace/packet_ring.hpp"
 #include "util/backoff.hpp"
@@ -145,13 +146,8 @@ class pipeline {
   using frontend_type = sharded_memento<key_type>;
   using heavy_hitter = typename frontend_type::heavy_hitter;
 
-  explicit pipeline(const pipeline_config& config)
-      : config_(config), frontend_(config.sharding), rx_stats_(config.sharding.shards) {
-    const std::size_t cores = config.sharding.shards;
-    contexts_.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c) {
-      contexts_.push_back(std::make_unique<core_context>(config));
-    }
+  explicit pipeline(const pipeline_config& config) : config_(config), frontend_(config.sharding) {
+    build_cores();
   }
 
   ~pipeline() { stop(); }
@@ -202,9 +198,8 @@ class pipeline {
   /// Steers a burst by flow key and delivers each core's packets - to its
   /// RX ring when started (under the configured backpressure policy), or
   /// through the stages inline (deterministic mode) otherwise. Single
-  /// producer: call from one thread, like the shard pool's ingest().
+  /// producer: call from one thread.
   void process(const packet* pkts, std::size_t n) {
-    if (steer_.empty()) steer_.resize(cores());
     partition_into(steer_, [this](const packet& p) { return core_of(p); }, pkts, n);
     for (std::size_t c = 0; c < cores(); ++c) {
       if (steer_[c].empty()) continue;
@@ -229,9 +224,9 @@ class pipeline {
 
   /// Blocks until every delivered packet has been run to completion. After
   /// drain() (and until the next process/offer) the calling thread may read
-  /// the frontend and the reports - the rings' release-pop / acquire-empty
-  /// pairs order every core-side write before this return, exactly as in
-  /// sharded_memento_pool::drain().
+  /// the frontend and the reports - the consumer's release-pop on an empty
+  /// ring happens-after its last sketch mutation, so observing every ring
+  /// empty (acquire) orders every core-side write before this return.
   void drain() const {
     idle_backoff backoff;
     for (const auto& ctx : contexts_) {
@@ -240,17 +235,65 @@ class pipeline {
     }
   }
 
-  /// Skew-aware rebalance behind the drain barrier (see
-  /// sharded_memento_pool::rebalance for why this is TSan-clean): workers
-  /// re-resolve their shard after each ring acquire, so the swapped table
-  /// publishes through the same release/acquire pairs that carry bursts.
-  /// Subsequent process() calls steer with the new table; pre-steered
-  /// pull-mode sources do NOT re-steer (run_pull is synchronous, so the two
-  /// cannot interleave from the single producer thread anyway).
+  /// Skew-aware rebalance behind the drain barrier. TSan-clean with no
+  /// extra locks: an idle worker touches only its ring's atomics and
+  /// stop_, and run_stages re-resolves the shard after each ring acquire,
+  /// so the swapped table publishes through the same release/acquire pairs
+  /// that carry bursts. Subsequent process() calls steer with the new
+  /// table; pre-steered pull-mode sources do NOT re-steer (run_pull is
+  /// synchronous, so the two cannot interleave from the single producer
+  /// thread anyway).
   template <typename Policy>
   bool rebalance(const Policy& policy) {
     drain();
     return frontend_.rebalance(policy);
+  }
+
+  // --- control-plane lifecycle hooks (producer thread, behind drain()) -----
+
+  /// Elastic N -> M: reshards the frontend onto `target` shards through the
+  /// snapshot transport (snapshot/reshard.hpp reshard_to: window state
+  /// carried, no replay, routing back on plain hashing) and rebuilds one
+  /// core per shard - see adopt() for the rebuild. False (and no change)
+  /// when target equals cores() or the transport refuses the geometry.
+  bool rescale(std::size_t target) {
+    if (target == cores()) return false;
+    drain();
+    auto next = reshard_to(frontend_, target);
+    if (!next) return false;
+    adopt(std::move(*next));
+    return true;
+  }
+
+  /// Replaces the whole frontend (e.g. a checkpoint restored after a
+  /// crash); config().sharding becomes the replacement's
+  /// config_snapshot(). Workers, if started, are stopped and joined, the
+  /// per-core contexts and RX rings are rebuilt for the replacement's shard
+  /// count, and the workers restart - no thread ever sees a half-built
+  /// geometry. The retiring cores' counters fold into report(), so
+  /// `enqueued + drops == offered` and `stream_length + mitigated ==
+  /// offered` stay exact; report(c), ingest_stats(c) and the mitigation
+  /// state (rules, blocked subnets, detect credit) start fresh.
+  void adopt(frontend_type&& replacement) {
+    drain();
+    const bool was_started = started_;
+    stop();
+    retired_ = std::make_unique<pipeline_report>(report());
+    retired_->active_rules = 0;  // the retiring policies' rules die with them
+    frontend_ = std::move(replacement);
+    config_.sharding = frontend_.config_snapshot();
+    build_cores();
+    if (was_started) start();
+  }
+
+  /// Fault injection: resets shard c to a blank sketch (window, candidates
+  /// and stream accounting lost), as if its process died and came back
+  /// empty. Core c's context is untouched; the worker re-resolves its
+  /// shard per burst, so the replacement publishes like a rebalance swap.
+  void kill_shard(std::size_t c) {
+    drain();
+    frontend_.shard_mut(c) = typename frontend_type::sketch_type(
+        frontend_type::shard_config_for(frontend_.config_snapshot(), c));
   }
 
   // --- threaded pull mode (the soak configuration) -------------------------
@@ -320,9 +363,10 @@ class pipeline {
     return r;
   }
 
-  /// Sum of the per-core reports plus the merged latency histogram.
+  /// Sum of the per-core reports plus the merged latency histogram, on top
+  /// of the totals of every core set retired by adopt()/rescale().
   [[nodiscard]] pipeline_report report() const {
-    pipeline_report total;
+    pipeline_report total = retired_ ? *retired_ : pipeline_report{};
     for (std::size_t c = 0; c < cores(); ++c) {
       const auto r = report(c);
       total.ingested += r.ingested;
@@ -371,6 +415,19 @@ class pipeline {
     latency_histogram latency;
   };
 
+  /// One context, RX ring, ring-stats slot and steering buffer per shard.
+  /// Only with the workers stopped.
+  void build_cores() {
+    const std::size_t cores = frontend_.num_shards();
+    rx_stats_.assign(cores, ring_stats{});
+    contexts_.clear();
+    contexts_.reserve(cores);
+    for (std::size_t c = 0; c < cores; ++c) {
+      contexts_.push_back(std::make_unique<core_context>(config_));
+    }
+    steer_.assign(cores, {});
+  }
+
   [[nodiscard]] static bool test_bit(const std::array<std::uint64_t, 4>& bits,
                                      std::uint32_t byte) noexcept {
     return (bits[(byte >> 6) & 3] >> (byte & 63)) & 1u;
@@ -411,8 +468,8 @@ class pipeline {
     }
 
     // update: the batch kernel on this core's own shard. Resolved after the
-    // ring acquire (push mode), so a rebalance-swapped frontend publishes
-    // through the same pairs as the bursts - see rebalance().
+    // ring acquire (push mode), so a rebalance-swapped frontend or a killed
+    // shard publishes through the same pairs as the bursts - see rebalance().
     if (kept > 0) frontend_.shard_mut(c).update_batch(keys, kept);
 
     // detect -> mitigate, every detect_stride packets of this core's stream
@@ -472,7 +529,7 @@ class pipeline {
       const auto [data, n] = ring.front_span();
       if (n == 0) {
         // Check stop only when empty: enqueued bursts always finish, so
-        // stop() doubles as a drain (same contract as the shard pool).
+        // stop() doubles as a drain.
         if (stop_.load(std::memory_order_acquire)) return;
         backoff.idle();
         continue;
@@ -488,6 +545,9 @@ class pipeline {
   std::vector<std::unique_ptr<core_context>> contexts_;
   std::vector<std::vector<packet>> steer_;  ///< producer-side route scratch
   std::vector<ring_stats> rx_stats_;        ///< producer-side ring accounting
+  /// Totals of cores retired by adopt(); on the heap, so a pipeline that
+  /// never rescales does not carry a retired latency histogram.
+  std::unique_ptr<pipeline_report> retired_;
   idle_backoff producer_backoff_;           ///< producer's full-ring wait ladder
   std::atomic<bool> stop_{false};
   bool started_ = false;

@@ -54,8 +54,8 @@
 // no-op - which is also why the uniform-table differential guarantees
 // survive (nothing moves until skew is real). The whole plan is
 // deterministic (stable ordering, index tie-breaks), so two replicas of the
-// same state plan the same table - the property the pool differential tests
-// lean on.
+// same state plan the same table - the property the threaded-pipeline
+// differential tests lean on.
 //
 // Trigger. plan() returns nullopt (and rebalance() false) unless some
 // shard's update load exceeds (1 + min_imbalance) of the ideal 1/N share -

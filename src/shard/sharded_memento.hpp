@@ -63,8 +63,9 @@
 // batch kernel is exactly the per-shard loop body). Shard s's state is
 // bit-identical to a standalone memento_sketch configured with
 // shard_config_for(config, s) and fed the subsequence of keys it owns - the
-// differential tests assert this, and it is what makes the threaded pool
-// (shard_pool.hpp) testable: same partition, same spans, same state.
+// differential tests assert this, and it is what makes the threaded
+// pipeline (pipeline/pipeline.hpp) testable: same partition, same spans,
+// same state.
 #pragma once
 
 #include <algorithm>
@@ -327,8 +328,8 @@ class sharded_memento {
   /// when a migration happened, false for the deliberate no-ops (already
   /// balanced, or the plan equals the current table). Synchronous: *this is
   /// atomically replaced before the call returns; callers in a threaded
-  /// deployment go through sharded_memento_pool::rebalance, which wraps
-  /// this in the drain barrier.
+  /// deployment go through pipeline::rebalance, which wraps this in the
+  /// drain barrier.
   template <typename Policy>
   bool rebalance(const Policy& policy) {
     return policy.rebalance(*this);
@@ -460,8 +461,8 @@ class sharded_memento {
 
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
   [[nodiscard]] const sketch_type& shard(std::size_t s) const noexcept { return shards_[s]; }
-  /// Mutable shard access for the threaded pool's per-core workers; each
-  /// worker owns exactly one shard index, which is what keeps the pool
+  /// Mutable shard access for the pipeline's per-core workers; each worker
+  /// owns exactly one shard index, which is what keeps the pipeline
   /// data-race-free without any locking.
   [[nodiscard]] sketch_type& shard_mut(std::size_t s) noexcept { return shards_[s]; }
   [[nodiscard]] const shard_partitioner<Key>& partitioner() const noexcept { return part_; }

@@ -23,7 +23,7 @@
 // wrote; the consumer's matching load(acquire) licenses reading them. The
 // consumer's head.store(release) both recycles slots *and* publishes every
 // sketch mutation it made while processing - which is what makes
-// "ring empty (acquire)" a sufficient quiescence test for the pool's drain().
+// "ring empty (acquire)" a sufficient quiescence test for pipeline::drain().
 #pragma once
 
 #include <atomic>

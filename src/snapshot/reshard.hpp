@@ -354,4 +354,17 @@ class snapshot_builder {
   }
 };
 
+/// Elastic N -> M scale: reshards `old` onto `shards` shards with the rest
+/// of its global geometry (window, counters, tau, seed) unchanged - the
+/// one sequence every rescale hook runs (front_host, pipeline::rescale).
+/// Routing restarts on plain hashing, so a weighted table does not survive.
+/// nullopt when the transport refuses the geometry (e.g. shards == 0).
+template <typename Key>
+[[nodiscard]] std::optional<sharded_memento<Key>> reshard_to(const sharded_memento<Key>& old,
+                                                             std::size_t shards) {
+  shard_config config = old.config_snapshot();
+  config.shards = shards;
+  return snapshot_builder::reshard(old, config);
+}
+
 }  // namespace memento

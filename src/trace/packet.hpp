@@ -28,6 +28,12 @@ struct packet {
   return (static_cast<std::uint64_t>(p.src) << 32) | p.dst;
 }
 
+/// Inverse of flow_id: the packet whose flow key is `id`. Key-only streams
+/// ride the packet pipeline this way.
+[[nodiscard]] constexpr packet packet_of(std::uint64_t id) noexcept {
+  return packet{static_cast<std::uint32_t>(id >> 32), static_cast<std::uint32_t>(id)};
+}
+
 /// Renders an address as dotted-quad for logs and example output.
 [[nodiscard]] inline std::string format_ipv4(std::uint32_t addr) {
   return std::to_string((addr >> 24) & 0xff) + '.' + std::to_string((addr >> 16) & 0xff) +

@@ -1,6 +1,5 @@
 // Idle-progressive backoff shared by every busy-poll loop in the repository
-// (the shard pool workers, the pipeline core loops, and the producers' full-
-// ring waits).
+// (the pipeline's core loops, its producer's full-ring waits, and drain()).
 //
 // A run-to-completion worker alternates between two regimes: hot (a burst is
 // usually waiting, and any sleep costs a ring's worth of latency) and idle
@@ -17,8 +16,7 @@
 //                          costs ~0 CPU, yet wakes within a ring-fill's time.
 //
 // The cap keeps the worst-case wakeup latency two orders of magnitude below
-// a soak's measurement granularity while dropping idle CPU to noise; the
-// pool's drain() latency satellite (ISSUE 6) is pinned by the shard tests.
+// a soak's measurement granularity while dropping idle CPU to noise.
 #pragma once
 
 #include <chrono>

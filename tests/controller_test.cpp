@@ -1,7 +1,8 @@
 // Autonomic control-plane suite: the controller brain's decision semantics
 // against a scripted host + fake clock (exact event sequences pinned), the
 // host bindings against real frontends, and the kill/restore fault-injection
-// soak against the threaded pool (run under TSan in CI via -L controller).
+// and elastic-scaling soaks against the threaded pipeline (run under TSan in
+// CI via -L controller).
 //
 // Load-bearing pins:
 //   * square-wave load oscillating inside the hysteresis band produces ZERO
@@ -15,7 +16,9 @@
 //     and the global stream length EXACT (the reshard remainder fix);
 //   * checkpoint cadence is honored on the injected clock;
 //   * a shard killed mid-stream is restored from the latest background
-//     checkpoint with exact packet accounting and elephant recall intact.
+//     checkpoint with exact packet accounting and elephant recall intact;
+//   * watermarks walk a live pipeline 2 -> 4 -> 2 cores with the global
+//     stream length exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,8 +35,8 @@
 #include "control/hosts.hpp"
 #include "control/service.hpp"
 #include "hierarchy/prefix1d.hpp"
+#include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/shard_pool.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "trace/trace_generator.hpp"
@@ -87,6 +90,14 @@ std::vector<std::uint64_t> elephant_mix(std::size_t n, double alpha, std::uint64
   return ids;
 }
 
+/// Key-level scenarios drive the packet pipeline through packet_of.
+std::vector<packet> packets_of(const std::vector<std::uint64_t>& ids) {
+  std::vector<packet> pkts;
+  pkts.reserve(ids.size());
+  for (const auto id : ids) pkts.push_back(packet_of(id));
+  return pkts;
+}
+
 // --- scripted host: the brain's test double ---------------------------------
 
 /// Programmable deployment: the test writes the cumulative counters the
@@ -113,7 +124,7 @@ struct script_host {
     rescale_targets.push_back(target);
     if (!rescale_result) return false;
     const std::uint64_t w = window.empty() ? 100000 : window[0];
-    offered.assign(target, 0);  // lanes rebuilt: counters restart, like the pool
+    offered.assign(target, 0);  // cores rebuilt: counters restart, like the pipeline's
     window.assign(target, w);
     return true;
   }
@@ -387,7 +398,7 @@ TEST(Controller, RejectedRescaleIsLoggedAndRetriesAfterCooldown) {
   fake_clock clk;
   controller ctl(cfg, clk);
   script_host host(2);
-  host.rescale_result = false;  // e.g. a pipeline_host: cores are fixed
+  host.rescale_result = false;  // e.g. the reshard transport refused the geometry
   clk.advance_ms(100);
   ctl.tick(host);
   for (int i = 0; i < 6; ++i) step(clk, ctl, host, 1.0, 25000);
@@ -574,21 +585,23 @@ TEST(Controller, HierarchicalFrontHostRebalancesButCannotRescale) {
 // --- the fault-injection soak (runs under TSan in CI) ------------------------
 
 TEST(ControllerSoak, KillAndRestoreMidStreamKeepsAccountingExactAndRecallIntact) {
-  // Live threaded pool + monitor thread on a fake clock: the controller
+  // Live threaded pipeline + monitor thread on a fake clock: the controller
   // checkpoints in the background and auto-rebalances the elephant skew;
   // the harness kills a shard mid-stream, restores from the latest
   // checkpoint, keeps streaming, and pins
   //     final stream_length == restored stream + packets ingested after
   // exactly, plus elephant recall over the post-restore window.
-  shard_config cfg;
-  cfg.window_size = 40000;
-  cfg.counters = 256;
-  cfg.tau = 1.0;
-  cfg.seed = 33;
-  cfg.shards = 4;
-  sharded_memento_pool<std::uint64_t> pool(cfg, /*ring_capacity=*/1u << 12);
+  pipeline_config cfg;
+  cfg.sharding.window_size = 40000;
+  cfg.sharding.counters = 256;
+  cfg.sharding.tau = 1.0;
+  cfg.sharding.seed = 33;
+  cfg.sharding.shards = 4;
+  cfg.ring_capacity = 1u << 12;
+  pipeline<> pipe(cfg);
+  pipe.start();
   checkpoint_store store;
-  pool_host<std::uint64_t> host(pool, store);
+  pipeline_host<> host(pipe, store);
 
   controller_config ccfg;
   ccfg.sample_interval_ns = 100'000'000;
@@ -599,17 +612,17 @@ TEST(ControllerSoak, KillAndRestoreMidStreamKeepsAccountingExactAndRecallIntact)
   ccfg.rebalance_cooldown_ns = 300'000'000;
   ccfg.checkpoint_interval_ns = 300'000'000;
   fake_clock clk;
-  controller_service<pool_host<std::uint64_t>> service(host, ccfg, clk);
+  controller_service<pipeline_host<>> service(host, ccfg, clk);
   service.start();
 
   const auto elephants =
-      elephants_on_shard(pool.frontend().partitioner(), /*shard=*/0, 6);
+      elephants_on_shard(pipe.frontend().partitioner(), /*shard=*/0, 6);
   std::uint64_t seed = 500;
   std::uint64_t ingested_pre = 0;
   auto burst = [&](std::size_t n) {
-    const auto ids = elephant_mix(n, 1.0, seed++, elephants, /*every=*/3);
-    service.apply([&] { pool.ingest(ids.data(), ids.size()); });
-    return ids.size();
+    const auto pkts = packets_of(elephant_mix(n, 1.0, seed++, elephants, /*every=*/3));
+    service.apply([&] { pipe.process(pkts.data(), pkts.size()); });
+    return pkts.size();
   };
 
   // Phase A: stream with skew while the monitor ticks; wait until at least
@@ -648,14 +661,14 @@ TEST(ControllerSoak, KillAndRestoreMidStreamKeepsAccountingExactAndRecallIntact)
 
   // Exact packet accounting across kill + restore + any number of
   // rebalances: nothing lost, nothing double-counted.
-  pool.drain();
-  EXPECT_EQ(pool.frontend().stream_length(), restored + ingested_post);
-  EXPECT_EQ(pool.total_drops(), 0u) << "block policy must stay lossless";
+  pipe.drain();
+  EXPECT_EQ(pipe.frontend().stream_length(), restored + ingested_post);
+  EXPECT_EQ(pipe.report().drops, 0u) << "block policy must stay lossless";
 
   // Elephant recall over the final window: each elephant carries ~5.5% of
   // traffic against a 2% bar - all must be found despite kill/restore and
   // the migrations in between.
-  const auto hh = pool.heavy_hitters(0.02);
+  const auto hh = pipe.heavy_hitters(0.02);
   for (const auto e : elephants) {
     EXPECT_TRUE(std::any_of(hh.begin(), hh.end(), [&](const auto& h) { return h.key == e; }))
         << "elephant " << e << " lost across kill/restore";
@@ -669,6 +682,79 @@ TEST(ControllerSoak, KillAndRestoreMidStreamKeepsAccountingExactAndRecallIntact)
   EXPECT_TRUE(std::any_of(events.begin(), rit,
                           [](const control_record& r) { return r.kind == ev::checkpoint_taken; }));
   EXPECT_EQ(rit->detail, restored);
+  pipe.stop();
+}
+
+TEST(ControllerSoak, WatermarksWalkALivePipelineTwoFourTwoWithExactAccounting) {
+  // The elastic half of the lifecycle on the threaded binding: a monitor
+  // thread on a fake clock runs the watermark scaler against a started
+  // pipeline through pipeline_host::rescale. A heavy phase must double the
+  // cores to the clamp (4), a light phase halve them back (2); each rescale
+  // rebuilds the cores behind the drain barrier while the producer keeps
+  // ingesting through the control lock, and not one packet may be lost.
+  pipeline_config cfg;
+  cfg.sharding.window_size = 2u << 20;  // large window: nothing expires mid-test
+  cfg.sharding.counters = 512;
+  cfg.sharding.tau = 1.0;
+  cfg.sharding.seed = 7;
+  cfg.sharding.shards = 2;
+  cfg.ring_capacity = 1u << 12;
+  pipeline<> pipe(cfg);
+  pipe.start();
+  checkpoint_store store;
+  pipeline_host<> host(pipe, store);
+
+  controller_config ccfg;
+  ccfg.sample_interval_ns = 100'000'000;
+  ccfg.min_segment_packets = 1;
+  ccfg.load_ratio_high = 1e18;  // scaling only
+  ccfg.scale_up_pps = 50'000;   // 20k pkts/100 ms = 100k pps/shard at N=2
+  ccfg.scale_down_pps = 2'000;  // 500 pkts/100 ms = 1250 pps/shard at N=4
+  ccfg.scale_sustain_ticks = 2;
+  ccfg.min_shards = 2;
+  ccfg.max_shards = 4;
+  ccfg.scale_cooldown_ns = 0;
+  fake_clock clk;
+  controller_service<pipeline_host<>> service(host, ccfg, clk);
+  service.start();
+
+  std::uint64_t offered = 0, seed = 2000;
+  // One burst per tick: advance the clock, then wait (bounded) until the
+  // monitor has ticked, so every judged segment holds exactly one burst.
+  auto round = [&](std::size_t n) {
+    const auto pkts = packets_of(skewed_ids(n, 0.8, seed++));
+    service.apply([&] { pipe.process(pkts.data(), pkts.size()); });
+    offered += pkts.size();
+    clk.advance_ms(100);
+    for (int spin = 0; service.due(); ++spin) {
+      ASSERT_LT(spin, 200000) << "monitor thread never ticked";
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  };
+  auto cores = [&] { return service.apply([&] { return pipe.cores(); }); };
+
+  round(20000);  // baseline
+  for (int i = 0; cores() < 4; ++i) {
+    ASSERT_LT(i, 50) << "scale-up never reached 4 cores";
+    round(20000);
+  }
+  for (int i = 0; cores() > 2; ++i) {
+    ASSERT_LT(i, 50) << "scale-down never returned to 2 cores";
+    round(500);
+  }
+  service.stop();
+  EXPECT_EQ(service.count(ev::scale_up), 1u);
+  EXPECT_EQ(service.count(ev::scale_down), 1u);
+  EXPECT_EQ(service.count(ev::scale_rejected), 0u);
+
+  pipe.drain();
+  EXPECT_TRUE(pipe.started());
+  EXPECT_EQ(pipe.config().sharding.shards, 2u);
+  EXPECT_EQ(pipe.frontend().stream_length(), offered);
+  const auto total = pipe.report();
+  EXPECT_EQ(total.ingested, offered);
+  EXPECT_EQ(total.drops, 0u);
+  pipe.stop();
 }
 
 }  // namespace

@@ -11,9 +11,12 @@
 //
 // Backpressure invariants ride along: every offered packet is accounted
 // exactly once (enqueued xor dropped), block never drops, the occupancy
-// high-water mark is monotone and capacity-bounded. The stress test at the
-// bottom runs ingest + drain + rebalance concurrently and exists chiefly
-// for the TSan CI job.
+// high-water mark is monotone and capacity-bounded. The lifecycle hooks
+// (rescale / adopt / kill_shard) rebuild the cores behind the drain
+// barrier while the workers run, and must keep the frontend identical to a
+// sharded_memento resharded at the same points and the accounting exact.
+// The stress and rescale tests run ingest + drain + rebalance / rescale
+// concurrently and exist chiefly for the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +28,7 @@
 #include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
 #include "shard/sharded_memento.hpp"
+#include "snapshot/reshard.hpp"
 #include "trace/packet_ring.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
@@ -44,6 +48,15 @@ std::vector<std::uint64_t> keys_of(const std::vector<packet>& pkts) {
   keys.reserve(pkts.size());
   for (const auto& p : pkts) keys.push_back(flow_id(p));
   return keys;
+}
+
+void expect_same_heavy_hitters(const std::vector<sharded_memento<std::uint64_t>::heavy_hitter>& a,
+                               const std::vector<sharded_memento<std::uint64_t>::heavy_hitter>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key) << "rank " << i;
+    EXPECT_DOUBLE_EQ(a[i].estimate, b[i].estimate) << "rank " << i;
+  }
 }
 
 pipeline_config small_config(std::size_t cores, std::uint64_t detect_stride = 0) {
@@ -130,33 +143,72 @@ TEST(PipelineDeterministic, PerCoreAccountingSumsToOffered) {
 // --- threaded push mode ------------------------------------------------------
 
 TEST(PipelinePush, DrainedStateMatchesDeterministic) {
-  const auto cfg = small_config(4, 1000);  // observe-mode detection on
-  pipeline<> threaded(cfg);
-  threaded.start();
-  const auto trace = make_trace(trace_kind::backbone, 60'000, 11);
-  for (std::size_t at = 0; at < trace.size(); at += 1009) {
-    const std::size_t n = std::min<std::size_t>(1009, trace.size() - at);
-    threaded.process(trace.data() + at, n);
+  // tau = 1 (every packet a Full update) and tau = 1/8 (the sampled kernel
+  // and its per-shard sampler sequence) - both must land bit-identical.
+  for (const double tau : {1.0, 1.0 / 8}) {
+    SCOPED_TRACE("tau=" + std::to_string(tau));
+    auto cfg = small_config(4, 1000);  // observe-mode detection on
+    cfg.sharding.tau = tau;
+    pipeline<> threaded(cfg);
+    threaded.start();
+    const auto trace = make_trace(trace_kind::backbone, 60'000, 11);
+    for (std::size_t at = 0; at < trace.size(); at += 1009) {
+      const std::size_t n = std::min<std::size_t>(1009, trace.size() - at);
+      threaded.process(trace.data() + at, n);
+    }
+    threaded.drain();
+
+    sharded_memento<std::uint64_t> reference(cfg.sharding);
+    const auto keys = keys_of(trace);
+    reference.update_batch(keys.data(), keys.size());
+    EXPECT_EQ(frontend_bytes(threaded.frontend()), frontend_bytes(reference));
+    const auto hh = threaded.heavy_hitters(0.01);
+    EXPECT_FALSE(hh.empty());
+    expect_same_heavy_hitters(hh, reference.heavy_hitters(0.01));
+
+    // Block policy: lossless, and the consumer-side counters agree with the
+    // producer-side ring accounting once drained.
+    std::uint64_t ingested = 0;
+    for (std::size_t c = 0; c < threaded.cores(); ++c) {
+      const auto r = threaded.report(c);
+      EXPECT_EQ(r.rx.drops, 0u);
+      EXPECT_EQ(r.ingested, r.rx.enqueued);
+      EXPECT_LE(r.rx.occupancy_hwm, cfg.ring_capacity);
+      ingested += r.ingested;
+    }
+    EXPECT_EQ(ingested, trace.size());
+    threaded.stop();
   }
-  threaded.drain();
+}
+
+TEST(PipelinePush, InterleavedIngestAndQueryRounds) {
+  // drain()-then-query must be safe mid-stream, repeatedly (the monitoring
+  // pattern: query every epoch while the workers keep ingesting after).
+  auto cfg = small_config(2);
+  cfg.sharding.window_size = 8000;
+  cfg.sharding.counters = 32;
+  cfg.ring_capacity = 1u << 10;
+  trace_generator gen(trace_config{1u << 12, 1.2, 55, 0});
+  std::vector<packet> pkts(60'000);
+  for (auto& p : pkts) p = gen.next();
+  const auto ids = keys_of(pkts);
 
   sharded_memento<std::uint64_t> reference(cfg.sharding);
-  const auto keys = keys_of(trace);
-  reference.update_batch(keys.data(), keys.size());
-  EXPECT_EQ(frontend_bytes(threaded.frontend()), frontend_bytes(reference));
-
-  // Block policy: lossless, and the consumer-side counters agree with the
-  // producer-side ring accounting once drained.
-  std::uint64_t ingested = 0;
-  for (std::size_t c = 0; c < threaded.cores(); ++c) {
-    const auto r = threaded.report(c);
-    EXPECT_EQ(r.rx.drops, 0u);
-    EXPECT_EQ(r.ingested, r.rx.enqueued);
-    EXPECT_LE(r.rx.occupancy_hwm, cfg.ring_capacity);
-    ingested += r.ingested;
+  pipeline<> pipe(cfg);
+  pipe.start();
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t begin = static_cast<std::size_t>(round) * 10000;
+    for (std::size_t i = begin; i < begin + 10000; i += 333) {
+      const std::size_t n = std::min<std::size_t>(333, begin + 10000 - i);
+      reference.update_batch(ids.data() + i, n);
+      pipe.process(pkts.data() + i, n);
+    }
+    pipe.drain();
+    ASSERT_EQ(frontend_bytes(pipe.frontend()), frontend_bytes(reference));
+    ASSERT_NO_FATAL_FAILURE(expect_same_heavy_hitters(pipe.frontend().top(5), reference.top(5)));
   }
-  EXPECT_EQ(ingested, trace.size());
-  threaded.stop();
+  pipe.stop();
 }
 
 TEST(PipelinePush, StopDrainsAndRestartResumes) {
@@ -181,9 +233,10 @@ TEST(PipelineBackpressure, DropPolicyCountsEveryPacketExactlyOnce) {
   cfg.policy = backpressure_policy::drop;
   pipeline<> pipe(cfg);
 
-  // No workers: each ring accepts at most its capacity, the rest MUST be
-  // counted as drops - the exactly-once identity with a deterministic
-  // shortfall.
+  // One offer per core of ~5000 packets into a 64-slot ring: the drop
+  // policy makes a single try_push, which accepts at most the ring's
+  // capacity whatever the workers do, so the shortfall is certain and
+  // every packet must be counted exactly once (enqueued xor dropped).
   const auto trace = make_trace(trace_kind::backbone, 10'000, 19);
   std::vector<std::vector<packet>> steered =
       rss_steer(std::span<const packet>(trace), pipe.cores(),
@@ -203,8 +256,11 @@ TEST(PipelineBackpressure, DropPolicyCountsEveryPacketExactlyOnce) {
     ingested += r.ingested;
   }
   EXPECT_EQ(enqueued + drops, offered);  // exactly once, no double counting
+  EXPECT_GT(drops, 0u);
   EXPECT_EQ(ingested, enqueued);         // what was accepted was processed
   EXPECT_EQ(pipe.report().drops, drops);
+  // The sketch saw precisely the accepted packets - drops never half-applied.
+  EXPECT_EQ(pipe.frontend().stream_length(), enqueued);
   pipe.stop();
 }
 
@@ -222,6 +278,7 @@ TEST(PipelineBackpressure, BlockPolicyNeverDropsEvenWithTinyRings) {
   const auto total = pipe.report();
   EXPECT_EQ(total.drops, 0u);
   EXPECT_EQ(total.ingested, trace.size());
+  EXPECT_EQ(pipe.frontend().stream_length(), trace.size());
   EXPECT_LE(total.occupancy_hwm, 64u);
   EXPECT_GT(total.occupancy_hwm, 0u);
   pipe.stop();
@@ -235,6 +292,113 @@ TEST(PipelineBackpressure, OccupancyHighWaterMarkIsMonotone) {
   EXPECT_EQ(stats.occupancy_hwm, 5u);
   stats.note_occupancy(9);
   EXPECT_EQ(stats.occupancy_hwm, 9u);
+}
+
+// --- threaded sharded ingest: the pool contract ------------------------------
+//
+// The standalone sharded_memento_pool (one worker + one SPSC ring per shard,
+// keys in, drain() before queries) is served by the pipeline's push mode.
+// These keep that contract pinned at the pool's own geometries: odd shard
+// counts, the sampled kernel, bursts much larger than the rings.
+
+std::vector<packet> skewed_packets(std::size_t n, double alpha, std::uint64_t seed,
+                                   std::size_t universe) {
+  trace_generator gen(trace_config{universe, alpha, seed, 0});
+  std::vector<packet> pkts(n);
+  for (auto& p : pkts) p = gen.next();
+  return pkts;
+}
+
+pipeline_config pool_config(std::size_t shards, std::size_t ring_capacity,
+                            backpressure_policy policy) {
+  pipeline_config cfg;
+  cfg.sharding.window_size = 8000;
+  cfg.sharding.counters = 32;
+  cfg.sharding.shards = shards;
+  cfg.ring_capacity = ring_capacity;
+  cfg.policy = policy;
+  return cfg;
+}
+
+TEST(ShardedPool, DrainedPoolMatchesDeterministicFrontend) {
+  auto cfg = pool_config(3, 1u << 12, backpressure_policy::block);
+  cfg.sharding.window_size = 30000;
+  cfg.sharding.counters = 64;
+  cfg.sharding.tau = 1.0 / 8;
+  cfg.sharding.seed = 17;
+  const auto pkts = skewed_packets(200000, 1.2, 33, 1u << 14);
+  const auto ids = keys_of(pkts);
+
+  sharded_memento<std::uint64_t> reference(cfg.sharding);
+  pipeline<> pool(cfg);
+  pool.start();
+  for (std::size_t i = 0; i < ids.size(); i += 700) {
+    const std::size_t n = std::min<std::size_t>(700, ids.size() - i);
+    reference.update_batch(ids.data() + i, n);
+    pool.process(pkts.data() + i, n);
+  }
+  pool.drain();
+
+  ASSERT_EQ(pool.frontend().stream_length(), reference.stream_length());
+  for (std::size_t s = 0; s < cfg.sharding.shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    wire::writer a, b;
+    pool.frontend().shard(s).save(a);
+    reference.shard(s).save(b);
+    EXPECT_EQ(a.data(), b.data());
+  }
+  const auto hh = pool.heavy_hitters(0.01);
+  EXPECT_FALSE(hh.empty());
+  expect_same_heavy_hitters(hh, reference.heavy_hitters(0.01));
+  pool.stop();
+}
+
+TEST(ShardedPool, BlockPolicyIsLosslessAndAccountsOccupancy) {
+  const auto cfg = pool_config(2, /*ring_capacity=*/256, backpressure_policy::block);
+  const auto pkts = skewed_packets(40000, 1.0, 71, 1u << 12);
+
+  pipeline<> pool(cfg);
+  pool.start();
+  for (std::size_t i = 0; i < pkts.size(); i += 2048) {
+    const std::size_t n = std::min<std::size_t>(2048, pkts.size() - i);
+    pool.process(pkts.data() + i, n);  // bursts far exceed the rings: must wait
+  }
+  pool.drain();
+  EXPECT_EQ(pool.report().drops, 0u);
+  std::uint64_t enqueued = 0;
+  for (std::size_t s = 0; s < pool.cores(); ++s) {
+    const auto& st = pool.ingest_stats(s);
+    EXPECT_EQ(st.drops, 0u);
+    EXPECT_LE(st.occupancy_hwm, 256u);
+    EXPECT_GT(st.occupancy_hwm, 0u);
+    enqueued += st.enqueued;
+  }
+  EXPECT_EQ(enqueued, pkts.size());
+  EXPECT_EQ(pool.frontend().stream_length(), pkts.size());
+  pool.stop();
+}
+
+TEST(ShardedPool, DropPolicyCountsEveryKeyExactlyOnce) {
+  const auto cfg = pool_config(2, /*ring_capacity=*/64, backpressure_policy::drop);
+  const auto pkts = skewed_packets(200000, 1.0, 73, 1u << 12);
+
+  pipeline<> pool(cfg);
+  pool.start();
+  // One huge burst per shard guarantees overflow regardless of scheduling:
+  // a 64-slot ring cannot absorb ~100k packets in one offer.
+  pool.process(pkts.data(), pkts.size());
+  pool.drain();
+  std::uint64_t enqueued = 0, drops = 0;
+  for (std::size_t s = 0; s < pool.cores(); ++s) {
+    enqueued += pool.ingest_stats(s).enqueued;
+    drops += pool.ingest_stats(s).drops;
+  }
+  EXPECT_EQ(enqueued + drops, pkts.size());  // exactly once: enqueued xor dropped
+  EXPECT_GT(drops, 0u);
+  EXPECT_EQ(pool.report().drops, drops);
+  // The sketch saw precisely the accepted prefix - drops never half-applied.
+  EXPECT_EQ(pool.frontend().stream_length(), enqueued);
+  pool.stop();
 }
 
 // --- detect -> mitigate ------------------------------------------------------
@@ -395,6 +559,122 @@ TEST(PipelinePull, RejectsMismatchedSourcesAndRunningWorkers) {
   two.emplace_back(std::vector<packet>{});
   two.emplace_back(std::vector<packet>{});
   EXPECT_THROW((void)pipe.run_pull(std::span<packet_ring>(two), 0.01), std::logic_error);
+  pipe.stop();
+}
+
+// --- lifecycle hooks: rescale / adopt / kill_shard ---------------------------
+
+TEST(PipelineLifecycle, RescaleWhileIngestingMatchesReshardedFrontend) {
+  // A started 2-core pipeline walks 2 -> 4 -> 2 cores between ingest
+  // rounds; the reference frontend is resharded through the same helper at
+  // the same points. After every drain the two must be byte-identical,
+  // nothing may be lost, and the route stage must follow the new geometry.
+  auto cfg = small_config(2, /*detect_stride=*/1000);  // observe-mode detection on
+  cfg.sharding.tau = 1.0 / 4;
+  cfg.ring_capacity = 1u << 10;
+  pipeline<> pipe(cfg);
+  pipe.start();
+  sharded_memento<std::uint64_t> reference(cfg.sharding);
+
+  const auto trace = make_trace(trace_kind::backbone, 80'000, 29);
+  std::uint64_t offered = 0;
+  std::size_t at = 0;
+  const std::size_t walk[] = {2, 4, 4, 2, 2};
+  for (std::size_t round = 0; round < std::size(walk); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round) + ", cores " + std::to_string(walk[round]));
+    if (walk[round] != pipe.cores()) {
+      ASSERT_TRUE(pipe.rescale(walk[round]));
+      auto next = reshard_to(reference, walk[round]);
+      ASSERT_TRUE(next.has_value());
+      reference = std::move(*next);
+      ASSERT_TRUE(pipe.started()) << "rescale must restart the workers it stopped";
+    }
+    for (const std::size_t end = at + 16'000; at < end; at += 1000) {
+      pipe.process(trace.data() + at, 1000);
+      const auto keys = keys_of({trace.begin() + static_cast<std::ptrdiff_t>(at),
+                                 trace.begin() + static_cast<std::ptrdiff_t>(at + 1000)});
+      reference.update_batch(keys.data(), keys.size());
+      offered += 1000;
+    }
+    pipe.drain();
+
+    ASSERT_EQ(pipe.cores(), walk[round]);
+    EXPECT_EQ(pipe.config().sharding.shards, walk[round]);
+    EXPECT_EQ(frontend_bytes(pipe.frontend()), frontend_bytes(reference));
+    const auto total = pipe.report();
+    EXPECT_EQ(total.ingested, offered);
+    EXPECT_EQ(total.drops, 0u);
+    EXPECT_EQ(pipe.frontend().stream_length(), offered);
+    for (std::size_t i = 0; i < 256; ++i) {
+      const packet& p = trace[i];
+      ASSERT_EQ(pipe.core_of(p), reference.shard_of(flow_id(p)));
+      ASSERT_LT(pipe.core_of(p), walk[round]);
+    }
+  }
+  EXPECT_FALSE(pipe.rescale(pipe.cores())) << "same count is a no-op";
+  EXPECT_FALSE(pipe.rescale(0));
+  EXPECT_EQ(pipe.cores(), 2u);
+  pipe.stop();
+}
+
+TEST(PipelineLifecycle, RescaleKeepsEnforceAccountingExact) {
+  // Inline (never started) enforce pipeline: a flooding /8 gets blocked and
+  // dropped in the parse stage; a 2 -> 4 rescale mid-stream retires the
+  // cores' mitigated counts into report(), so every offered packet is
+  // still either in the sketch or mitigated - exactly once.
+  auto cfg = small_config(2, /*detect_stride=*/2048);
+  cfg.enforce = true;
+  pipeline<> pipe(cfg);
+  const auto trace = flood_trace(120'000, 0x7A, /*flood_per_mille=*/700);
+  const std::size_t half = trace.size() / 2;
+  for (std::size_t at = 0; at < half; at += 1000) pipe.process(trace.data() + at, 1000);
+  const auto before = pipe.report();
+  ASSERT_GT(before.mitigated, 0u) << "premise: the flood was blocked before the rescale";
+  ASSERT_TRUE(pipe.rescale(4));
+  EXPECT_FALSE(pipe.started());
+  EXPECT_EQ(pipe.report().mitigated, before.mitigated);
+  EXPECT_EQ(pipe.report().active_rules, 0u) << "new cores start with fresh mitigation state";
+  EXPECT_FALSE(pipe.blocks(0, 0x7A));
+  for (std::size_t at = half; at < trace.size(); at += 1000) {
+    pipe.process(trace.data() + at, std::min<std::size_t>(1000, trace.size() - at));
+  }
+  const auto total = pipe.report();
+  EXPECT_EQ(total.ingested, trace.size());
+  EXPECT_GT(total.mitigated, before.mitigated) << "the new cores re-detected the flood";
+  EXPECT_EQ(pipe.frontend().stream_length() + total.mitigated, trace.size());
+}
+
+TEST(PipelineLifecycle, AdoptAndKillShardRebuildBehindTheDrain) {
+  auto cfg = small_config(2);
+  pipeline<> pipe(cfg);
+  pipe.start();
+  const auto trace = make_trace(trace_kind::edge, 30'000, 41);
+  pipe.process(trace.data(), trace.size());
+
+  // kill_shard: core 1's shard comes back blank, core 0's is untouched.
+  pipe.drain();
+  const std::uint64_t shard0 = pipe.frontend().shard(0).stream_length();
+  pipe.kill_shard(1);
+  EXPECT_EQ(pipe.frontend().shard(1).stream_length(), 0u);
+  EXPECT_EQ(pipe.frontend().shard(0).stream_length(), shard0);
+
+  // adopt: a 3-shard replacement becomes the geometry, workers restart.
+  auto replacement_cfg = cfg.sharding;
+  replacement_cfg.shards = 3;
+  sharded_memento<std::uint64_t> replacement(replacement_cfg);
+  const auto keys = keys_of(trace);
+  replacement.update_batch(keys.data(), keys.size());
+  sharded_memento<std::uint64_t> reference = replacement;
+  pipe.adopt(std::move(replacement));
+  ASSERT_TRUE(pipe.started());
+  ASSERT_EQ(pipe.cores(), 3u);
+  EXPECT_EQ(pipe.config().sharding.shards, 3u);
+  EXPECT_EQ(pipe.report(2).ingested, 0u) << "rebuilt cores start fresh";
+  pipe.process(trace.data(), trace.size());
+  reference.update_batch(keys.data(), keys.size());
+  pipe.drain();
+  EXPECT_EQ(frontend_bytes(pipe.frontend()), frontend_bytes(reference));
+  EXPECT_EQ(pipe.report().ingested, 2 * trace.size());
   pipe.stop();
 }
 

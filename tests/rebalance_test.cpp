@@ -16,8 +16,8 @@
 //     migrated state stays within PR 4's one-threshold-unit movement bound;
 //   * weighted frontends snapshot/restore with their routing intact;
 //   * reshard survives the policy's edge cases: M=1 collapse, N -> M -> N
-//     round trips (query-stable), and rebalancing under concurrent pool
-//     ingest (run under TSan in CI).
+//     round trips (query-stable), and rebalancing under concurrent
+//     pipeline ingest (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,9 +32,9 @@
 #include "control/hosts.hpp"
 #include "core/memento.hpp"
 #include "hierarchy/prefix2d.hpp"
+#include "pipeline/pipeline.hpp"
 #include "shard/partitioner.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/shard_pool.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "sketch/exact_window.hpp"
@@ -680,23 +680,27 @@ TEST(RebalanceHHH, TwoDimElephantPrefixMixRebalancesWithRecallNoWorse) {
       << "static arm no longer drops elephants; the scenario lost its teeth";
 }
 
-// --- pool: rebalance under concurrent ingest --------------------------------
+// --- pipeline: rebalance under concurrent ingest ----------------------------
 
-TEST(Rebalance, PoolRebalanceUnderConcurrentIngestMatchesDeterministicFrontend) {
-  // Ingest rounds with a mid-stream rebalance while the worker threads are
-  // live: after each drain the pool must be bit-identical to the
+TEST(Rebalance, PipelineRebalanceUnderConcurrentIngestMatchesDeterministicFrontend) {
+  // Ingest rounds with a mid-stream rebalance while the pipeline's workers
+  // are live: after each drain the pipeline must be bit-identical to the
   // deterministic frontend driven through the same bursts and the same
   // policy at the same point. Run under TSan in CI (tsan job), where the
-  // drain barrier + table publish must be clean with no extra locks.
-  shard_config cfg;
-  cfg.window_size = 30000;
-  cfg.counters = 96;
-  cfg.tau = 1.0 / 4;
-  cfg.seed = 17;
-  cfg.shards = 3;
+  // drain barrier + table publish must be clean with no extra locks. The
+  // stream is flow ids, fed as the packets they name (packet_of).
+  pipeline_config pcfg;
+  pcfg.sharding.window_size = 30000;
+  pcfg.sharding.counters = 96;
+  pcfg.sharding.tau = 1.0 / 4;
+  pcfg.sharding.seed = 17;
+  pcfg.sharding.shards = 3;
+  pcfg.ring_capacity = 1u << 12;
+  const shard_config& cfg = pcfg.sharding;
 
   sharded reference(cfg);
-  sharded_memento_pool<std::uint64_t> pool(cfg, /*ring_capacity=*/1u << 12);
+  pipeline<> pipe(pcfg);
+  pipe.start();
   const auto elephants = elephants_on_shard(reference.partitioner(), 0, 3);
   const coverage_rebalancer policy;
 
@@ -704,37 +708,40 @@ TEST(Rebalance, PoolRebalanceUnderConcurrentIngestMatchesDeterministicFrontend) 
   for (int round = 0; round < 6; ++round) {
     const auto ids =
         elephant_mix(40000, 1.0, 100 + static_cast<std::uint64_t>(round), elephants, 4);
+    std::vector<packet> pkts;
+    for (const auto id : ids) pkts.push_back(packet_of(id));
     for (std::size_t i = 0; i < ids.size(); i += 700) {
       const std::size_t n = std::min<std::size_t>(700, ids.size() - i);
       reference.update_batch(ids.data() + i, n);
-      pool.ingest(ids.data() + i, n);
+      pipe.process(pkts.data() + i, n);
     }
     if (round == 2 || round == 4) {
-      const bool moved_pool = pool.rebalance(policy);
+      const bool moved_pipe = pipe.rebalance(policy);
       const bool moved_ref = reference.rebalance(policy);
-      ASSERT_EQ(moved_pool, moved_ref) << "round " << round;
-      if (moved_pool) ++migrations;
+      ASSERT_EQ(moved_pipe, moved_ref) << "round " << round;
+      if (moved_pipe) ++migrations;
     }
-    pool.drain();
-    ASSERT_EQ(pool.frontend().stream_length(), reference.stream_length());
+    pipe.drain();
+    ASSERT_EQ(snapshot::save(pipe.frontend()), snapshot::save(reference)) << "round " << round;
     for (std::size_t s = 0; s < cfg.shards; ++s) {
       SCOPED_TRACE("round " + std::to_string(round) + " shard " + std::to_string(s));
-      ASSERT_NO_FATAL_FAILURE(expect_identical(pool.frontend().shard(s), reference.shard(s)));
+      ASSERT_NO_FATAL_FAILURE(expect_identical(pipe.frontend().shard(s), reference.shard(s)));
     }
   }
   // The elephants make the first rebalance real; later rounds may or may
   // not re-trigger, but at least one migration must have happened for this
   // test to mean anything.
   ASSERT_GE(migrations, 1u);
-  ASSERT_TRUE(pool.frontend().partitioner().weighted());
+  ASSERT_TRUE(pipe.frontend().partitioner().weighted());
 
-  const auto hh_pool = pool.heavy_hitters(0.02);
+  const auto hh_pipe = pipe.heavy_hitters(0.02);
   const auto hh_ref = reference.heavy_hitters(0.02);
-  ASSERT_EQ(hh_pool.size(), hh_ref.size());
-  for (std::size_t i = 0; i < hh_pool.size(); ++i) {
-    ASSERT_EQ(hh_pool[i].key, hh_ref[i].key);
-    ASSERT_DOUBLE_EQ(hh_pool[i].estimate, hh_ref[i].estimate);
+  ASSERT_EQ(hh_pipe.size(), hh_ref.size());
+  for (std::size_t i = 0; i < hh_pipe.size(); ++i) {
+    ASSERT_EQ(hh_pipe[i].key, hh_ref[i].key);
+    ASSERT_DOUBLE_EQ(hh_pipe[i].estimate, hh_ref[i].estimate);
   }
+  pipe.stop();
 }
 
 }  // namespace

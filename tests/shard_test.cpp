@@ -5,8 +5,9 @@
 // configured with shard_config_for(cfg, s) and fed the subsequence of keys
 // the partitioner assigns to shard s. That licenses every merge shortcut
 // (concatenate + global-threshold filter, no cross-shard summation) and
-// makes the threaded pool testable: after drain() it must be bit-identical
-// to the deterministic frontend fed the same stream.
+// makes the threaded pipeline testable (tests/pipeline_test.cpp): after
+// drain() it must be bit-identical to the deterministic frontend fed the
+// same stream.
 //
 // The statistical properties - phase drift across per-shard window clocks,
 // and recall/precision on skewed (Zipf 0.6-1.2) traffic staying within the
@@ -24,7 +25,6 @@
 #include "hierarchy/prefix1d.hpp"
 #include "hierarchy/prefix2d.hpp"
 #include "shard/partitioner.hpp"
-#include "shard/shard_pool.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "shard/spsc_queue.hpp"
@@ -156,7 +156,7 @@ TEST(SpscRing, FullRingRejectsAndBackpressureWorks) {
 TEST(SpscRing, TwoThreadStressPreservesOrder) {
   // 1M sequential values through a small ring; the consumer asserts it sees
   // exactly 0,1,2,... - any lost/duplicated/reordered slot fails. Run under
-  // TSan in CI, this is also the memory-ordering proof for the pool.
+  // TSan in CI, this is also the memory-ordering proof for the pipeline.
   constexpr std::uint64_t kTotal = 1'000'000;
   spsc_ring<std::uint64_t> ring(1024);
   std::atomic<bool> ok{true};
@@ -324,121 +324,6 @@ TEST(ShardedMemento, RejectsDegenerateGlobalBudgets) {
   EXPECT_THROW(sharded{cfg}, std::invalid_argument);
   EXPECT_THROW((sharded_h_memento<source_hierarchy>(h_memento_config{0, 10, 1.0, 1e-3, 1}, 2)),
                std::invalid_argument);
-}
-
-// --- threaded pool ---------------------------------------------------------
-
-TEST(ShardedPool, DrainedPoolMatchesDeterministicFrontend) {
-  shard_config cfg;
-  cfg.window_size = 30000;
-  cfg.counters = 64;
-  cfg.tau = 1.0 / 8;
-  cfg.seed = 17;
-  cfg.shards = 3;
-  const auto ids = skewed_ids(200000, 1.2, 33, 1u << 14);
-
-  sharded reference(cfg);
-  sharded_memento_pool<std::uint64_t> pool(cfg, /*ring_capacity=*/1u << 12);
-  for (std::size_t i = 0; i < ids.size(); i += 700) {
-    const std::size_t n = std::min<std::size_t>(700, ids.size() - i);
-    reference.update_batch(ids.data() + i, n);
-    pool.ingest(ids.data() + i, n);
-  }
-  pool.drain();
-
-  ASSERT_EQ(pool.frontend().stream_length(), reference.stream_length());
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    expect_identical(pool.frontend().shard(s), reference.shard(s));
-  }
-  const auto hh_pool = pool.heavy_hitters(0.01);
-  const auto hh_ref = reference.heavy_hitters(0.01);
-  ASSERT_EQ(hh_pool.size(), hh_ref.size());
-  for (std::size_t i = 0; i < hh_pool.size(); ++i) {
-    ASSERT_EQ(hh_pool[i].key, hh_ref[i].key);
-    ASSERT_DOUBLE_EQ(hh_pool[i].estimate, hh_ref[i].estimate);
-  }
-}
-
-TEST(ShardedPool, InterleavedIngestAndQueryRounds) {
-  // drain()-then-query must be safe mid-stream, repeatedly (the monitoring
-  // pattern: query every epoch while ingest continues afterwards).
-  shard_config cfg;
-  cfg.window_size = 8000;
-  cfg.counters = 32;
-  cfg.shards = 2;
-  const auto ids = skewed_ids(60000, 1.2, 55);
-
-  sharded reference(cfg);
-  sharded_memento_pool<std::uint64_t> pool(cfg, 1u << 10);
-  for (int round = 0; round < 6; ++round) {
-    const std::size_t begin = static_cast<std::size_t>(round) * 10000;
-    for (std::size_t i = begin; i < begin + 10000; i += 333) {
-      const std::size_t n = std::min<std::size_t>(333, begin + 10000 - i);
-      reference.update_batch(ids.data() + i, n);
-      pool.ingest(ids.data() + i, n);
-    }
-    ASSERT_EQ(pool.stream_length(), reference.stream_length());  // drains internally
-    const auto top_pool = pool.top(5);
-    const auto top_ref = reference.top(5);
-    ASSERT_EQ(top_pool.size(), top_ref.size()) << "round " << round;
-    for (std::size_t i = 0; i < top_pool.size(); ++i) {
-      ASSERT_EQ(top_pool[i].key, top_ref[i].key) << "round " << round << " rank " << i;
-    }
-  }
-}
-
-TEST(ShardedPool, BlockPolicyIsLosslessAndAccountsOccupancy) {
-  shard_config cfg;
-  cfg.window_size = 8000;
-  cfg.counters = 32;
-  cfg.shards = 2;
-  const auto ids = skewed_ids(40000, 1.0, 71);
-
-  sharded_memento_pool<std::uint64_t> pool(cfg, /*ring_capacity=*/256,
-                                           backpressure_policy::block);
-  for (std::size_t i = 0; i < ids.size(); i += 2048) {
-    const std::size_t n = std::min<std::size_t>(2048, ids.size() - i);
-    pool.ingest(ids.data() + i, n);  // bursts far exceed the rings: must wait
-  }
-  pool.drain();
-  ASSERT_EQ(pool.policy(), backpressure_policy::block);
-  EXPECT_EQ(pool.total_drops(), 0u);
-  std::uint64_t enqueued = 0;
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
-    const auto& st = pool.ingest_stats(s);
-    EXPECT_EQ(st.drops, 0u);
-    EXPECT_LE(st.occupancy_hwm, 256u);
-    EXPECT_GT(st.occupancy_hwm, 0u);
-    enqueued += st.enqueued;
-  }
-  EXPECT_EQ(enqueued, ids.size());
-  EXPECT_EQ(pool.stream_length(), ids.size());
-}
-
-TEST(ShardedPool, DropPolicyCountsEveryKeyExactlyOnce) {
-  shard_config cfg;
-  cfg.window_size = 8000;
-  cfg.counters = 32;
-  cfg.shards = 2;
-  const auto ids = skewed_ids(200000, 1.0, 73);
-
-  sharded_memento_pool<std::uint64_t> pool(cfg, /*ring_capacity=*/64,
-                                           backpressure_policy::drop);
-  // One huge burst per shard guarantees overflow regardless of scheduling:
-  // a 64-slot ring cannot absorb ~100k keys in one offer.
-  pool.ingest(ids.data(), ids.size());
-  pool.drain();
-  std::uint64_t enqueued = 0, drops = 0;
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
-    enqueued += pool.ingest_stats(s).enqueued;
-    drops += pool.ingest_stats(s).drops;
-  }
-  EXPECT_EQ(enqueued + drops, ids.size());  // exactly once: enqueued xor dropped
-  EXPECT_GT(drops, 0u);
-  EXPECT_EQ(pool.total_drops(), drops);
-  // The sketch saw precisely the accepted prefix - drops never half-applied.
-  EXPECT_EQ(pool.stream_length(), enqueued);
 }
 
 TEST(SpscRing, ApproxSizeIsExactFromTheProducerThread) {
