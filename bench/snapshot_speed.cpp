@@ -14,9 +14,12 @@
 //     at chunk-size scale no matter how big the deployment, where the v1
 //     path's working set is the whole image.
 //
-// Reported: MB/s each way for both formats, wire bytes, compression ratio
-// (v1 / v2 - the CI bench-smoke asserts >= 2.5x), bytes per counter, and
-// peak bytes buffered by the streaming sink. `--json` emits the
+// Reported: seconds per checkpoint each way for both formats, with MB/s
+// beside them, wire bytes, compression ratio (v1 / v2 - the CI bench-smoke
+// asserts >= 2.5x), bytes per counter, and peak bytes buffered by the
+// streaming sink. Seconds are the figure to compare across formats: MB/s
+// divides by each format's own image size, so it flatters v1, whose image
+// is ~3x larger for the same state. `--json` emits the
 // {"snapshot": ...} document summarize.py folds into BENCH_fig5.json with
 // --snapshot.
 #include <chrono>
@@ -138,26 +141,33 @@ int main(int argc, char** argv) {
         "    \"shards\": %zu, \"counters\": %zu, \"window\": %llu,\n"
         "    \"v1_bytes\": %zu, \"v2_bytes\": %zu, \"compression_ratio\": %.3f,\n"
         "    \"bytes_per_counter\": %.3f,\n"
+        "    \"v1_save_s\": %.4f, \"v1_restore_s\": %.4f,\n"
+        "    \"v2_save_s\": %.4f, \"v2_restore_s\": %.4f,\n"
         "    \"v1_save_mbps\": %.1f, \"v1_restore_mbps\": %.1f,\n"
         "    \"v2_save_mbps\": %.1f, \"v2_restore_mbps\": %.1f,\n"
         "    \"chunk_bytes\": %zu, \"peak_buffered_bytes\": %zu\n  }\n}\n",
         build, kShards, kCountersTotal, static_cast<unsigned long long>(kWindow), v1.size(),
-        v2.size(), ratio, bytes_per_counter, mbps(v1.size(), v1_save_s),
-        mbps(v1.size(), v1_restore_s), mbps(v2.size(), v2_save_s),
+        v2.size(), ratio, bytes_per_counter, v1_save_s, v1_restore_s, v2_save_s, v2_restore_s,
+        mbps(v1.size(), v1_save_s), mbps(v1.size(), v1_restore_s), mbps(v2.size(), v2_save_s),
         mbps(v2.size(), v2_restore_s), kChunk, peak);
   } else {
     std::printf("=== snapshot speed: %zu shards x %zu counters (%zu total) ===\n", kShards,
                 kCountersPerShard, kCountersTotal);
-    console_table table({"format", "bytes", "save MB/s", "restore MB/s", "B/counter"});
+    console_table table({"format", "bytes", "save s", "restore s", "save MB/s", "restore MB/s",
+                         "B/counter"});
     table.print_header();
     table.cell("v1 buffered")
         .cell(static_cast<long long>(v1.size()))
+        .cell(v1_save_s, 4)
+        .cell(v1_restore_s, 4)
         .cell(mbps(v1.size(), v1_save_s), 1)
         .cell(mbps(v1.size(), v1_restore_s), 1)
         .cell(static_cast<double>(v1.size()) / static_cast<double>(kCountersTotal), 2);
     table.end_row();
     table.cell("v2 streamed")
         .cell(static_cast<long long>(v2.size()))
+        .cell(v2_save_s, 4)
+        .cell(v2_restore_s, 4)
         .cell(mbps(v2.size(), v2_save_s), 1)
         .cell(mbps(v2.size(), v2_restore_s), 1)
         .cell(bytes_per_counter, 2);

@@ -15,7 +15,9 @@ re-measuring the throughput benches.
 summary control channels) into a `netwide_bytes` section of the artifact,
 plus its delta-vs-full summary-channel comparison as `summary_delta`.
 `--snapshot` folds a snapshot_speed --json report into the `snapshot`
-section (save/restore MB/s, compression ratio, bounded-memory evidence).
+section (save/restore seconds per checkpoint and MB/s for both formats,
+compression ratio, bounded-memory evidence); a report without the
+per-checkpoint seconds is rejected.
 `--hhh` folds an HHH raw Google Benchmark JSON (fig6_hhh_speed or
 fig7_vs_rhhh) into the `hhh_speed` section - the same entries/pairs/scaling
 reduction as the main input, so the batched-over-scalar HHH speedup and the
@@ -52,6 +54,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+# Per-checkpoint wall time of each format, which the `snapshot` section must
+# carry next to MB/s: MB/s divides by each image's own size and so flatters
+# the ~3x larger v1 image.
+SNAPSHOT_SECONDS = ("v1_save_s", "v1_restore_s", "v2_save_s", "v2_restore_s")
 
 
 def split_name(name: str) -> tuple[str, str]:
@@ -406,6 +413,12 @@ def main() -> int:
             sys.stderr.write("summarize.py: --snapshot input has no snapshot section\n")
             return 1
         if not check_fold_provenance(summary, "snapshot", doc, args.allow_debug):
+            return 1
+        missing = [k for k in SNAPSHOT_SECONDS if k not in doc["snapshot"]]
+        if missing:
+            sys.stderr.write(
+                f"summarize.py: --snapshot input lacks per-checkpoint seconds {missing}\n"
+            )
             return 1
         summary["snapshot"] = doc["snapshot"]
     if args.hhh:

@@ -27,7 +27,10 @@
 //                  memento_appliance --controller, the fault-injection soak):
 //                  full lifecycle behind the pipeline's drain barrier -
 //                  rebalance, elastic rescale, checkpoint, plus the
-//                  kill/restore pair the soak drives.
+//                  kill/restore pair the soak drives. A pipeline that was
+//                  never start()ed runs its stages inline on the producer
+//                  thread, so there the per-core ingested counts are the
+//                  producer-side counters and are sampled instead.
 #pragma once
 
 #include <cstddef>
@@ -99,8 +102,10 @@ class front_host {
   coverage_rebalancer balancer_;
 };
 
-/// Threaded host: the run-to-completion pipeline in push mode. Samples the
-/// producer-side ring stats (enqueued + drops = offered); every action goes
+/// Pipeline host: the run-to-completion pipeline. In push mode it samples
+/// the producer-side ring stats (enqueued + drops = offered); inline (never
+/// started) no ring is touched, and each core's ingested count - written by
+/// the calling thread itself - is the offered count. Every action goes
 /// through the pipeline's drain-barrier lifecycle hooks.
 template <typename Traits = flow_key_traits>
 class pipeline_host {
@@ -117,8 +122,12 @@ class pipeline_host {
     s.offered.reserve(n);
     s.window.reserve(n);
     for (std::size_t c = 0; c < n; ++c) {
-      const ring_stats& st = pipe_->ingest_stats(c);
-      s.offered.push_back(st.enqueued + st.drops);
+      if (pipe_->started()) {
+        const ring_stats& st = pipe_->ingest_stats(c);
+        s.offered.push_back(st.enqueued + st.drops);
+      } else {
+        s.offered.push_back(pipe_->report(c).ingested);
+      }
       // Window sizes are fixed at shard construction - the one piece of
       // shard state a monitor may read without draining.
       s.window.push_back(pipe_->frontend().shard(c).window_size());

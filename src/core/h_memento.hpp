@@ -296,9 +296,7 @@ class h_memento {
 
     auto inner = memento_sketch<key_type>::restore(body);
     if (!inner || !body.done()) return std::nullopt;
-    h_memento out(h_memento_config{inner->window_size(), inner->counters(), inner->tau(),
-                                   delta, seed});
-    out.inner_ = std::move(*inner);
+    h_memento out(std::move(*inner), delta, seed);
     if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
     if (!out.rng_.set_state(state)) return std::nullopt;
     return out;
@@ -331,9 +329,7 @@ class h_memento {
 
     auto inner = memento_sketch<key_type>::restore(s);
     if (!inner || !s.close_section()) return std::nullopt;
-    h_memento out(h_memento_config{inner->window_size(), inner->counters(), inner->tau(),
-                                   delta, seed});
-    out.inner_ = std::move(*inner);
+    h_memento out(std::move(*inner), delta, seed);
     if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
     if (!out.rng_.set_state(state)) return std::nullopt;
     return out;
@@ -341,6 +337,16 @@ class h_memento {
 
  private:
   friend class snapshot_builder;  ///< reshard's bulk state transport (snapshot/reshard.hpp)
+
+  /// Restore's constructor: adopts the already restored inner sketch
+  /// instead of building a fresh one only to overwrite it. The sampler and
+  /// rng are derived exactly as the public constructor derives them.
+  h_memento(memento_sketch<key_type>&& inner, double delta, std::uint64_t seed)
+      : inner_(std::move(inner)),
+        sampler_(inner_.tau(), 1u << 16, seed ^ 0x9e3779b97f4a7c15ULL),
+        rng_(seed + 1),
+        delta_(delta),
+        seed_(seed) {}
 
   memento_sketch<key_type> inner_;
   random_table_sampler sampler_;

@@ -20,7 +20,10 @@
 //     and its entry in the overflow table B is incremented;
 //   * a ring of k+1 block queues covers the window; one queued item is
 //     retired per packet (de-amortized, Algorithm 1 lines 8-11), so the
-//     oldest queue is provably empty when its block expires.
+//     oldest queue is provably empty when its block expires. Appends only
+//     go to the newest block and retirements only leave the oldest, so the
+//     k+1 queues are stored as ONE FIFO ring of keys (oldest block first)
+//     plus a live count per block slot.
 //
 // Overflow-threshold scaling: Algorithm 1 prints the threshold as W/k, which
 // is exact for tau = 1. Under sampling, `y` counts *sampled* packets - about
@@ -54,6 +57,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -126,8 +130,19 @@ class memento_sketch {
     // T >= 2 [Lemire, Kaser & Granlund 2019]; T == 1 wraps magic to 0 and is
     // special-cased at the test site.
     threshold_magic_ = ~std::uint64_t{0} / threshold_ + 1;
-    blocks_.resize(k_ + 1);
-    overflows_.reserve(4 * k_);
+    // Live-state bound that sizes both window structures. Every queued
+    // overflow event (and so every live entry of B) comes from the last
+    // k+1 blocks, which span at most two frames. Space-Saving's counts in
+    // one frame sum to its S sampled adds, and a counter overflows once per
+    // T of them, so a frame yields at most S/T events: exactly k at tau = 1
+    // (S = frame_len, T = block_len), about k below it (S ~ tau * frame_len
+    // ~ k * T). The window thus holds about 2k events and at most that many
+    // live entries. Sampling noise and T's rounding can overshoot 2k a
+    // little; the power-of-two round-up leaves headroom for that, and
+    // enqueue() / find_or_emplace growth stays the safety net.
+    live_.assign(k_ + 1, 0);
+    ring_.resize(std::bit_ceil(2 * k_));
+    overflows_.reserve(2 * k_);
   }
 
   memento_sketch(std::uint64_t window_size, std::size_t counters, double tau = 1.0,
@@ -246,7 +261,7 @@ class memento_sketch {
     window_update();
     const std::uint64_t count = y_.add(x);
     if (count % threshold_ == 0) {  // overflow (Algorithm 1 line 15)
-      blocks_[head_].items.push_back(x);
+      enqueue(x);
       ++overflows_.find_or_emplace(x, 0);
       ++appends_this_block_;
     }
@@ -389,9 +404,10 @@ class memento_sketch {
   // --- snapshot support ------------------------------------------------------
   // A snapshot captures the complete algorithm state: configuration (from
   // which the derived geometry and the sampler's random table are rebuilt),
-  // the in-frame Space-Saving structure, the overflow table B, the block-
-  // queue ring (compacted: retired prefixes are dropped), the window clock,
-  // and the sampler cursor. restore(save(s)) answers every query
+  // the in-frame Space-Saving structure, the overflow table B, the block
+  // ring (each slot's live count, then the queued keys in slot order from
+  // slot 0, whatever the FIFO's position in memory), the window clock, and
+  // the sampler cursor. restore(save(s)) answers every query
   // bit-identically to s and - fed the same suffix - continues the stream
   // bit-identically (pinned by tests/snapshot_test.cpp).
 
@@ -414,10 +430,12 @@ class memento_sketch {
     w.varint(sampler_.cursor());
     y_.save(w);
     overflows_.save(w);
-    for (const block_queue& q : blocks_) {
-      w.varint(q.items.size() - q.next);  // compact: only live entries ship
-      for (std::size_t i = q.next; i < q.items.size(); ++i) {
-        wire::codec<Key>::put(w, q.items[i]);
+    std::size_t f = slot_order_start();
+    for (const std::size_t live : live_) {
+      w.varint(live);
+      for (std::size_t i = 0; i < live; ++i) {
+        wire::codec<Key>::put(w, queued(f));
+        if (++f == ring_size_) f = 0;
       }
     }
     w.end_section(tok);
@@ -460,29 +478,24 @@ class memento_sketch {
     // An honest save's frame length is block_len * k exactly; anything else
     // would silently shift every window boundary.
     if (out.frame_len_ != frame) return std::nullopt;
-    if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
-    out.clock_ = clock;
-    out.until_block_end_ = out.block_len_ - clock % out.block_len_;
-    out.stream_length_ = stream;
-    out.forced_drains_ = drains;
-    out.head_ = static_cast<std::size_t>(head);
-
-    auto y = space_saving<Key>::restore(body);
-    if (!y || y->capacity() != out.k_) return std::nullopt;
-    out.y_ = std::move(*y);
+    if (!out.set_restored_scalars(clock, stream, drains, head, cursor)) return std::nullopt;
+    if (!out.y_.restore_in_place(body)) return std::nullopt;
     if (!out.overflows_.restore(body)) return std::nullopt;
-    for (block_queue& q : out.blocks_) {
+    // Slot by slot, keys land in slot order from FIFO position 0; one
+    // rotation at the end puts the oldest block first.
+    for (std::size_t& live : out.live_) {
       std::uint64_t n = 0;
       // Divide, don't multiply: a corrupt 2^61 count must fail the guard,
-      // not wrap it and throw from the resize below.
+      // not wrap it and throw from the growth below.
       if (!body.varint(n) || n > body.remaining() / 8) return std::nullopt;
-      q.items.resize(static_cast<std::size_t>(n));
-      q.next = 0;
-      for (auto& key : q.items) {
-        if (!wire::codec<Key>::get(body, key)) return std::nullopt;
+      live = static_cast<std::size_t>(n);
+      out.reserve_ring(out.ring_size_ + live);
+      for (std::size_t i = 0; i < live; ++i) {
+        if (!wire::codec<Key>::get(body, out.ring_[out.ring_size_++])) return std::nullopt;
       }
     }
     if (!body.done()) return std::nullopt;
+    out.slot_order_to_fifo();
     return out;
   }
 
@@ -505,16 +518,12 @@ class memento_sketch {
     s.varint(sampler_.cursor());
     y_.save(s, packed);
     overflows_.save_stream(s, packed);
-    std::size_t total = 0;
-    for (const block_queue& q : blocks_) {
-      const std::size_t live = q.items.size() - q.next;
-      s.varint(live);
-      total += live;
-    }
-    std::size_t qi = 0, ii = blocks_.empty() ? 0 : blocks_[0].next;
-    wire::put_u64_array(s, total, packed, [&] {
-      while (ii >= blocks_[qi].items.size()) ii = blocks_[++qi].next;
-      return wire::codec<Key>::to_u64(blocks_[qi].items[ii++]);
+    for (const std::size_t live : live_) s.varint(live);
+    std::size_t f = slot_order_start();
+    wire::put_u64_array(s, ring_size_, packed, [&] {
+      const Key& key = queued(f);
+      if (++f == ring_size_) f = 0;
+      return wire::codec<Key>::to_u64(key);
     });
     s.end_section();
   }
@@ -540,40 +549,28 @@ class memento_sketch {
 
     memento_sketch out(memento_config{frame, static_cast<std::size_t>(k), tau, seed});
     if (out.frame_len_ != frame) return std::nullopt;
-    if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
-    out.clock_ = clock;
-    out.until_block_end_ = out.block_len_ - clock % out.block_len_;
-    out.stream_length_ = stream;
-    out.forced_drains_ = drains;
-    out.head_ = static_cast<std::size_t>(head);
-
-    auto y = space_saving<Key>::restore(s);
-    if (!y || y->capacity() != out.k_) return std::nullopt;
-    out.y_ = std::move(*y);
+    if (!out.set_restored_scalars(clock, stream, drains, head, cursor)) return std::nullopt;
+    if (!out.y_.restore_in_place(s)) return std::nullopt;
     if (!out.overflows_.restore_stream(s, packed)) return std::nullopt;
     // No byte-budget guard is possible on a stream, so cap the total queued
     // keys absolutely: an honest ring never holds more than ~W overflow
     // events, and 2^22 (32 MB of keys) is far above any tested config while
     // bounding what a lying count can make restore allocate.
     std::uint64_t total = 0;
-    for (block_queue& q : out.blocks_) {
+    for (std::size_t& live : out.live_) {
       std::uint64_t n = 0;
       if (!s.varint(n) || n > (std::uint64_t{1} << 22) - total) return std::nullopt;
       total += n;
-      q.items.resize(static_cast<std::size_t>(n));
-      q.next = 0;
+      live = static_cast<std::size_t>(n);
     }
-    std::size_t qi = 0, ii = 0;
+    out.reserve_ring(static_cast<std::size_t>(total));
     if (!wire::get_u64_array(s, static_cast<std::size_t>(total), packed, [&](std::uint64_t raw) {
-          while (ii >= out.blocks_[qi].items.size()) {
-            ++qi;
-            ii = 0;
-          }
-          return wire::codec<Key>::from_u64(raw, out.blocks_[qi].items[ii++]);
+          return wire::codec<Key>::from_u64(raw, out.ring_[out.ring_size_++]);
         })) {
       return std::nullopt;
     }
     if (!s.close_section()) return std::nullopt;
+    out.slot_order_to_fifo();
     return out;
   }
 
@@ -584,18 +581,19 @@ class memento_sketch {
   /// decisions + 256 buckets ~ 2.25 KB of stack) and the prefetch window.
   static constexpr std::size_t kBatchChunk = 256;
 
-  /// FIFO queue of one block's overflow events. Retirement consumes from
-  /// `next`, appends go to the back; storage is recycled on block reuse.
-  struct block_queue {
-    std::vector<Key> items;
-    std::size_t next = 0;
-
-    [[nodiscard]] bool empty() const noexcept { return next >= items.size(); }
-    void clear() noexcept {
-      items.clear();
-      next = 0;
-    }
-  };
+  /// The restored window clock, stream counters, ring head and sampler
+  /// cursor (range-checked by the caller, except the cursor).
+  [[nodiscard]] bool set_restored_scalars(std::uint64_t clock, std::uint64_t stream,
+                                          std::uint64_t drains, std::uint64_t head,
+                                          std::uint64_t cursor) {
+    if (!sampler_.set_cursor(static_cast<std::size_t>(cursor))) return false;
+    clock_ = clock;
+    until_block_end_ = block_len_ - clock % block_len_;
+    stream_length_ = stream;
+    forced_drains_ = drains;
+    head_ = static_cast<std::size_t>(head);
+    return true;
+  }
 
   /// The batch kernel: one chunk (m <= kBatchChunk) of packets, with the
   /// sampling decisions already drawn (dec, or every packet when AllSampled).
@@ -636,8 +634,8 @@ class memento_sketch {
       // Interior packets see no boundary. Retirements pop the oldest block's
       // queue while appends go to the newest, so once the tail queue drains
       // it stays empty for the rest of the run and the retire test vanishes.
-      block_queue& tail = blocks_[tail_index()];
-      for (; j < interior_end && !tail.empty(); ++j) {
+      const std::size_t tail = tail_index();
+      for (; j < interior_end && live_[tail] > 0; ++j) {
         drop_oldest(tail);
         if (AllSampled || dec[j]) {
           full_add(xs[j], kUseBuckets ? buckets[j] : y_.index_bucket(xs[j]));
@@ -677,7 +675,7 @@ class memento_sketch {
   void full_add(const Key& x, std::size_t bucket) {
     const std::uint64_t count = y_.add_prehashed(bucket, x);
     if (count * threshold_magic_ < threshold_magic_ || threshold_ == 1) {
-      blocks_[head_].items.push_back(x);
+      enqueue(x);
       ++overflows_.find_or_emplace(x, 0);
       ++appends_this_block_;
     }
@@ -715,9 +713,9 @@ class memento_sketch {
 
   /// At most `budget` retirements from the current oldest block's queue.
   void retire_up_to(std::uint64_t budget) {
-    block_queue& q = blocks_[tail_index()];
-    const auto avail = static_cast<std::uint64_t>(q.items.size() - q.next);
-    for (std::uint64_t d = std::min(budget, avail); d > 0; --d) drop_oldest(q);
+    const std::size_t tail = tail_index();
+    const auto avail = static_cast<std::uint64_t>(live_[tail]);
+    for (std::uint64_t d = std::min(budget, avail); d > 0; --d) drop_oldest(tail);
   }
 
   /// Ends the current block: the oldest queue leaves the window and a fresh
@@ -725,41 +723,104 @@ class memento_sketch {
   void rotate_blocks() {
     overflow_peaks_.push(appends_this_block_);  // the block just completed
     appends_this_block_ = 0;
-    head_ = head_ + 1 == blocks_.size() ? 0 : head_ + 1;
+    head_ = head_ + 1 == live_.size() ? 0 : head_ + 1;
     // The slot we are claiming held the expired oldest queue. De-amortized
     // retirement guarantees it is already empty; drain defensively if not so
     // the overflow table can never leak (counted for the tests).
-    block_queue& reused = blocks_[head_];
-    while (!reused.empty()) {
+    while (live_[head_] > 0) {
       ++forced_drains_;
-      drop_oldest(reused);
+      drop_oldest(head_);
     }
-    reused.clear();
   }
 
   /// Retires at most one overflow of the oldest block (lines 8-11).
   void retire_one() {
-    block_queue& tail = blocks_[tail_index()];
-    if (!tail.empty()) drop_oldest(tail);
+    const std::size_t tail = tail_index();
+    if (live_[tail] > 0) drop_oldest(tail);
   }
 
-  void drop_oldest(block_queue& q) {
-    const Key& old_id = q.items[q.next++];
+  /// Retires the FIFO front, which belongs to `slot`: the oldest block
+  /// slot still holding events.
+  void drop_oldest(std::size_t slot) {
+    const Key& old_id = ring_[ring_head_];
+    ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+    --ring_size_;
+    --live_[slot];
     if (std::uint32_t* count = overflows_.find(old_id)) {
       if (--(*count) == 0) overflows_.erase(old_id);
     }
   }
 
+  /// Appends an overflow event of the current block.
+  void enqueue(const Key& x) {
+    if (ring_size_ == ring_.size()) reserve_ring(ring_size_ + 1);
+    ring_[(ring_head_ + ring_size_) & (ring_.size() - 1)] = x;
+    ++ring_size_;
+    ++live_[head_];
+  }
+
+  /// Grows the ring (never shrinks) to a power of two >= n, re-laying the
+  /// queued keys from position 0.
+  void reserve_ring(std::size_t n) {
+    if (n <= ring_.size()) return;
+    std::vector<Key> grown(std::bit_ceil(n));
+    for (std::size_t f = 0; f < ring_size_; ++f) grown[f] = queued(f);
+    ring_ = std::move(grown);
+    ring_head_ = 0;
+  }
+
+  /// The f-th queued key, oldest first.
+  [[nodiscard]] const Key& queued(std::size_t f) const noexcept {
+    return ring_[(ring_head_ + f) & (ring_.size() - 1)];
+  }
+
+  /// FIFO position of block slot 0's first key. The FIFO runs tail, ...,
+  /// k, 0, ..., head, so slot order (the wire's) starts after the slots
+  /// [tail, k] - or at the front when the tail is slot 0.
+  [[nodiscard]] std::size_t slot_order_start() const noexcept {
+    const std::size_t tail = tail_index();
+    if (tail == 0) return 0;
+    std::size_t off = 0;
+    for (std::size_t s = tail; s < live_.size(); ++s) off += live_[s];
+    return off == ring_size_ ? 0 : off;
+  }
+
+  /// Restore tail: the keys were read in slot order into ring positions
+  /// [0, ring_size_); one rotation makes them oldest-block-first.
+  void slot_order_to_fifo() {
+    ring_head_ = 0;
+    const std::size_t off = slot_order_start();
+    if (off == 0) return;
+    const auto first = ring_.begin();
+    std::rotate(first, first + static_cast<std::ptrdiff_t>(ring_size_ - off),
+                first + static_cast<std::ptrdiff_t>(ring_size_));
+  }
+
+  /// FIFO position of every block slot's first key (reshard's walk).
+  [[nodiscard]] std::vector<std::size_t> block_starts() const {
+    std::vector<std::size_t> start(live_.size());
+    std::size_t at = 0;
+    for (std::size_t a = 0, s = tail_index(); a < live_.size(); ++a) {
+      start[s] = at;
+      at += live_[s];
+      s = s + 1 == live_.size() ? 0 : s + 1;
+    }
+    return start;
+  }
+
   /// Oldest live block: the slot after head in the (k+1)-ring.
   [[nodiscard]] std::size_t tail_index() const noexcept {
-    return head_ + 1 == blocks_.size() ? 0 : head_ + 1;
+    return head_ + 1 == live_.size() ? 0 : head_ + 1;
   }
 
   space_saving<Key> y_;                       ///< in-frame sampled counts
   max_window_u64 overflow_peaks_;             ///< per-block append peaks, last k blocks
   random_table_sampler sampler_;              ///< Bernoulli(tau) decisions
   flat_hash<Key, std::uint32_t> overflows_;   ///< the table B
-  std::vector<block_queue> blocks_;           ///< the queue-of-queues b (k+1 ring)
+  std::vector<Key> ring_;                     ///< queued overflow keys, oldest block first
+  std::size_t ring_head_ = 0;                 ///< ring_ position of the oldest key
+  std::size_t ring_size_ = 0;                 ///< queued keys
+  std::vector<std::size_t> live_;             ///< per block slot (k+1): its queued keys
   std::size_t head_ = 0;                      ///< current block slot
   double tau_;
   double inv_tau_;

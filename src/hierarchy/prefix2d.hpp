@@ -131,9 +131,16 @@ struct two_dim_hierarchy {
   }
 
   [[nodiscard]] static std::string to_string(const key_type& k) {
-    return "(" + format_ipv4(k.src) + "/" +
-           std::to_string(prefix1d::prefix_bits(k.src_depth)) + ", " + format_ipv4(k.dst) +
-           "/" + std::to_string(prefix1d::prefix_bits(k.dst_depth)) + ")";
+    std::string out = "(";
+    out.append(format_ipv4(k.src))
+        .append("/")
+        .append(std::to_string(prefix1d::prefix_bits(k.src_depth)))
+        .append(", ")
+        .append(format_ipv4(k.dst))
+        .append("/")
+        .append(std::to_string(prefix1d::prefix_bits(k.dst_depth)))
+        .append(")");
+    return out;
   }
 
   /// Batch key materialization, 2-D: out[t] = key_at(ps[idx[t]], levels[t]).

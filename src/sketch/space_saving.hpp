@@ -31,6 +31,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "util/compress.hpp"
@@ -271,48 +272,11 @@ class space_saving {
       r.skip(src.consumed());
       return out;
     }
-    std::uint16_t version = 0;
     wire::reader body;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return std::nullopt;
-
-    std::uint64_t cap = 0, used = 0, nbuckets = 0;
-    std::uint64_t adds = 0;
-    std::uint32_t min_bucket = 0, bucket_free = 0;
-    if (!body.varint(cap) || !body.varint(used) || !body.u64(adds)) return std::nullopt;
-    if (!body.u32(min_bucket) || !body.u32(bucket_free) || !body.varint(nbuckets)) {
-      return std::nullopt;
-    }
-    if (cap == 0 || cap >= npos || cap > kMaxRestoreCounters) return std::nullopt;
-    if (used > cap || nbuckets > 2 * cap + 2) return std::nullopt;
-    // Each bucket costs >= 13 bytes, each counter >= 26: reject lying counts
-    // before touching memory.
-    if (nbuckets * 13 > body.remaining()) return std::nullopt;
-
-    space_saving out(static_cast<std::size_t>(cap));
-    out.used_ = static_cast<std::size_t>(used);
-    out.adds_ = adds;
-    out.min_bucket_ = min_bucket;
-    out.bucket_free_ = bucket_free;
-    out.buckets_.resize(static_cast<std::size_t>(nbuckets));
-    for (auto& b : out.buckets_) {
-      if (!body.varint(b.count) || !body.u32(b.head) || !body.u32(b.prev) || !body.u32(b.next)) {
-        return std::nullopt;
-      }
-    }
-    if (used * 26 > body.remaining()) return std::nullopt;
-    for (std::size_t i = 0; i < out.used_; ++i) {
-      cnode& m = out.nodes_[i];
-      if (!wire::codec<Key>::get(body, m.key) || !body.varint(out.counts_[i]) ||
-          !body.varint(m.overest)) {
-        return std::nullopt;
-      }
-      if (!body.u32(m.prev) || !body.u32(m.next) || !body.u32(m.bucket) || !body.u32(m.islot)) {
-        return std::nullopt;
-      }
-    }
-    if (!out.restored_topology_valid()) return std::nullopt;
-    if (!out.index_.restore(body) || !body.done()) return std::nullopt;
-    if (!out.restored_index_valid()) return std::nullopt;
+    wire_header h;
+    if (!open_section(r, body, h)) return std::nullopt;
+    space_saving out(static_cast<std::size_t>(h.cap));
+    if (!out.load(body, h)) return std::nullopt;
     return out;
   }
 
@@ -369,100 +333,10 @@ class space_saving {
   /// the section CRC (which is what catches bit flips that still decode to
   /// range-valid values inside packed blocks).
   [[nodiscard]] static std::optional<space_saving> restore(wire::source& s) {
-    std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
-    std::uint8_t flags = 0;
-    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return std::nullopt;
-    const bool packed = (flags & wire::kCodecPacked) != 0;
-    std::uint64_t cap = 0, used = 0, nbuckets = 0, adds = 0;
-    std::uint32_t min_bucket = 0, bucket_free = 0;
-    if (!s.varint(cap) || !s.varint(used) || !s.u64(adds) || !s.u32(min_bucket) ||
-        !s.u32(bucket_free) || !s.varint(nbuckets)) {
-      return std::nullopt;
-    }
-    if (cap == 0 || cap >= npos || cap > kMaxRestoreCounters) return std::nullopt;
-    if (used > cap || nbuckets > 2 * cap + 2) return std::nullopt;
-
-    space_saving out(static_cast<std::size_t>(cap));
-    out.used_ = static_cast<std::size_t>(used);
-    out.adds_ = adds;
-    out.min_bucket_ = min_bucket;
-    out.bucket_free_ = bucket_free;
-    out.buckets_.resize(static_cast<std::size_t>(nbuckets));
-    const auto read_links = [&](std::uint64_t n, auto&& set) {
-      std::size_t j = 0;
-      return wire::get_u64_array(s, static_cast<std::size_t>(n), packed, [&](std::uint64_t raw) {
-        std::uint32_t link = 0;
-        if (!unwire_link(raw, link)) return false;
-        set(j++, link);
-        return true;
-      });
-    };
-    std::size_t i = 0;
-    if (!wire::get_zigzag_u64(s, nbuckets, [&](std::uint64_t v) {
-          out.buckets_[i++].count = v;
-          return true;
-        })) {
-      return std::nullopt;
-    }
-    if (!read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { out.buckets_[j].head = v; }) ||
-        !read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { out.buckets_[j].prev = v; }) ||
-        !read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { out.buckets_[j].next = v; })) {
-      return std::nullopt;
-    }
-    i = 0;
-    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
-          return wire::codec<Key>::from_u64(raw, out.nodes_[i++].key);
-        })) {
-      return std::nullopt;
-    }
-    i = 0;
-    if (!wire::get_zigzag_u64(s, used, [&](std::uint64_t v) {
-          out.counts_[i++] = v;
-          return true;
-        })) {
-      return std::nullopt;
-    }
-    i = 0;
-    if (!wire::get_zigzag_u64(s, used, [&](std::uint64_t v) {
-          out.nodes_[i++].overest = v;
-          return true;
-        })) {
-      return std::nullopt;
-    }
-    if (!read_links(used, [&](std::size_t j, std::uint32_t v) { out.nodes_[j].prev = v; }) ||
-        !read_links(used, [&](std::size_t j, std::uint32_t v) { out.nodes_[j].next = v; }) ||
-        !read_links(used, [&](std::size_t j, std::uint32_t v) { out.nodes_[j].bucket = v; })) {
-      return std::nullopt;
-    }
-    i = 0;
-    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
-          if (raw > npos) return false;
-          out.nodes_[i++].islot = static_cast<std::uint32_t>(raw);
-          return true;
-        })) {
-      return std::nullopt;
-    }
-    if (!out.restored_topology_valid()) return std::nullopt;
-    // Rebuild the key index from the node columns at the exact saved
-    // capacity and slot positions, so a v1 re-save of the restored object
-    // is byte-identical to a v1 re-save of the original. rebuild_placed
-    // rejects out-of-range or colliding islot values and unreachable probe
-    // layouts; restored_index_valid still cross-checks the bijection.
-    std::uint64_t icap = 0;
-    if (!s.varint(icap)) return std::nullopt;
-    std::size_t j = 0;
-    if (!out.index_.rebuild_placed(
-            icap, used, [&](std::uint64_t, std::uint64_t& pos, Key& key, std::uint64_t& value) {
-              pos = out.nodes_[j].islot;
-              key = out.nodes_[j].key;
-              value = j;
-              ++j;
-            })) {
-      return std::nullopt;
-    }
-    if (!out.restored_index_valid()) return std::nullopt;
-    if (!s.close_section()) return std::nullopt;
+    wire_header h;
+    if (!open_section(s, h)) return std::nullopt;
+    space_saving out(static_cast<std::size_t>(h.cap));
+    if (!out.load(s, h)) return std::nullopt;
     return out;
   }
 
@@ -476,6 +350,185 @@ class space_saving {
   static constexpr std::size_t kAddChunk = 32;
 
   friend class snapshot_builder;  ///< reshard's bulk state loader (snapshot/reshard.hpp)
+  /// memento_sketch restores its in-frame instance in place (restore_in_place).
+  template <typename> friend class memento_sketch;
+
+  /// The scalar preamble of a serialized instance, read and range-checked
+  /// before anything is sized against it.
+  struct wire_header {
+    std::uint64_t cap = 0;
+    std::uint64_t used = 0;
+    std::uint64_t nbuckets = 0;
+    std::uint64_t adds = 0;
+    std::uint32_t min_bucket = 0;
+    std::uint32_t bucket_free = 0;
+    bool packed = false;  ///< streamed form only: FoR columns
+  };
+
+  [[nodiscard]] static bool header_valid(const wire_header& h) noexcept {
+    if (h.cap == 0 || h.cap >= npos || h.cap > kMaxRestoreCounters) return false;
+    return h.used <= h.cap && h.nbuckets <= 2 * h.cap + 2;
+  }
+
+  /// Buffered form: opens the v1 section, reads the preamble into h and
+  /// hands back a reader bounded to the rest of the body.
+  [[nodiscard]] static bool open_section(wire::reader& r, wire::reader& body, wire_header& h) {
+    std::uint16_t version = 0;
+    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return false;
+    if (!body.varint(h.cap) || !body.varint(h.used) || !body.u64(h.adds)) return false;
+    if (!body.u32(h.min_bucket) || !body.u32(h.bucket_free) || !body.varint(h.nbuckets)) {
+      return false;
+    }
+    // Each bucket costs >= 13 bytes: reject lying counts before touching
+    // memory.
+    return header_valid(h) && h.nbuckets <= body.remaining() / 13;
+  }
+
+  /// Streamed form: opens the v2 section (codec flags included) and reads
+  /// the preamble into h.
+  [[nodiscard]] static bool open_section(wire::source& s, wire_header& h) {
+    std::uint16_t version = 0;
+    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return false;
+    std::uint8_t flags = 0;
+    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return false;
+    h.packed = (flags & wire::kCodecPacked) != 0;
+    if (!s.varint(h.cap) || !s.varint(h.used) || !s.u64(h.adds) || !s.u32(h.min_bucket) ||
+        !s.u32(h.bucket_free) || !s.varint(h.nbuckets)) {
+      return false;
+    }
+    return header_valid(h);
+  }
+
+  /// Restores a serialized instance (either framing) into *this, which must
+  /// already have the saved capacity - the owner's constructor built it, so
+  /// nothing is allocated twice. False on any malformed input, after which
+  /// *this is unspecified and the owner must discard itself.
+  template <typename In>
+  [[nodiscard]] bool restore_in_place(In& in) {
+    wire_header h;
+    if constexpr (std::is_same_v<In, wire::reader>) {
+      wire::reader body;
+      return open_section(in, body, h) && h.cap == capacity() && load(body, h);
+    } else {
+      return open_section(in, h) && h.cap == capacity() && load(in, h);
+    }
+  }
+
+  void set_scalars(const wire_header& h) {
+    used_ = static_cast<std::size_t>(h.used);
+    adds_ = h.adds;
+    min_bucket_ = h.min_bucket;
+    bucket_free_ = h.bucket_free;
+    buckets_.resize(static_cast<std::size_t>(h.nbuckets));
+  }
+
+  /// Buffered body after the preamble: buckets, interleaved counters, the
+  /// key index; then the shared topology and index cross-checks.
+  [[nodiscard]] bool load(wire::reader& body, const wire_header& h) {
+    set_scalars(h);
+    for (auto& b : buckets_) {
+      if (!body.varint(b.count) || !body.u32(b.head) || !body.u32(b.prev) || !body.u32(b.next)) {
+        return false;
+      }
+    }
+    // Each counter costs >= 26 bytes.
+    if (h.used > body.remaining() / 26) return false;
+    for (std::size_t i = 0; i < used_; ++i) {
+      cnode& m = nodes_[i];
+      if (!wire::codec<Key>::get(body, m.key) || !body.varint(counts_[i]) ||
+          !body.varint(m.overest)) {
+        return false;
+      }
+      if (!body.u32(m.prev) || !body.u32(m.next) || !body.u32(m.bucket) || !body.u32(m.islot)) {
+        return false;
+      }
+    }
+    if (!restored_topology_valid()) return false;
+    if (!index_.restore(body) || !body.done()) return false;
+    return restored_index_valid();
+  }
+
+  /// Streamed body after the preamble: the structure-of-arrays columns, the
+  /// index rebuilt from them, the cross-checks, then the section CRC.
+  [[nodiscard]] bool load(wire::source& s, const wire_header& h) {
+    set_scalars(h);
+    const bool packed = h.packed;
+    const std::uint64_t nbuckets = h.nbuckets;
+    const std::uint64_t used = h.used;
+    const auto read_links = [&](std::uint64_t n, auto&& set) {
+      std::size_t j = 0;
+      return wire::get_u64_array(s, static_cast<std::size_t>(n), packed, [&](std::uint64_t raw) {
+        std::uint32_t link = 0;
+        if (!unwire_link(raw, link)) return false;
+        set(j++, link);
+        return true;
+      });
+    };
+    std::size_t i = 0;
+    if (!wire::get_zigzag_u64(s, nbuckets, [&](std::uint64_t v) {
+          buckets_[i++].count = v;
+          return true;
+        })) {
+      return false;
+    }
+    if (!read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { buckets_[j].head = v; }) ||
+        !read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { buckets_[j].prev = v; }) ||
+        !read_links(nbuckets, [&](std::size_t j, std::uint32_t v) { buckets_[j].next = v; })) {
+      return false;
+    }
+    i = 0;
+    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
+          return wire::codec<Key>::from_u64(raw, nodes_[i++].key);
+        })) {
+      return false;
+    }
+    i = 0;
+    if (!wire::get_zigzag_u64(s, used, [&](std::uint64_t v) {
+          counts_[i++] = v;
+          return true;
+        })) {
+      return false;
+    }
+    i = 0;
+    if (!wire::get_zigzag_u64(s, used, [&](std::uint64_t v) {
+          nodes_[i++].overest = v;
+          return true;
+        })) {
+      return false;
+    }
+    if (!read_links(used, [&](std::size_t j, std::uint32_t v) { nodes_[j].prev = v; }) ||
+        !read_links(used, [&](std::size_t j, std::uint32_t v) { nodes_[j].next = v; }) ||
+        !read_links(used, [&](std::size_t j, std::uint32_t v) { nodes_[j].bucket = v; })) {
+      return false;
+    }
+    i = 0;
+    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
+          if (raw > npos) return false;
+          nodes_[i++].islot = static_cast<std::uint32_t>(raw);
+          return true;
+        })) {
+      return false;
+    }
+    if (!restored_topology_valid()) return false;
+    // Rebuild the key index from the node columns at the exact saved
+    // capacity and slot positions, so a v1 re-save of the restored object
+    // is byte-identical to a v1 re-save of the original. rebuild_placed
+    // rejects out-of-range or colliding islot values and unreachable probe
+    // layouts; restored_index_valid still cross-checks the bijection.
+    std::uint64_t icap = 0;
+    if (!s.varint(icap)) return false;
+    std::size_t j = 0;
+    if (!index_.rebuild_placed(
+            icap, used, [&](std::uint64_t, std::uint64_t& pos, Key& key, std::uint64_t& value) {
+              pos = nodes_[j].islot;
+              key = nodes_[j].key;
+              value = j;
+              ++j;
+            })) {
+      return false;
+    }
+    return restored_index_valid() && s.close_section();
+  }
 
   /// Everything a counter mutation touches besides its count, packed into
   /// ONE node (32 bytes for 8-byte keys) so an add dirties at most two data

@@ -255,13 +255,14 @@ class snapshot_builder {
       });
       // Walk the ring newest-first so ages are deterministic: age 0 is the
       // current block, age k_old the one about to expire.
-      const std::size_t ring = src.blocks_.size();
+      const std::size_t ring = src.live_.size();
+      const std::vector<std::size_t> start = src.block_starts();
       for (std::size_t age = 0; age < ring; ++age) {
         const std::size_t slot = (src.head_ + ring - age) % ring;
-        const auto& q = src.blocks_[slot];
         const auto new_age = scale_age(age, k_old, k_new);
-        for (std::size_t i = q.next; i < q.items.size(); ++i) {
-          queued[owner_of(q.items[i], o)].push_back({new_age, q.items[i]});
+        for (std::size_t i = 0; i < src.live_[slot]; ++i) {
+          const Key& key = src.queued(start[slot] + i);
+          queued[owner_of(key, o)].push_back({new_age, key});
         }
       }
     }
@@ -286,11 +287,16 @@ class snapshot_builder {
         if (dst.overflows_.contains(key)) return false;
         dst.overflows_.find_or_emplace(key, 0) += b;
       }
-      const std::size_t ring = dst.blocks_.size();  // k_new + 1
-      for (const auto& [age, key] : queued[s]) {
-        dst.blocks_[(ring - age) % ring].items.push_back(key);
-      }
-      dst.head_ = 0;  // age a lives at slot (ring - a) % ring
+      // Age a lives at slot (ring - a) % ring. Each block keeps its keys in
+      // arrival order; the FIFO holds the blocks oldest first, so count the
+      // keys per slot, then place each at its slot's next FIFO position.
+      const std::size_t ring = dst.live_.size();  // k_new + 1
+      dst.head_ = 0;
+      for (const auto& entry : queued[s]) ++dst.live_[(ring - entry.first) % ring];
+      dst.reserve_ring(queued[s].size());
+      dst.ring_size_ = queued[s].size();
+      std::vector<std::size_t> next = dst.block_starts();
+      for (const auto& [age, key] : queued[s]) dst.ring_[next[(ring - age) % ring]++] = key;
       dst.clock_ = clock;
       dst.until_block_end_ = dst.block_len_ - clock % dst.block_len_;
       // Spread the remainder so the global stream length survives the move

@@ -20,8 +20,9 @@
 //
 // All writers take a generator (called once per value, in order) and all
 // readers a consumer (returning false to reject a value), so neither side
-// ever materializes the column: the block scratch (~16 KB of stack) is the
-// whole memory footprint, which is what lets a sink checkpoint a 1M-counter
+// ever materializes the column: the block scratch (~16 KB of stack; the
+// reader also keeps one block of decoded deltas) is the whole memory
+// footprint, which is what lets a sink checkpoint a 1M-counter
 // deployment in bounded memory.
 //
 // The `packed` flag mirrors the section's codec-flags byte (kCodecPacked):
@@ -53,41 +54,47 @@ inline constexpr std::uint8_t kCodecKnownMask = 0x01;
 
 namespace detail {
 
-/// Packs m values of `bits` bits each, LSB-first, into out (zero-filled).
+/// Scratch bytes past a packed block's payload: the word-at-a-time kernels
+/// below load and store whole 64-bit words (plus one byte on the unpack
+/// side), so block buffers carry this much padding and no access ever
+/// leaves them.
+inline constexpr std::size_t kPackPad = 16;
+
+/// Packs m values of `bits` bits each (bits in [1, 64], every value below
+/// 2^bits), LSB-first, into out[0, (m * bits + 7) / 8) - a 64-bit
+/// accumulator flushed one whole word at a time. out needs kPackPad bytes
+/// of room past the payload; the bytes written there are scratch.
 inline void pack_bits(const std::uint64_t* v, std::size_t m, unsigned bits,
-                      std::uint8_t* out, std::size_t nbytes) {
-  std::memset(out, 0, nbytes);
-  std::size_t bitpos = 0;
-  for (std::size_t i = 0; i < m; ++i, bitpos += bits) {
-    std::uint64_t cur = v[i];
-    std::size_t byte = bitpos >> 3;
-    unsigned off = bitpos & 7;
-    unsigned left = bits;
-    while (left > 0) {
-      out[byte] |= static_cast<std::uint8_t>(cur << off);
-      const unsigned wrote = 8 - off;
-      cur = wrote >= 64 ? 0 : cur >> wrote;
-      left = left > wrote ? left - wrote : 0;
-      ++byte;
-      off = 0;
+                      std::uint8_t* out) noexcept {
+  std::uint64_t acc = 0;
+  unsigned fill = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    acc |= v[i] << fill;
+    fill += bits;
+    if (fill >= 64) {
+      store_le(out, acc);
+      out += 8;
+      fill -= 64;
+      acc = fill == 0 ? 0 : v[i] >> (bits - fill);
     }
   }
+  if (fill > 0) store_le(out, acc);
 }
 
-/// Reads the value at bit position `bitpos` (bits in [1, 64]).
-[[nodiscard]] inline std::uint64_t unpack_one(const std::uint8_t* in, std::size_t bitpos,
-                                              unsigned bits) noexcept {
-  std::uint64_t v = 0;
-  unsigned got = 0;
-  std::size_t byte = bitpos >> 3;
-  unsigned off = bitpos & 7;
-  while (got < bits) {
-    v |= static_cast<std::uint64_t>(in[byte] >> off) << got;
-    got += 8 - off;
-    ++byte;
-    off = 0;
+/// Unpacks m values of `bits` bits (in [1, 64]) written by pack_bits: one
+/// unaligned 64-bit load per value, plus a ninth byte when the value
+/// straddles it. `in` needs kPackPad readable bytes past the payload.
+inline void unpack_bits(const std::uint8_t* in, std::size_t m, unsigned bits,
+                        std::uint64_t* out) noexcept {
+  const std::uint64_t mask = bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+  std::size_t bitpos = 0;
+  for (std::size_t i = 0; i < m; ++i, bitpos += bits) {
+    const std::uint8_t* p = in + (bitpos >> 3);
+    const unsigned off = bitpos & 7;
+    std::uint64_t d = load_le<std::uint64_t>(p) >> off;
+    if (off + bits > 64) d |= static_cast<std::uint64_t>(p[8]) << (64 - off);
+    out[i] = d & mask;
   }
-  return bits < 64 ? v & (~std::uint64_t{0} >> (64 - bits)) : v;
 }
 
 [[nodiscard]] inline std::uint64_t zigzag_encode(std::int64_t v) noexcept {
@@ -105,7 +112,7 @@ inline void pack_bits(const std::uint64_t* v, std::size_t m, unsigned bits,
 template <typename NextFn>
 void put_u64_array(sink& s, std::size_t n, bool packed, NextFn&& next) {
   std::uint64_t buf[kPackBlock];
-  std::uint8_t bytes[kPackBlock * 8];
+  std::uint8_t bytes[kPackBlock * 8 + detail::kPackPad];
   std::size_t done = 0;
   while (done < n) {
     const std::size_t m = std::min(kPackBlock, n - done);
@@ -116,12 +123,13 @@ void put_u64_array(sink& s, std::size_t n, bool packed, NextFn&& next) {
       const auto [lo, hi] = std::minmax_element(buf, buf + m);
       const std::uint64_t base = *lo;
       const auto bits = static_cast<unsigned>(std::bit_width(*hi - base));
-      for (std::size_t i = 0; i < m; ++i) buf[i] -= base;
-      const std::size_t nbytes = (m * bits + 7) / 8;
-      detail::pack_bits(buf, m, bits, bytes, nbytes);
       s.varint(base);
       s.u8(static_cast<std::uint8_t>(bits));
-      s.bytes(std::span<const std::uint8_t>(bytes, nbytes));
+      if (bits > 0) {
+        for (std::size_t i = 0; i < m; ++i) buf[i] -= base;
+        detail::pack_bits(buf, m, bits, bytes);
+        s.bytes(std::span<const std::uint8_t>(bytes, (m * bits + 7) / 8));
+      }
     }
     done += m;
   }
@@ -132,7 +140,8 @@ void put_u64_array(sink& s, std::size_t n, bool packed, NextFn&& next) {
 /// put() rejecting a value.
 template <typename PutFn>
 [[nodiscard]] bool get_u64_array(source& s, std::size_t n, bool packed, PutFn&& put) {
-  std::uint8_t bytes[kPackBlock * 8];
+  std::uint8_t bytes[kPackBlock * 8 + detail::kPackPad];
+  std::uint64_t deltas[kPackBlock];
   std::size_t done = 0;
   while (done < n) {
     const std::size_t m = std::min(kPackBlock, n - done);
@@ -145,12 +154,20 @@ template <typename PutFn>
       std::uint64_t base = 0;
       std::uint8_t bits = 0;
       if (!s.varint(base) || !s.u8(bits) || bits > 64) return false;
-      const std::size_t nbytes = (m * bits + 7) / 8;
-      if (!s.read(bytes, nbytes)) return false;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t d = bits == 0 ? 0 : detail::unpack_one(bytes, i * bits, bits);
-        if (d > ~std::uint64_t{0} - base) return false;  // base + d wraps
-        if (!put(base + d)) return false;
+      if (bits == 0) {
+        for (std::size_t i = 0; i < m; ++i) {
+          if (!put(base)) return false;
+        }
+      } else {
+        const std::size_t nbytes = (m * bits + 7) / 8;
+        if (!s.read(bytes, nbytes)) return false;
+        std::memset(bytes + nbytes, 0, detail::kPackPad);
+        detail::unpack_bits(bytes, m, bits, deltas);
+        // base + d must not wrap: every delta stays within ~base.
+        const std::uint64_t room = ~std::uint64_t{0} - base;
+        for (std::size_t i = 0; i < m; ++i) {
+          if (deltas[i] > room || !put(base + deltas[i])) return false;
+        }
       }
     }
     done += m;

@@ -284,23 +284,15 @@ class flat_hash {
   /// two (or absurd), overload, positions out of range or non-ascending, or
   /// an entry that a probe from its home bucket would not reach (which
   /// would make it silently unfindable). Malformed bytes can never produce
-  /// a table that crashes later.
+  /// a table that crashes later. A table already at the saved capacity is
+  /// refilled in place (see begin_restore).
   [[nodiscard]] bool restore(wire::reader& r) {
-    slots_.clear();
-    ctrl_.clear();
-    mask_ = 0;
-    size_ = 0;
+    if (size_ != 0) clear();
     std::uint64_t cap = 0, count = 0;
     if (!r.varint(cap) || !r.varint(count)) return false;
-    if (cap == 0) return count == 0;
-    if (cap < kMinCapacity || cap > kMaxRestoreCapacity || (cap & (cap - 1)) != 0) return false;
-    if (count > cap - cap / 4) return false;
     // An honest save of `count` entries occupies at least 10 bytes each
     // (pos + 8-byte key + value); reject lying counts before allocating.
-    if (count * 10 > r.remaining()) return false;
-    slots_.assign(static_cast<std::size_t>(cap), slot{});
-    ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
-    mask_ = static_cast<std::size_t>(cap) - 1;
+    if (count > r.remaining() / 10 || !begin_restore(cap, count)) return false;
     std::uint64_t prev_pos = 0;
     for (std::uint64_t n = 0; n < count; ++n) {
       std::uint64_t pos = 0, value = 0;
@@ -350,18 +342,9 @@ class flat_hash {
   /// leaving the table empty. Positions must ascend strictly across tiles,
   /// not just within them.
   [[nodiscard]] bool restore_stream(wire::source& s, bool packed) {
-    slots_.clear();
-    ctrl_.clear();
-    mask_ = 0;
-    size_ = 0;
+    if (size_ != 0) clear();
     std::uint64_t cap = 0, count = 0;
-    if (!s.varint(cap) || !s.varint(count)) return false;
-    if (cap == 0) return count == 0;
-    if (cap < kMinCapacity || cap > kMaxRestoreCapacity || (cap & (cap - 1)) != 0) return false;
-    if (count > cap - cap / 4) return false;
-    slots_.assign(static_cast<std::size_t>(cap), slot{});
-    ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
-    mask_ = static_cast<std::size_t>(cap) - 1;
+    if (!s.varint(cap) || !s.varint(count) || !begin_restore(cap, count)) return false;
     std::uint64_t pos[wire::kPackBlock];
     std::uint64_t keys[wire::kPackBlock];
     std::uint64_t prev_pos = 0;
@@ -417,16 +400,8 @@ class flat_hash {
   /// the table empty.
   template <typename EmitFn>
   [[nodiscard]] bool rebuild_placed(std::uint64_t cap, std::uint64_t count, EmitFn&& next_entry) {
-    slots_.clear();
-    ctrl_.clear();
-    mask_ = 0;
-    size_ = 0;
-    if (cap == 0) return count == 0;
-    if (cap < kMinCapacity || cap > kMaxRestoreCapacity || (cap & (cap - 1)) != 0) return false;
-    if (count > cap - cap / 4) return false;
-    slots_.assign(static_cast<std::size_t>(cap), slot{});
-    ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
-    mask_ = static_cast<std::size_t>(cap) - 1;
+    if (size_ != 0) clear();
+    if (!begin_restore(cap, count)) return false;
     for (std::uint64_t n = 0; n < count; ++n) {
       std::uint64_t pos = 0, value = 0;
       Key key{};
@@ -442,6 +417,29 @@ class flat_hash {
   }
 
  private:
+  /// Shared restore preamble, on an already emptied table: validates the
+  /// saved shape (capacity a sane power of two, or 0 with no entries; load
+  /// within 3/4) and sizes the table to exactly `cap` slots. A table that
+  /// already has that capacity - the one its owner's constructor reserved,
+  /// in every honest restore - is filled where it stands; only a differing
+  /// capacity reallocates.
+  [[nodiscard]] bool begin_restore(std::uint64_t cap, std::uint64_t count) {
+    if (cap == 0) {
+      slots_.clear();
+      ctrl_.clear();
+      mask_ = 0;
+      return count == 0;
+    }
+    if (cap < kMinCapacity || cap > kMaxRestoreCapacity || (cap & (cap - 1)) != 0) return false;
+    if (count > cap - cap / 4) return false;
+    if (cap != slots_.size()) {
+      slots_.assign(static_cast<std::size_t>(cap), slot{});
+      ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
+      mask_ = static_cast<std::size_t>(cap) - 1;
+    }
+    return true;
+  }
+
   /// Probe-reachability check shared by both restore paths: every entry must
   /// be findable by walking from its home bucket through used slots.
   /// Rejecting (and clearing) here keeps find()'s "empty slot terminates the

@@ -41,6 +41,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -54,32 +55,77 @@ namespace memento::wire {
 /// that predate streaming.
 inline constexpr std::uint32_t kStreamLength = 0xFFFFFFFFu;
 
+/// Little-endian loads and stores of the low `sizeof(T)` bytes at an
+/// unaligned address: the word-at-a-time primitives under the streamed
+/// codecs (sink/source fast paths, CRC slicing, FoR packing).
+template <typename T>
+[[nodiscard]] constexpr T to_le(T v) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::big && sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (std::endian::native == std::endian::big && sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else if constexpr (std::endian::native == std::endian::big && sizeof(T) == 8) {
+    return __builtin_bswap64(v);
+  } else {
+    return v;
+  }
+}
+
+template <typename T>
+[[nodiscard]] inline T load_le(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return to_le(v);
+}
+
+template <typename T>
+inline void store_le(std::uint8_t* p, T v) noexcept {
+  v = to_le(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
 /// Incremental CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the
-/// per-section integrity check of streamed sections. Table-driven; the table
-/// is built once per process.
+/// per-section integrity check of streamed sections. Slicing-by-8: eight
+/// 256-entry tables (built once per process) fold eight input bytes per
+/// step; the tail runs the classic one-table loop. The value does not
+/// depend on how the input is split across update() calls.
 class crc32 {
  public:
   void update(const std::uint8_t* p, std::size_t n) noexcept {
-    const std::uint32_t* t = table();
+    const auto& t = tables();
     std::uint32_t c = state_;
-    for (std::size_t i = 0; i < n; ++i) c = t[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+      const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+      const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+      c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     state_ = c;
   }
 
   [[nodiscard]] std::uint32_t value() const noexcept { return state_ ^ 0xFFFFFFFFu; }
 
  private:
-  static const std::uint32_t* table() noexcept {
-    static const std::array<std::uint32_t, 256> t = [] {
-      std::array<std::uint32_t, 256> out{};
+  using table_set = std::array<std::array<std::uint32_t, 256>, 8>;
+
+  static const table_set& tables() noexcept {
+    static const table_set t = [] {
+      table_set out{};
       for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        out[i] = c;
+        out[0][i] = c;
+      }
+      for (std::size_t k = 1; k < out.size(); ++k) {
+        for (std::size_t i = 0; i < 256; ++i) {
+          out[k][i] = (out[k - 1][i] >> 8) ^ out[0][out[k - 1][i] & 0xFF];
+        }
       }
       return out;
     }();
-    return t.data();
+    return t;
   }
 
   std::uint32_t state_ = 0xFFFFFFFFu;
@@ -254,12 +300,17 @@ class reader {
 
 /// Chunked-stream counterpart of `writer`: same primitives, but bytes leave
 /// through a backend callback every `chunk_bytes`, so serializing any amount
-/// of state holds at most one chunk (plus the largest single put) in memory.
-/// Sections use the streamed framing (kStreamLength sentinel + trailing
-/// CRC32 of the body); they nest LIFO, each byte feeding exactly one CRC:
-/// a section's body bytes feed its own, its header and trailing CRC bytes
-/// feed its parent's. Backend failure or writing past finish() poisons the
-/// sink (ok() goes false) instead of losing bytes silently.
+/// of state holds at most one chunk in memory. Sections use the streamed
+/// framing (kStreamLength sentinel + trailing CRC32 of the body); they nest
+/// LIFO, each byte feeding exactly one CRC: a section's body bytes feed its
+/// own, its header and trailing CRC bytes feed its parent's. Backend failure
+/// or writing past finish() poisons the sink (ok() goes false) instead of
+/// losing bytes silently.
+///
+/// Puts land straight in the chunk buffer; the CRC is not stepped per put
+/// but caught up lazily over the span written since its last sync - at
+/// every flush, section open and section close - so it covers exactly the
+/// section's bytes, in order, whatever the chunk size.
 class sink {
  public:
   using write_fn = std::function<bool(std::span<const std::uint8_t>)>;
@@ -267,9 +318,9 @@ class sink {
   static constexpr std::size_t kDefaultChunk = 64 * 1024;
 
   explicit sink(write_fn out, std::size_t chunk_bytes = kDefaultChunk)
-      : out_(std::move(out)), chunk_(chunk_bytes > 0 ? chunk_bytes : 1) {
-    buf_.reserve(chunk_);
-  }
+      : out_(std::move(out)),
+        chunk_(chunk_bytes > 0 ? chunk_bytes : 1),
+        buf_(std::make_unique_for_overwrite<std::uint8_t[]>(chunk_ + kSlack)) {}
 
   /// Buffer convenience: appends everything to `out` (identical bytes to the
   /// callback form - chunking only decides when flushes happen).
@@ -281,24 +332,38 @@ class sink {
             },
             chunk_bytes) {}
 
-  void u8(std::uint8_t v) { put(&v, 1); }
-  void u16(std::uint16_t v) { put_le(v, 2); }
-  void u32(std::uint32_t v) { put_le(v, 4); }
-  void u64(std::uint64_t v) { put_le(v, 8); }
+  void u8(std::uint8_t v) { put_le(v); }
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
+  /// LEB128, encoded in place (a varint is at most 10 bytes, which the
+  /// buffer's slack past the chunk always has room for).
   void varint(std::uint64_t v) {
-    std::uint8_t tmp[10];
+    if (!writable()) return;
+    std::uint8_t* p = buf_.get() + len_;
     std::size_t n = 0;
     while (v >= 0x80) {
-      tmp[n++] = static_cast<std::uint8_t>(v) | 0x80;
+      p[n++] = static_cast<std::uint8_t>(v) | 0x80;
       v >>= 7;
     }
-    tmp[n++] = static_cast<std::uint8_t>(v);
-    put(tmp, n);
+    p[n++] = static_cast<std::uint8_t>(v);
+    advance(n);
   }
 
-  void bytes(std::span<const std::uint8_t> b) { put(b.data(), b.size()); }
+  /// Copies a span in chunk-sized runs, flushing between them.
+  void bytes(std::span<const std::uint8_t> b) {
+    if (!writable()) return;
+    const std::uint8_t* p = b.data();
+    for (std::size_t n = b.size(); n > 0;) {
+      const std::size_t run = std::min(n, chunk_ - len_);
+      std::memcpy(buf_.get() + len_, p, run);
+      p += run;
+      n -= run;
+      advance(run);
+    }
+  }
 
   /// Opens a streamed section: `u16 tag | u16 version | u32 kStreamLength`.
   /// No token - streamed sections close innermost-first by construction.
@@ -306,6 +371,7 @@ class sink {
     u16(tag);
     u16(version);
     u32(kStreamLength);
+    sync_crc();  // the header belongs to the parent
     crcs_.emplace_back();
   }
 
@@ -315,9 +381,10 @@ class sink {
       failed_ = true;
       return;
     }
+    sync_crc();
     const std::uint32_t c = crcs_.back().value();
     crcs_.pop_back();
-    u32(c);
+    u32(c);  // the trailing CRC belongs to the parent
   }
 
   /// Flushes buffered bytes and seals the stream; sections still open or a
@@ -333,41 +400,59 @@ class sink {
 
   [[nodiscard]] bool ok() const noexcept { return !failed_; }
   /// Total bytes put so far (buffered + flushed).
-  [[nodiscard]] std::size_t bytes_written() const noexcept { return written_; }
+  [[nodiscard]] std::size_t bytes_written() const noexcept { return flushed_ + len_; }
   /// High-water mark of the internal buffer: the bounded-memory evidence a
-  /// checkpointing caller can assert on (<= chunk + largest single put).
-  [[nodiscard]] std::size_t peak_buffered() const noexcept { return peak_; }
+  /// checkpointing caller can assert on (< chunk + one fixed-width put).
+  [[nodiscard]] std::size_t peak_buffered() const noexcept { return std::max(peak_, len_); }
 
  private:
-  void put(const std::uint8_t* p, std::size_t n) {
-    if (failed_ || finished_) {
-      failed_ = true;
-      return;
-    }
-    if (!crcs_.empty()) crcs_.back().update(p, n);
-    buf_.insert(buf_.end(), p, p + n);
-    written_ += n;
-    if (buf_.size() > peak_) peak_ = buf_.size();
-    if (buf_.size() >= chunk_) flush();
+  /// Room past the chunk for the largest in-place put (a 10-byte varint):
+  /// the buffer is flushed as soon as it reaches the chunk, so a put always
+  /// starts below it.
+  static constexpr std::size_t kSlack = 16;
+
+  /// False (and poisoned) once finished; a failed backend keeps accepting
+  /// puts into the buffer, which flush() then discards.
+  [[nodiscard]] bool writable() noexcept {
+    if (finished_) failed_ = true;
+    return !finished_;
   }
 
-  void put_le(std::uint64_t v, int n) {
-    std::uint8_t tmp[8];
-    for (int i = 0; i < n; ++i) tmp[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    put(tmp, static_cast<std::size_t>(n));
+  template <typename T>
+  void put_le(T v) {
+    if (!writable()) return;
+    store_le(buf_.get() + len_, v);
+    advance(sizeof v);
+  }
+
+  void advance(std::size_t n) {
+    len_ += n;
+    if (len_ >= chunk_) flush();
+  }
+
+  /// Catches the innermost open section's CRC up to the buffer end.
+  void sync_crc() noexcept {
+    if (!crcs_.empty()) crcs_.back().update(buf_.get() + crc_from_, len_ - crc_from_);
+    crc_from_ = len_;
   }
 
   void flush() {
-    if (buf_.empty()) return;
-    if (!out_(std::span<const std::uint8_t>(buf_))) failed_ = true;
-    buf_.clear();
+    sync_crc();
+    crc_from_ = 0;
+    if (len_ == 0) return;
+    if (!failed_ && !out_(std::span<const std::uint8_t>(buf_.get(), len_))) failed_ = true;
+    peak_ = std::max(peak_, len_);
+    flushed_ += len_;
+    len_ = 0;
   }
 
   write_fn out_;
-  std::vector<std::uint8_t> buf_;
-  std::vector<crc32> crcs_;  ///< one per open section, innermost last
   std::size_t chunk_;
-  std::size_t written_ = 0;
+  std::unique_ptr<std::uint8_t[]> buf_;  ///< chunk_ + kSlack bytes, [0, len_) pending
+  std::vector<crc32> crcs_;  ///< one per open section, innermost last
+  std::size_t len_ = 0;
+  std::size_t crc_from_ = 0;  ///< buffer offset the innermost CRC has consumed up to
+  std::size_t flushed_ = 0;
   std::size_t peak_ = 0;
   bool failed_ = false;
   bool finished_ = false;
@@ -378,6 +463,11 @@ class sink {
 /// copying), mirrors the sink's CRC stack, and latches failure on the first
 /// short read, bad frame, or CRC mismatch - after which every getter
 /// answers false, so decoders keep their chain-of-ifs shape.
+///
+/// Getters decode straight out of the window when the value lies wholly
+/// inside it, and fall back to a bounds-checked byte path only at a window
+/// edge. Like the sink, the CRC is caught up lazily over the consumed span
+/// - at every refill, section open and section close.
 class source {
  public:
   /// Backend: fill up to `n` bytes at `dst`, return how many (0 = EOF).
@@ -389,10 +479,10 @@ class source {
   /// Buffer mode: reads walk `in` directly (no copy, no refills).
   explicit source(std::span<const std::uint8_t> in) noexcept : view_(in), buffered_(true) {}
 
-  [[nodiscard]] bool u8(std::uint8_t& v) noexcept { return take(&v, 1); }
-  [[nodiscard]] bool u16(std::uint16_t& v) noexcept { return get_le(v, 2); }
-  [[nodiscard]] bool u32(std::uint32_t& v) noexcept { return get_le(v, 4); }
-  [[nodiscard]] bool u64(std::uint64_t& v) noexcept { return get_le(v, 8); }
+  [[nodiscard]] bool u8(std::uint8_t& v) noexcept { return get_le(v); }
+  [[nodiscard]] bool u16(std::uint16_t& v) noexcept { return get_le(v); }
+  [[nodiscard]] bool u32(std::uint32_t& v) noexcept { return get_le(v); }
+  [[nodiscard]] bool u64(std::uint64_t& v) noexcept { return get_le(v); }
 
   [[nodiscard]] bool f64(double& v) noexcept {
     std::uint64_t bits = 0;
@@ -403,15 +493,30 @@ class source {
 
   /// LEB128 decode with the same 10-byte / 64-bit caps as reader::varint.
   [[nodiscard]] bool varint(std::uint64_t& v) noexcept {
+    if (view_.size() - pos_ >= 10) {  // the longest legal varint is in the window
+      const std::uint8_t* p = view_.data() + pos_;
+      std::uint64_t acc = 0;
+      for (unsigned i = 0; i < 10; ++i) {
+        const std::uint8_t byte = p[i];
+        if (i == 9 && (byte & 0xFE)) return fail();  // would overflow 64 bits
+        acc |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * i);
+        if (!(byte & 0x80)) {
+          pos_ += i + 1;
+          v = acc;
+          return true;
+        }
+      }
+      return fail();  // runs past 10 bytes
+    }
     v = 0;
     for (int shift = 0; shift < 70; shift += 7) {
       std::uint8_t byte = 0;
-      if (!u8(byte)) return false;
-      if (shift == 63 && (byte & 0xFE)) return false;
+      if (!take(&byte, 1)) return false;
+      if (shift == 63 && (byte & 0xFE)) return fail();
       v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       if (!(byte & 0x80)) return true;
     }
-    return false;
+    return fail();
   }
 
   /// Copies the next n bytes into dst; false (latching) on truncation.
@@ -424,6 +529,7 @@ class source {
     std::uint32_t len = 0;
     if (!u16(tag) || !u16(version) || !u32(len)) return false;
     if (tag != expected_tag || len != kStreamLength) return fail();
+    sync_crc();  // the header belongs to the parent
     crcs_.emplace_back();
     return true;
   }
@@ -434,16 +540,17 @@ class source {
   /// nullopt instead of a silently wrong decode.
   [[nodiscard]] bool close_section() noexcept {
     if (crcs_.empty()) return fail();
+    sync_crc();
     const std::uint32_t computed = crcs_.back().value();
     crcs_.pop_back();
-    std::uint32_t stored = 0;
+    std::uint32_t stored = 0;  // the trailing CRC belongs to the parent
     if (!u32(stored)) return false;
     if (stored != computed) return fail();
     return true;
   }
 
   /// Total bytes consumed from the backend / span so far.
-  [[nodiscard]] std::size_t consumed() const noexcept { return consumed_; }
+  [[nodiscard]] std::size_t consumed() const noexcept { return base_ + pos_; }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
   /// True when the stream is exhausted: nothing buffered and the backend has
@@ -451,61 +558,80 @@ class source {
   /// refill to find out; a failed source is never done.
   [[nodiscard]] bool done() noexcept {
     if (failed_) return false;
-    if (buffered_) return pos_ == view_.size();
     if (pos_ < view_.size()) return false;
     return !refill();
   }
 
  private:
+  /// Latches failure and empties the window, so every later fast path
+  /// falls through to take(), which answers false.
   [[nodiscard]] bool fail() noexcept {
     failed_ = true;
+    base_ += pos_;
+    view_ = {};
+    pos_ = 0;
+    crc_from_ = 0;
     return false;
   }
 
+  template <typename T>
+  [[nodiscard]] bool get_le(T& v) noexcept {
+    if (view_.size() - pos_ >= sizeof v) {
+      v = load_le<T>(view_.data() + pos_);
+      pos_ += sizeof v;
+      return true;
+    }
+    std::uint8_t tmp[sizeof v];
+    if (!take(tmp, sizeof v)) return false;
+    v = load_le<T>(tmp);
+    return true;
+  }
+
+  /// The bounds-checked path: copies across window edges, refilling as
+  /// needed.
   bool take(std::uint8_t* dst, std::size_t n) noexcept {
     if (failed_) return false;
     while (n > 0) {
       if (pos_ == view_.size() && !refill()) return fail();
       const std::size_t run = std::min(n, view_.size() - pos_);
       std::memcpy(dst, view_.data() + pos_, run);
-      if (!crcs_.empty()) crcs_.back().update(dst, run);
       pos_ += run;
-      consumed_ += run;
       dst += run;
       n -= run;
     }
     return true;
   }
 
-  template <typename T>
-  [[nodiscard]] bool get_le(T& v, int n) noexcept {
-    std::uint8_t tmp[8];
-    if (!take(tmp, static_cast<std::size_t>(n))) return false;
-    std::uint64_t acc = 0;
-    for (int i = 0; i < n; ++i) acc |= static_cast<std::uint64_t>(tmp[i]) << (8 * i);
-    v = static_cast<T>(acc);
-    return true;
+  /// Catches the innermost open section's CRC up to the read position.
+  void sync_crc() noexcept {
+    if (!crcs_.empty() && pos_ > crc_from_) {
+      crcs_.back().update(view_.data() + crc_from_, pos_ - crc_from_);
+    }
+    crc_from_ = pos_;
   }
 
   /// Stream mode only: pulls the next chunk from the backend. False at EOF.
   bool refill() noexcept {
     if (buffered_ || !in_) return false;
-    buf_.resize(chunk_);
-    const std::size_t got = in_(buf_.data(), buf_.size());
+    sync_crc();
+    if (!buf_) buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(chunk_);
+    const std::size_t got = in_(buf_.get(), chunk_);
     if (got == 0) return false;
-    buf_.resize(got);
-    view_ = std::span<const std::uint8_t>(buf_);
+    base_ += view_.size();
+    view_ = std::span<const std::uint8_t>(buf_.get(), std::min(got, chunk_));
     pos_ = 0;
+    crc_from_ = 0;
     return true;
   }
 
   read_fn in_;
-  std::vector<std::uint8_t> buf_;      ///< stream mode: the refill window
-  std::span<const std::uint8_t> view_; ///< current readable bytes
-  std::vector<crc32> crcs_;            ///< one per open section, innermost last
+  std::unique_ptr<std::uint8_t[]> buf_;  ///< stream mode: the refill window
+  std::span<const std::uint8_t> view_;   ///< current readable bytes
+  std::vector<crc32> crcs_;              ///< one per open section, innermost last
   std::size_t pos_ = 0;
+  std::size_t crc_from_ = 0;  ///< view offset the innermost CRC has consumed up to
+  std::size_t base_ = 0;      ///< bytes consumed before the current view
   std::size_t chunk_ = 0;
-  std::size_t consumed_ = 0;
   bool buffered_ = false;
   bool failed_ = false;
 };

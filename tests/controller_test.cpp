@@ -553,6 +553,46 @@ TEST(Controller, FrontHostCheckpointRestoreRoundTrips) {
   }
 }
 
+TEST(Controller, InlinePipelineHostSamplesIngestAndRebalances) {
+  // A pipeline that was never start()ed runs its stages inline and never
+  // touches the RX rings, so pipeline_host must sample each core's ingested
+  // count there - or the controller would read 0 offered packets forever.
+  pipeline_config cfg;
+  cfg.sharding.window_size = 40000;
+  cfg.sharding.counters = 256;
+  cfg.sharding.tau = 1.0;
+  cfg.sharding.seed = 33;
+  cfg.sharding.shards = 2;
+  pipeline<> pipe(cfg);
+  checkpoint_store store;
+  pipeline_host<> host(pipe, store);
+  fake_clock clk;
+  controller ctl(quiet_config(), clk);
+
+  const auto elephants = elephants_on_shard(pipe.frontend().partitioner(), /*shard=*/0, 6);
+  clk.advance_ms(100);
+  ctl.tick(host);  // baseline
+  std::uint64_t fed = 0, seed = 700;
+  for (int round = 0; ctl.log().count(ev::rebalance_applied) == 0; ++round) {
+    ASSERT_LT(round, 20) << "the skew never triggered a rebalance";
+    const auto pkts = packets_of(elephant_mix(4096, 1.0, seed++, elephants, /*every=*/3));
+    pipe.process(pkts.data(), pkts.size());
+    fed += pkts.size();
+    const control_sample s = host.sample();
+    ASSERT_EQ(s.offered.size(), pipe.cores());
+    std::uint64_t sampled = 0;
+    for (std::size_t c = 0; c < pipe.cores(); ++c) {
+      EXPECT_EQ(s.offered[c], pipe.report(c).ingested) << "core " << c;
+      sampled += s.offered[c];
+    }
+    EXPECT_EQ(sampled, fed);
+    clk.advance_ms(100);
+    ctl.tick(host);
+  }
+  EXPECT_FALSE(pipe.started());
+  EXPECT_EQ(pipe.frontend().stream_length(), fed);
+}
+
 TEST(Controller, HierarchicalFrontHostRebalancesButCannotRescale) {
   // The HHH frontend gets the same lifecycle except elastic scaling
   // (reshard.hpp: HHH N -> M is future work): rescale reports unsupported

@@ -2,6 +2,8 @@
 // ordering properties, and agreement between model and simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/detection_model.hpp"
 
 namespace memento::detection {
@@ -80,7 +82,8 @@ TEST_P(DetectionSimulation, SimulationTracksClosedForm) {
 INSTANTIATE_TEST_SUITE_P(RatioSweep, DetectionSimulation,
                          ::testing::Values(1.25, 1.5, 2.0, 3.0),
                          [](const auto& info) {
-                           return "r" + std::to_string(static_cast<int>(info.param * 100));
+                           std::string name = "r";
+                           return name.append(std::to_string(static_cast<int>(info.param * 100)));
                          });
 
 TEST(DetectionSimulation, OrderingPreservedEmpirically) {

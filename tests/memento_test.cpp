@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <tuple>
 #include <unordered_set>
+#include <vector>
 
 #include "core/memento.hpp"
 #include "core/wcss.hpp"
@@ -288,6 +289,32 @@ TEST(MementoWindow, OverflowEntriesBounded) {
   }
   EXPECT_LE(peak, 64u * 66u);
   EXPECT_EQ(m.forced_drains(), 0u);
+}
+
+TEST(MementoWindow, EvictStormStaysWithinTheSizedOverflowBound) {
+  // All-distinct keys: every add evicts, every counter ramps up together,
+  // and each frame ends with ~k overflows of k distinct keys - the
+  // worst case for the table B. The constructor sizes B for the stated
+  // live-entry bound (2k: the events of the two frames the k+1 blocks
+  // span), so the storm must stay within it and never grow the table.
+  constexpr std::size_t k = 64;
+  for (const double tau : {1.0, 1.0 / 64}) {
+    SCOPED_TRACE(testing::Message() << "tau " << tau);
+    memento_sketch<std::uint64_t> m(k * 512, k, tau, 3);  // T = 512 * tau: 512 and 8
+    const std::size_t capacity = m.overflow_table_stats().capacity;
+    std::vector<std::uint64_t> burst(4096);
+    std::uint64_t next = 0;
+    std::size_t peak = 0;
+    for (std::uint64_t fed = 0; fed < 8 * m.window_size(); fed += burst.size()) {
+      for (auto& x : burst) x = ++next;
+      m.update_batch(burst.data(), burst.size());
+      peak = std::max(peak, m.overflow_entries());
+      ASSERT_EQ(m.overflow_table_stats().capacity, capacity) << "the overflow table grew";
+    }
+    EXPECT_GE(peak, k / 2) << "the storm should fill B to near a frame's k events";
+    EXPECT_LE(peak, 2 * k);
+    EXPECT_EQ(m.forced_drains(), 0u);
+  }
 }
 
 TEST(MementoWindow, FrameFlushDoesNotLoseWindowCounts) {

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/h_memento.hpp"
@@ -569,8 +570,10 @@ INSTANTIATE_TEST_SUITE_P(Geometries, Reshard,
                                            std::make_pair(std::size_t{4}, std::size_t{4}),
                                            std::make_pair(std::size_t{1}, std::size_t{8})),
                          [](const auto& info) {
-                           return "N" + std::to_string(info.param.first) + "toM" +
-                                  std::to_string(info.param.second);
+                           std::string name = "N";
+                           return name.append(std::to_string(info.param.first))
+                               .append("toM")
+                               .append(std::to_string(info.param.second));
                          });
 
 TEST(Reshard, RejectsDuplicatedShardSections) {

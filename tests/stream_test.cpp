@@ -21,18 +21,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/h_memento.hpp"
 #include "core/memento.hpp"
 #include "hierarchy/prefix1d.hpp"
+#include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "sketch/space_saving.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/summary.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/compress.hpp"
+#include "util/random.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -221,24 +224,70 @@ TEST(StreamFraming, SinkBuffersAtChunkScaleAndChunkSizeIsInvisible) {
   }
 }
 
+/// Restores `image` through a callback source that hands over at most
+/// `chunk` bytes per read - so every multi-byte field, varint, packed block
+/// and lazily updated CRC span can straddle a refill. With `flip`, one bit
+/// of the byte in the middle of chunk 3 (the last byte for shorter images)
+/// is inverted on its way in.
+template <typename T>
+std::optional<T> restore_in_chunks(const bytes_t& image, std::size_t chunk, bool flip = false) {
+  const std::size_t flip_at = std::min(3 * chunk + chunk / 2, image.size() - 1);
+  std::size_t cursor = 0;
+  wire::source src(
+      [&](std::uint8_t* dst, std::size_t want) {
+        const std::size_t n = std::min({want, chunk, image.size() - cursor});
+        std::memcpy(dst, image.data() + cursor, n);
+        if (flip && flip_at >= cursor && flip_at < cursor + n) dst[flip_at - cursor] ^= 0x10;
+        cursor += n;
+        return n;
+      },
+      chunk);
+  return snapshot::stream_restore<T>(src);
+}
+
+/// Every chunk size restores `object`'s streamed image to a byte-identical
+/// object (v1 and v2 re-saves), and a bit flip in chunk 3 is rejected.
+template <typename T>
+void expect_chunked_restores(const T& object) {
+  const bytes_t image = snapshot::save_streamed(object);
+  const bytes_t v1 = snapshot::save(object);
+  ASSERT_FALSE(image.empty());
+  for (const std::size_t chunk : {1, 3, 7, 64, 4096}) {
+    SCOPED_TRACE(testing::Message() << "chunk " << chunk << ", image " << image.size());
+    const auto back = restore_in_chunks<T>(image, chunk);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(v1, snapshot::save(*back));
+    EXPECT_EQ(image, snapshot::save_streamed(*back));
+    EXPECT_FALSE(restore_in_chunks<T>(image, chunk, /*flip=*/true).has_value());
+  }
+}
+
 TEST(StreamFraming, TinyChunkSourceRestoresIdentically) {
+  // Down to 1 byte per read callback - the slowest possible socket - for
+  // every streamed type.
   sketch s(10'000, 32, 0.5, 5);
   const auto ids = skewed_ids(30'000, 1.0, 19);
   s.update_batch(ids.data(), ids.size());
-  const bytes_t image = snapshot::save_streamed(s);
+  expect_chunked_restores(s);
 
-  // Feed the restore 1 byte per read callback: the slowest possible socket.
-  std::size_t cursor = 0;
-  wire::source src(
-      [&](std::uint8_t* dst, std::size_t) {
-        if (cursor >= image.size()) return std::size_t{0};
-        *dst = image[cursor++];
-        return std::size_t{1};
-      },
-      /*chunk_bytes=*/1);
-  const auto back = snapshot::stream_restore<sketch>(src);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(snapshot::save(s), snapshot::save(*back));
+  space_saving<std::uint64_t> ss(96);
+  for (const auto id : ids) ss.add(id);
+  expect_chunked_restores(ss);
+
+  h_memento<source_hierarchy> hm(6'000, 96, 0.5, 1e-3, 13);
+  const auto ps = trace_packets(25'000, 41);
+  hm.update_batch(ps.data(), ps.size());
+  expect_chunked_restores(hm);
+
+  sharded sh(shard_config{6'000, 48, 1.0, 4, 4});
+  sh.update_batch(ids.data(), ids.size());
+  expect_chunked_restores(sh);
+
+  sharded_h_memento<source_hierarchy> shm(h_memento_config{8'000, 120, 0.5, 1e-3, 23}, 3);
+  shm.update_batch(ps.data(), ps.size());
+  expect_chunked_restores(shm);
+
+  expect_chunked_restores(summary::from(s));
 }
 
 TEST(StreamFraming, SinkWriteFailurePropagates) {
@@ -355,6 +404,80 @@ TEST(StreamEquivalence, Summary) {
     big.upsert((z >> 30) & 0xFFFFF, static_cast<double>(1000 + (z & 0x3FF)));
   }
   expect_stream_equivalence(big);
+}
+
+// --- seeded round trips at the ring's edge cases ----------------------------
+
+/// Checkpoints `object` both ways and asserts the restore contract at this
+/// point of its stream: restore then re-save is byte-identical in v1 and
+/// v2 (whichever image it came from), and 10k more packets leave every
+/// restored copy state-identical to the original.
+template <typename T, typename Feed>
+void expect_round_trip(const T& object, Feed&& feed_more) {
+  const bytes_t v1 = snapshot::save(object);
+  const bytes_t v2 = snapshot::save_streamed(object);
+  T original = object;
+  feed_more(original);
+  const bytes_t continued = snapshot::save(original);
+  for (const bytes_t* image : {&v1, &v2}) {
+    SCOPED_TRACE(image == &v1 ? "from v1" : "from v2");
+    auto back = snapshot::restore<T>(*image);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(v1, snapshot::save(*back));
+    EXPECT_EQ(v2, snapshot::save_streamed(*back));
+    feed_more(*back);
+    EXPECT_EQ(continued, snapshot::save(*back));
+  }
+}
+
+TEST(StreamRoundTrip, SeededCheckpointsAtFrameFlushRingWrapAndMultiOverflowBlocks) {
+  const double taus[] = {1.0, 0.5, 0.125, 1.0 / 64};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    xoshiro256 rng(seed);
+    const std::size_t k = 2 + static_cast<std::size_t>(rng.bounded(63));
+    const double tau = taus[rng.bounded(4)];
+    // At least 16 sampled packets per block, so blocks can hold several
+    // overflows at every tau.
+    const std::uint64_t block = static_cast<std::uint64_t>(16 / tau) * (1 + rng.bounded(4));
+    const std::size_t shards = 1 + static_cast<std::size_t>(rng.bounded(4));
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ": k " << k << ", tau " << tau
+                                    << ", block " << block << ", shards " << shards);
+    const auto more = skewed_ids(10'000, 1.0, 1000 + seed);
+    const auto feed_more = [&](auto& x) { x.update_batch(more.data(), more.size()); };
+
+    sketch s(k * block, k, tau, seed);
+    std::uint64_t next_id = 0;
+    // Round-robin over 8 keys: their counts cross each threshold multiple
+    // within a few packets of each other, so overflows bunch into blocks.
+    const auto feed_round_robin = [&](std::uint64_t n) {
+      std::vector<std::uint64_t> xs(n);
+      for (auto& x : xs) x = 1 + next_id++ % 8;
+      s.update_batch(xs.data(), xs.size());
+    };
+
+    feed_round_robin(s.window_size());  // the last packet flushes the frame
+    ASSERT_EQ(s.window_phase(), 0u);
+    ASSERT_GT(s.overflow_entries(), 0u);
+    expect_round_trip(s, feed_more);
+
+    feed_round_robin(s.block_length());  // (k+1) blocks: the head is back at slot 0
+    ASSERT_EQ(s.stream_length(), (k + 1) * s.block_length());
+    expect_round_trip(s, feed_more);
+
+    feed_round_robin(s.window_size() / 3 + rng.bounded(s.block_length()));
+    for (std::uint64_t n = 0; s.block_overflow_appends() < 2; ++n) {
+      ASSERT_LT(n, 4 * s.window_size()) << "no block collected several overflows";
+      feed_round_robin(1);
+    }
+    expect_round_trip(s, feed_more);
+    EXPECT_EQ(s.forced_drains(), 0u);
+
+    sharded front(shard_config{k * block * shards, k * shards, tau, seed, shards});
+    const auto ids = skewed_ids(static_cast<std::size_t>(2 * k * block * shards + rng.bounded(k * block)),
+                                1.0, seed);
+    front.update_batch(ids.data(), ids.size());
+    expect_round_trip(front, feed_more);
+  }
 }
 
 // --- corruption hardening ---------------------------------------------------
