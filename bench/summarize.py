@@ -15,9 +15,9 @@ re-measuring the throughput benches.
 summary control channels) into a `netwide_bytes` section of the artifact,
 plus its delta-vs-full summary-channel comparison as `summary_delta`.
 `--snapshot` folds a snapshot_speed --json report into the `snapshot`
-section (save/restore seconds per checkpoint and MB/s for both formats,
-compression ratio, bounded-memory evidence); a report without the
-per-checkpoint seconds is rejected.
+section (save/restore seconds per checkpoint and MB/s, bytes per counter,
+bounded-memory evidence); a report without the per-checkpoint seconds is
+rejected.
 `--hhh` folds an HHH raw Google Benchmark JSON (fig6_hhh_speed or
 fig7_vs_rhhh) into the `hhh_speed` section - the same entries/pairs/scaling
 reduction as the main input, so the batched-over-scalar HHH speedup and the
@@ -55,10 +55,10 @@ import argparse
 import json
 import sys
 
-# Per-checkpoint wall time of each format, which the `snapshot` section must
-# carry next to MB/s: MB/s divides by each image's own size and so flatters
-# the ~3x larger v1 image.
-SNAPSHOT_SECONDS = ("v1_save_s", "v1_restore_s", "v2_save_s", "v2_restore_s")
+# Per-checkpoint wall time each way, which the `snapshot` section must carry
+# next to MB/s: MB/s divides by the image's own size, so it cannot compare
+# formats or images of different sizes.
+SNAPSHOT_SECONDS = ("v2_save_s", "v2_restore_s")
 
 
 def split_name(name: str) -> tuple[str, str]:

@@ -8,10 +8,10 @@
 //      the stream identically;
 //   4. RESHARD the checkpoint 4 -> 2 shards (snapshot_builder::reshard) and
 //      show the heavy hitters survive the topology change;
-//   5. STREAM the checkpoint through the chunked v2 wire (wire::sink /
-//      wire::source): compressed, CRC-protected, and produced in bounded
-//      memory - the sink never buffers more than about one chunk, no
-//      matter how large the deployment.
+//   5. STREAM the checkpoint through a chunked wire::sink / wire::source:
+//      the same compressed, CRC-protected bytes as the buffer, produced in
+//      bounded memory - the sink never buffers more than about one chunk,
+//      no matter how large the deployment.
 //
 // Exits non-zero if any invariant breaks, so the ctest smoke run doubles as
 // a regression check.
@@ -116,7 +116,7 @@ int main() {
               static_cast<unsigned long long>(resharded->stream_length()),
               resharded->estimate_width());
 
-  // Act 5: the same checkpoint over the streamed v2 wire. The sink hands
+  // Act 5: the same checkpoint, streamed. The sink hands
   // 4 KB chunks to the callback as they fill - stand-in for a socket or an
   // O_APPEND file descriptor - and its peak_buffered() is the whole memory
   // story of the save.
@@ -131,11 +131,12 @@ int main() {
     std::puts("FAIL: streamed save failed");
     return 1;
   }
-  std::printf("\nstreamed:   %zu bytes (%.2fx smaller than the v1 image), peak buffer %zu\n",
-              streamed.size(),
-              static_cast<double>(snapshot::save(front).size()) /
-                  static_cast<double>(streamed.size()),
-              sink.peak_buffered());
+  if (streamed != snapshot::save(front)) {
+    std::puts("FAIL: streamed save differs from the buffered checkpoint");
+    return 1;
+  }
+  std::printf("\nstreamed:   %zu bytes (same as the buffer), peak buffer %zu\n",
+              streamed.size(), sink.peak_buffered());
 
   // Restore it chunk by chunk - the controller side of the same socket -
   // and check it is the exact same frontend, byte for byte.

@@ -1,6 +1,6 @@
 // Latest-wins checkpoint store for the controller's background checkpoints.
 //
-// The controller checkpoints through the PR 8 streamed wire (wire::sink with
+// The controller checkpoints through the snapshot wire (wire::sink with
 // chunked flushes, FoR/varint column codecs, per-section CRC): capture()
 // drives snapshot::stream_save chunk by chunk, so the serialization itself
 // never holds more than about one chunk of frame state - the property the

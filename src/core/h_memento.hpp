@@ -254,70 +254,27 @@ class h_memento {
   // picks the same prefixes - continuation is bit-identical.
 
   static constexpr std::uint16_t kWireTag = 0x484d;  ///< "HM"
-  static constexpr std::uint16_t kWireVersion = 1;
-  /// Streamed framing (wire::sink/source); HM adds no columns of its own,
-  /// so no codec-flags byte here - the inner section carries one.
-  static constexpr std::uint16_t kWireVersionStream = 2;
+  /// HM adds no columns of its own, so no codec-flags byte here - the inner
+  /// section carries one.
+  static constexpr std::uint16_t kWireVersion = 2;
 
-  /// Serializes the algorithm as one versioned section.
-  void save(wire::writer& w) const {
-    const std::size_t tok = w.begin_section(kWireTag, kWireVersion);
-    w.f64(delta_);
-    w.u64(seed_);
-    w.varint(sampler_.cursor());
-    for (const std::uint64_t word : rng_.state()) w.u64(word);
-    inner_.save(w);
-    w.end_section(tok);
-  }
-
-  /// Rebuilds an instance from save() output; nullopt on any malformed
-  /// input (see memento_sketch::restore for the validation contract).
-  [[nodiscard]] static std::optional<h_memento> restore(wire::reader& r) {
-    std::uint16_t ptag = 0, pver = 0;
-    if (r.peek_section(ptag, pver) && ptag == kWireTag && pver == kWireVersionStream) {
-      wire::source src(r.rest());
-      auto out = restore(src);
-      if (!out) return std::nullopt;
-      r.skip(src.consumed());
-      return out;
-    }
-    std::uint16_t version = 0;
-    wire::reader body;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return std::nullopt;
-
-    double delta = 0.0;
-    std::uint64_t seed = 0, cursor = 0;
-    xoshiro256::state_type state{};
-    if (!body.f64(delta) || !body.u64(seed) || !body.varint(cursor)) return std::nullopt;
-    for (auto& word : state) {
-      if (!body.u64(word)) return std::nullopt;
-    }
-    if (!(delta > 0.0) || !(delta < 1.0)) return std::nullopt;  // excludes NaN
-
-    auto inner = memento_sketch<key_type>::restore(body);
-    if (!inner || !body.done()) return std::nullopt;
-    h_memento out(std::move(*inner), delta, seed);
-    if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
-    if (!out.rng_.set_state(state)) return std::nullopt;
-    return out;
-  }
-
-  /// Streamed counterpart of save(); the inner Memento section does the
-  /// heavy lifting, HM itself contributes a handful of scalars.
-  void save(wire::sink& s, bool packed = true) const {
-    s.begin_section(kWireTag, kWireVersionStream);
+  /// Serializes the algorithm as one section: a handful of scalars, then
+  /// the inner Memento's section, which does the heavy lifting.
+  void save(wire::sink& s) const {
+    s.begin_section(kWireTag, kWireVersion);
     s.f64(delta_);
     s.u64(seed_);
     s.varint(sampler_.cursor());
     for (const std::uint64_t word : rng_.state()) s.u64(word);
-    inner_.save(s, packed);
+    inner_.save(s);
     s.end_section();
   }
 
-  /// Rebuilds an instance from streamed save() output.
+  /// Rebuilds an instance from save() output; nullopt on any malformed
+  /// input (see memento_sketch::restore for the validation contract).
   [[nodiscard]] static std::optional<h_memento> restore(wire::source& s) {
     std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
+    if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
     double delta = 0.0;
     std::uint64_t seed = 0, cursor = 0;
     xoshiro256::state_type state{};

@@ -69,7 +69,6 @@
 #include "util/compress.hpp"
 #include "util/flat_hash.hpp"
 #include "util/random.hpp"
-#include "util/sliding_window_agg.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -104,7 +103,6 @@ class memento_sketch {
 
   explicit memento_sketch(const memento_config& config)
       : y_(config.counters > 0 ? config.counters : 1),
-        overflow_peaks_(config.counters > 0 ? config.counters : 1),
         sampler_(config.tau, 1u << 16, config.seed),
         tau_(std::clamp(config.tau, 0.0, 1.0)),
         inv_tau_(tau_ > 0.0 ? 1.0 / tau_ : 0.0),
@@ -263,7 +261,6 @@ class memento_sketch {
     if (count % threshold_ == 0) {  // overflow (Algorithm 1 line 15)
       enqueue(x);
       ++overflows_.find_or_emplace(x, 0);
-      ++appends_this_block_;
     }
   }
 
@@ -383,18 +380,24 @@ class memento_sketch {
   [[nodiscard]] std::size_t overflow_entries() const noexcept { return overflows_.size(); }
   /// Defensive-drain events (should stay 0; asserted in tests).
   [[nodiscard]] std::uint64_t forced_drains() const noexcept { return forced_drains_; }
-  /// Overflow appends recorded in the (still open) current block.
+  /// Overflow appends recorded in the (still open) current block: its ring
+  /// slot's live count, since retirement only ever leaves the oldest block.
   [[nodiscard]] std::uint64_t block_overflow_appends() const noexcept {
-    return appends_this_block_;
+    return live_[head_];
   }
-  /// Peak per-block overflow-append count over the last k COMPLETED blocks
-  /// (one frame's worth): the window-burstiness signal. Maintained by a
-  /// two-stacks SIMD incremental aggregate (util/sliding_window_agg.hpp) -
-  /// O(1) amortized per block, vectorized suffix-max on the flip.
-  /// Introspection only: not serialized, so a restored sketch starts the
-  /// window fresh.
+  /// Peak per-block overflow-append count over the completed blocks still
+  /// in the window (all but the open block and the oldest, which is being
+  /// retired from): the window-burstiness signal. Computed on demand from
+  /// the block ring - each such slot's live count is exactly its block's
+  /// appends. Introspection only; a restored sketch reports the restored
+  /// window's peak.
   [[nodiscard]] std::uint64_t block_overflow_peak() const noexcept {
-    return overflow_peaks_.query();
+    std::size_t peak = 0;
+    const std::size_t tail = tail_index();
+    for (std::size_t s = 0; s < live_.size(); ++s) {
+      if (s != head_ && s != tail) peak = std::max(peak, live_[s]);
+    }
+    return peak;
   }
   /// Probe-behavior stats of the Space-Saving counter index (flat_hash).
   [[nodiscard]] flat_hash_stats counter_index_stats() const { return y_.index_stats(); }
@@ -412,60 +415,51 @@ class memento_sketch {
   // bit-identically (pinned by tests/snapshot_test.cpp).
 
   static constexpr std::uint16_t kWireTag = 0x4d53;  ///< "MS"
-  static constexpr std::uint16_t kWireVersion = 1;
-  /// Streamed framing (wire::sink/source): compressed columns + section CRC.
-  static constexpr std::uint16_t kWireVersionStream = 2;
+  static constexpr std::uint16_t kWireVersion = 2;
 
-  /// Serializes the sketch as one versioned section.
-  void save(wire::writer& w) const {
-    const std::size_t tok = w.begin_section(kWireTag, kWireVersion);
-    w.u64(frame_len_);
-    w.varint(k_);
-    w.f64(tau_);
-    w.u64(seed_);
-    w.u64(clock_);
-    w.u64(stream_length_);
-    w.u64(forced_drains_);
-    w.varint(head_);
-    w.varint(sampler_.cursor());
-    y_.save(w);
-    overflows_.save(w);
+  /// Serializes the sketch as one section: scalars, the Space-Saving and
+  /// overflow substructures, then the block ring as per-slot live counts
+  /// followed by ONE concatenated key column (queued keys across the whole
+  /// ring compress together - they are the same key universe).
+  void save(wire::sink& s) const {
+    s.begin_section(kWireTag, kWireVersion);
+    s.u8(wire::kCodecPacked);
+    s.u64(frame_len_);
+    s.varint(k_);
+    s.f64(tau_);
+    s.u64(seed_);
+    s.u64(clock_);
+    s.u64(stream_length_);
+    s.u64(forced_drains_);
+    s.varint(head_);
+    s.varint(sampler_.cursor());
+    y_.save(s);
+    overflows_.save(s);
+    for (const std::size_t live : live_) s.varint(live);
     std::size_t f = slot_order_start();
-    for (const std::size_t live : live_) {
-      w.varint(live);
-      for (std::size_t i = 0; i < live; ++i) {
-        wire::codec<Key>::put(w, queued(f));
-        if (++f == ring_size_) f = 0;
-      }
-    }
-    w.end_section(tok);
+    wire::put_key_column<Key>(s, ring_size_, [&]() -> const Key& {
+      const Key& key = queued(f);
+      if (++f == ring_size_) f = 0;
+      return key;
+    });
+    s.end_section();
   }
 
   /// Rebuilds a sketch from save() output; nullopt on any malformed input
   /// (version/tag mismatch, inconsistent geometry, out-of-range clock or
-  /// cursor, corrupt substructures) - never a crash or a partially
-  /// constructed object. The derived quantities (block length, overflow
-  /// threshold, sampler table) are recomputed from the serialized
+  /// cursor, corrupt substructures, CRC mismatch) - never a crash or a
+  /// partially constructed object. The derived quantities (block length,
+  /// overflow threshold, sampler table) are recomputed from the serialized
   /// configuration, so only genuine state crosses the wire.
-  [[nodiscard]] static std::optional<memento_sketch> restore(wire::reader& r) {
-    std::uint16_t ptag = 0, pver = 0;
-    if (r.peek_section(ptag, pver) && ptag == kWireTag && pver == kWireVersionStream) {
-      wire::source src(r.rest());
-      auto out = restore(src);
-      if (!out) return std::nullopt;
-      r.skip(src.consumed());
-      return out;
-    }
+  [[nodiscard]] static std::optional<memento_sketch> restore(wire::source& s) {
     std::uint16_t version = 0;
-    wire::reader body;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return std::nullopt;
-
+    if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
+    if (!wire::get_codec_flags(s)) return std::nullopt;
     std::uint64_t frame = 0, k = 0, seed = 0, clock = 0, stream = 0, drains = 0;
     std::uint64_t head = 0, cursor = 0;
     double tau = 0.0;
-    if (!body.u64(frame) || !body.varint(k) || !body.f64(tau) || !body.u64(seed) ||
-        !body.u64(clock) || !body.u64(stream) || !body.u64(drains) || !body.varint(head) ||
-        !body.varint(cursor)) {
+    if (!s.u64(frame) || !s.varint(k) || !s.f64(tau) || !s.u64(seed) || !s.u64(clock) ||
+        !s.u64(stream) || !s.u64(drains) || !s.varint(head) || !s.varint(cursor)) {
       return std::nullopt;
     }
     // The counter cap matches space_saving::kMaxRestoreCounters: it bounds
@@ -479,79 +473,8 @@ class memento_sketch {
     // would silently shift every window boundary.
     if (out.frame_len_ != frame) return std::nullopt;
     if (!out.set_restored_scalars(clock, stream, drains, head, cursor)) return std::nullopt;
-    if (!out.y_.restore_in_place(body)) return std::nullopt;
-    if (!out.overflows_.restore(body)) return std::nullopt;
-    // Slot by slot, keys land in slot order from FIFO position 0; one
-    // rotation at the end puts the oldest block first.
-    for (std::size_t& live : out.live_) {
-      std::uint64_t n = 0;
-      // Divide, don't multiply: a corrupt 2^61 count must fail the guard,
-      // not wrap it and throw from the growth below.
-      if (!body.varint(n) || n > body.remaining() / 8) return std::nullopt;
-      live = static_cast<std::size_t>(n);
-      out.reserve_ring(out.ring_size_ + live);
-      for (std::size_t i = 0; i < live; ++i) {
-        if (!wire::codec<Key>::get(body, out.ring_[out.ring_size_++])) return std::nullopt;
-      }
-    }
-    if (!body.done()) return std::nullopt;
-    out.slot_order_to_fifo();
-    return out;
-  }
-
-  /// Streamed counterpart of save(): scalars, the Space-Saving and overflow
-  /// substructures in their streamed formats, then the block-queue ring as
-  /// per-queue live counts followed by ONE concatenated key column (queue
-  /// keys across the whole ring compress together - they are the same key
-  /// universe).
-  void save(wire::sink& s, bool packed = true) const {
-    s.begin_section(kWireTag, kWireVersionStream);
-    s.u8(packed ? wire::kCodecPacked : 0);
-    s.u64(frame_len_);
-    s.varint(k_);
-    s.f64(tau_);
-    s.u64(seed_);
-    s.u64(clock_);
-    s.u64(stream_length_);
-    s.u64(forced_drains_);
-    s.varint(head_);
-    s.varint(sampler_.cursor());
-    y_.save(s, packed);
-    overflows_.save_stream(s, packed);
-    for (const std::size_t live : live_) s.varint(live);
-    std::size_t f = slot_order_start();
-    wire::put_u64_array(s, ring_size_, packed, [&] {
-      const Key& key = queued(f);
-      if (++f == ring_size_) f = 0;
-      return wire::codec<Key>::to_u64(key);
-    });
-    s.end_section();
-  }
-
-  /// Rebuilds a sketch from streamed save() output; same validation contract
-  /// as the buffered restore plus the section CRC.
-  [[nodiscard]] static std::optional<memento_sketch> restore(wire::source& s) {
-    std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
-    std::uint8_t flags = 0;
-    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return std::nullopt;
-    const bool packed = (flags & wire::kCodecPacked) != 0;
-    std::uint64_t frame = 0, k = 0, seed = 0, clock = 0, stream = 0, drains = 0;
-    std::uint64_t head = 0, cursor = 0;
-    double tau = 0.0;
-    if (!s.u64(frame) || !s.varint(k) || !s.f64(tau) || !s.u64(seed) || !s.u64(clock) ||
-        !s.u64(stream) || !s.u64(drains) || !s.varint(head) || !s.varint(cursor)) {
-      return std::nullopt;
-    }
-    if (k == 0 || k > (std::uint64_t{1} << 18) || frame == 0) return std::nullopt;
-    if (!(tau > 0.0) || tau > 1.0) return std::nullopt;  // excludes NaN too
-    if (clock >= frame || head > k) return std::nullopt;
-
-    memento_sketch out(memento_config{frame, static_cast<std::size_t>(k), tau, seed});
-    if (out.frame_len_ != frame) return std::nullopt;
-    if (!out.set_restored_scalars(clock, stream, drains, head, cursor)) return std::nullopt;
     if (!out.y_.restore_in_place(s)) return std::nullopt;
-    if (!out.overflows_.restore_stream(s, packed)) return std::nullopt;
+    if (!out.overflows_.restore(s)) return std::nullopt;
     // No byte-budget guard is possible on a stream, so cap the total queued
     // keys absolutely: an honest ring never holds more than ~W overflow
     // events, and 2^22 (32 MB of keys) is far above any tested config while
@@ -563,9 +486,12 @@ class memento_sketch {
       total += n;
       live = static_cast<std::size_t>(n);
     }
+    // Keys land in slot order from ring position 0; one rotation at the end
+    // puts the oldest block first.
     out.reserve_ring(static_cast<std::size_t>(total));
-    if (!wire::get_u64_array(s, static_cast<std::size_t>(total), packed, [&](std::uint64_t raw) {
-          return wire::codec<Key>::from_u64(raw, out.ring_[out.ring_size_++]);
+    if (!wire::get_key_column<Key>(s, static_cast<std::size_t>(total), [&](const Key& key) {
+          out.ring_[out.ring_size_++] = key;
+          return true;
         })) {
       return std::nullopt;
     }
@@ -677,7 +603,6 @@ class memento_sketch {
     if (count * threshold_magic_ < threshold_magic_ || threshold_ == 1) {
       enqueue(x);
       ++overflows_.find_or_emplace(x, 0);
-      ++appends_this_block_;
     }
   }
 
@@ -721,8 +646,6 @@ class memento_sketch {
   /// Ends the current block: the oldest queue leaves the window and a fresh
   /// one becomes current (Algorithm 1 lines 5-7).
   void rotate_blocks() {
-    overflow_peaks_.push(appends_this_block_);  // the block just completed
-    appends_this_block_ = 0;
     head_ = head_ + 1 == live_.size() ? 0 : head_ + 1;
     // The slot we are claiming held the expired oldest queue. De-amortized
     // retirement guarantees it is already empty; drain defensively if not so
@@ -814,7 +737,6 @@ class memento_sketch {
   }
 
   space_saving<Key> y_;                       ///< in-frame sampled counts
-  max_window_u64 overflow_peaks_;             ///< per-block append peaks, last k blocks
   random_table_sampler sampler_;              ///< Bernoulli(tau) decisions
   flat_hash<Key, std::uint32_t> overflows_;   ///< the table B
   std::vector<Key> ring_;                     ///< queued overflow keys, oldest block first
@@ -833,7 +755,6 @@ class memento_sketch {
   std::uint64_t until_block_end_ = 1;  ///< packets until the block boundary fires
   std::uint64_t stream_length_ = 0;
   std::uint64_t forced_drains_ = 0;
-  std::uint64_t appends_this_block_ = 0;  ///< overflow appends in the open block
   std::uint64_t seed_ = 1;             ///< construction seed (snapshots rebuild the sampler from it)
 };
 

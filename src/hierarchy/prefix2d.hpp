@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -173,43 +174,35 @@ struct two_dim_hierarchy {
 
 namespace wire {
 
-/// Key codec for 2-D prefix pairs: the buffered sketch formats carry each
-/// key as a fixed 10-byte record (src, dst, both depths), validated on read
-/// against the lattice invariants - depths inside the 5-level hierarchy and
-/// addresses stored MASKED, so corrupt records cannot materialize keys no
-/// update path could have produced.
-///
-/// The streamed (v2) formats move keys through single-u64 columns; a
-/// prefix2d needs 70 bits (two 32-bit addresses + two depths), so 2-D
-/// sketches serialize through the BUFFERED format only. There is
-/// deliberately no to_u64 - a streamed save of a 2-D sketch is a compile
-/// error, never silent key truncation - and from_u64 (which the buffered
-/// restore path instantiates through its streamed-version sniffing)
-/// rejects unconditionally: no legitimate streamed 2-D image exists, so
-/// any buffer claiming to be one is malformed.
+/// Key codec for 2-D prefix pairs: a prefix2d needs 70 bits (two 32-bit
+/// addresses + two depths), so it crosses the wire as two words - word 0 =
+/// src << 32 | dst, word 1 = src_depth << 8 | dst_depth - each shipped as
+/// its own FoR column by the key-column helpers (util/compress.hpp). Reads
+/// are validated against the lattice invariants - depths inside the
+/// 5-level hierarchy and addresses stored MASKED - so corrupt words cannot
+/// materialize keys no update path could have produced.
 template <>
 struct codec<memento::prefix2d> {
-  static void put(writer& w, const memento::prefix2d& v) {
-    w.u32(v.src);
-    w.u32(v.dst);
-    w.u8(v.src_depth);
-    w.u8(v.dst_depth);
+  static constexpr std::size_t words = 2;
+  using word_array = std::array<std::uint64_t, words>;
+
+  [[nodiscard]] static word_array to_u64(const memento::prefix2d& v) noexcept {
+    return {static_cast<std::uint64_t>(v.src) << 32 | v.dst,
+            static_cast<std::uint64_t>(v.src_depth) << 8 | v.dst_depth};
   }
 
-  [[nodiscard]] static bool get(reader& r, memento::prefix2d& v) noexcept {
-    if (!r.u32(v.src) || !r.u32(v.dst) || !r.u8(v.src_depth) || !r.u8(v.dst_depth)) {
-      return false;
-    }
+  [[nodiscard]] static bool from_u64(const word_array& w, memento::prefix2d& v) noexcept {
+    if (w[1] > 0xFFFF) return false;
+    v.src = static_cast<std::uint32_t>(w[0] >> 32);
+    v.dst = static_cast<std::uint32_t>(w[0]);
+    v.src_depth = static_cast<std::uint8_t>(w[1] >> 8);
+    v.dst_depth = static_cast<std::uint8_t>(w[1]);
     if (v.src_depth >= memento::prefix1d::kNumLevels ||
         v.dst_depth >= memento::prefix1d::kNumLevels) {
       return false;
     }
     return v.src == (v.src & memento::prefix1d::mask_for_depth(v.src_depth)) &&
            v.dst == (v.dst & memento::prefix1d::mask_for_depth(v.dst_depth));
-  }
-
-  [[nodiscard]] static bool from_u64(std::uint64_t, memento::prefix2d&) noexcept {
-    return false;  // see struct comment: no streamed 2-D images exist
   }
 };
 

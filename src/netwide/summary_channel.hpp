@@ -61,23 +61,25 @@ struct summary_report {
 /// external): u32 origin | u64 covered | window_summary section.
 template <typename Key>
 [[nodiscard]] std::vector<std::uint8_t> encode_summary_report(const summary_report<Key>& report) {
-  wire::writer w;
-  w.u32(report.origin);
-  w.u64(report.covered_packets);
-  report.summary.save(w);
-  return w.take();
+  std::vector<std::uint8_t> out;
+  wire::sink s(out);
+  s.u32(report.origin);
+  s.u64(report.covered_packets);
+  report.summary.save(s);
+  if (!s.finish()) return {};
+  return out;
 }
 
 /// Parses a summary report payload; nullopt on any truncation, corruption,
-/// or trailing garbage.
+/// CRC mismatch, or trailing garbage.
 template <typename Key>
 [[nodiscard]] std::optional<summary_report<Key>> decode_summary_report(
     std::span<const std::uint8_t> bytes) {
-  wire::reader r(bytes);
+  wire::source s(bytes);
   summary_report<Key> report;
-  if (!r.u32(report.origin) || !r.u64(report.covered_packets)) return std::nullopt;
-  auto summary = window_summary<Key>::restore(r);
-  if (!summary || !r.done()) return std::nullopt;
+  if (!s.u32(report.origin) || !s.u64(report.covered_packets)) return std::nullopt;
+  auto summary = window_summary<Key>::restore(s);
+  if (!summary || !s.done()) return std::nullopt;
   report.summary = std::move(*summary);
   return report;
 }
@@ -141,9 +143,10 @@ class summary_point {
 
  private:
   /// Upper bound on the encoded payload's fixed (non-entry) bytes: u32
-  /// origin + u64 covered + 8B section header + window/stream varints
-  /// (<= 10B each) + two f64 scalars + the entry-count varint.
-  static constexpr double kPayloadPreambleBytes = 66.0;
+  /// origin + u64 covered + 8B section header + codec-flags byte +
+  /// window/stream varints (<= 10B each) + two f64 scalars + the
+  /// entry-count varint + the 4B section CRC.
+  static constexpr double kPayloadPreambleBytes = 71.0;
 
   h_memento<H> algo_;
   budget_model budget_;
@@ -224,7 +227,7 @@ class summary_controller {
 //     else is rejected and the controller waits for the next full report;
 //   * every resync_every-th report is a FULL baseline (epoch 1 always is),
 //     bounding how long a desynced controller stays stale;
-//   * the delta payload rides in its own CRC'd streamed section (tag "WD"),
+//   * the delta payload rides in its own CRC'd section (tag "WD"),
 //     so corruption rejects cleanly like every other wire section.
 //
 // The change bar is quantized in overflow units (T * H / tau packets, the
@@ -261,7 +264,7 @@ struct delta_summary_report {
 };
 
 /// Serializes a delta-channel report: u32 origin | u64 covered | u64 epoch |
-/// u8 kind | payload (a WS v2 section for full, a CRC'd WD section for
+/// u8 kind | payload (a WS section for full, a CRC'd WD section for
 /// delta, both FoR-packed).
 template <typename Key>
 [[nodiscard]] std::vector<std::uint8_t> encode_delta_summary_report(
@@ -283,13 +286,13 @@ template <typename Key>
     s.f64(report.miss_upper);
     s.varint(report.changed.size());
     std::size_t i = 0;
-    wire::put_u64_array(s, report.changed.size(), /*packed=*/true,
-                        [&] { return wire::codec<Key>::to_u64(report.changed[i++].first); });
+    wire::put_key_column<Key>(s, report.changed.size(),
+                              [&]() -> const Key& { return report.changed[i++].first; });
     for (const auto& [key, est] : report.changed) s.f64(est);
     s.varint(report.removed.size());
     i = 0;
-    wire::put_u64_array(s, report.removed.size(), /*packed=*/true,
-                        [&] { return wire::codec<Key>::to_u64(report.removed[i++]); });
+    wire::put_key_column<Key>(s, report.removed.size(),
+                              [&]() -> const Key& { return report.removed[i++]; });
     s.end_section();
   }
   if (!s.finish()) return {};
@@ -319,9 +322,7 @@ template <typename Key>
   if (!s.open_section(kDeltaWireTag, version) || version != kDeltaWireVersion) {
     return std::nullopt;
   }
-  std::uint8_t flags = 0;
-  if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return std::nullopt;
-  const bool packed = (flags & wire::kCodecPacked) != 0;
+  if (!wire::get_codec_flags(s)) return std::nullopt;
   std::uint64_t nchanged = 0, nremoved = 0;
   if (!s.varint(report.window) || !s.varint(report.stream) || !s.f64(report.width) ||
       !s.f64(report.miss_upper) || !s.varint(nchanged)) {
@@ -330,8 +331,9 @@ template <typename Key>
   if (nchanged > (std::uint64_t{1} << 21)) return std::nullopt;  // matches WS entry cap
   report.changed.resize(static_cast<std::size_t>(nchanged));
   std::size_t i = 0;
-  if (!wire::get_u64_array(s, report.changed.size(), packed, [&](std::uint64_t raw) {
-        return wire::codec<Key>::from_u64(raw, report.changed[i++].first);
+  if (!wire::get_key_column<Key>(s, report.changed.size(), [&](const Key& key) {
+        report.changed[i++].first = key;
+        return true;
       })) {
     return std::nullopt;
   }
@@ -341,8 +343,9 @@ template <typename Key>
   if (!s.varint(nremoved) || nremoved > (std::uint64_t{1} << 21)) return std::nullopt;
   report.removed.resize(static_cast<std::size_t>(nremoved));
   i = 0;
-  if (!wire::get_u64_array(s, report.removed.size(), packed, [&](std::uint64_t raw) {
-        return wire::codec<Key>::from_u64(raw, report.removed[i++]);
+  if (!wire::get_key_column<Key>(s, report.removed.size(), [&](const Key& key) {
+        report.removed[i++] = key;
+        return true;
       })) {
     return std::nullopt;
   }

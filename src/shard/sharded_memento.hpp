@@ -343,101 +343,41 @@ class sharded_memento {
   // also the unit the reshard path (snapshot/reshard.hpp) consumes.
 
   static constexpr std::uint16_t kWireTag = 0x5348;  ///< "SH"
-  static constexpr std::uint16_t kWireVersion = 2;   ///< v2: + base seed, + bucket table
-  /// Streamed framing (wire::sink/source): FoR-packed bucket table, per-shard
-  /// streamed sections, section CRC. This is the format that lets a
-  /// controller checkpoint a 1M-counter deployment shard by shard with no
-  /// O(state) buffer.
-  static constexpr std::uint16_t kWireVersionStream = 3;
+  static constexpr std::uint16_t kWireVersion = 3;
 
-  /// Serializes the frontend as one versioned section.
-  void save(wire::writer& w) const {
-    const std::size_t tok = w.begin_section(kWireTag, kWireVersion);
-    w.varint(shards_.size());
-    w.u64(base_seed_);
+  /// Serializes the frontend as one section: routing scalars, the bucket
+  /// table as one FoR column, then each shard's section in order. A sink
+  /// flushes chunk by chunk, so peak buffering stays at the chunk size no
+  /// matter how many counters the deployment holds - this is what lets a
+  /// controller checkpoint a 1M-counter deployment with no O(state) buffer.
+  void save(wire::sink& s) const {
+    s.begin_section(kWireTag, kWireVersion);
+    s.u8(wire::kCodecPacked);
+    s.varint(shards_.size());
+    s.u64(base_seed_);
     const shard_table& t = part_.table();
-    w.varint(t.buckets());  // 0 == HASH mode
-    for (const std::uint32_t s : t.to_shard) w.varint(s);
-    for (const auto& shard : shards_) shard.save(w);
-    w.end_section(tok);
+    s.varint(t.buckets());  // 0 == HASH mode
+    std::size_t i = 0;
+    wire::put_u64_array(s, t.to_shard.size(), [&] { return t.to_shard[i++]; });
+    for (const auto& shard : shards_) shard.save(s);
+    s.end_section();
   }
 
   /// Rebuilds a frontend from save() output; nullopt on any malformed input
   /// (see memento_sketch::restore for the per-shard validation contract;
   /// the bucket table additionally must be non-degenerate for the shard
   /// count - every entry in range, bucket count a multiple of N).
-  [[nodiscard]] static std::optional<sharded_memento> restore(wire::reader& r) {
-    std::uint16_t ptag = 0, pver = 0;
-    if (r.peek_section(ptag, pver) && ptag == kWireTag && pver == kWireVersionStream) {
-      wire::source src(r.rest());
-      auto out = restore(src);
-      if (!out) return std::nullopt;
-      r.skip(src.consumed());
-      return out;
-    }
-    std::uint16_t version = 0;
-    wire::reader body;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return std::nullopt;
-    std::uint64_t n = 0, seed = 0, buckets = 0;
-    if (!body.varint(n) || n == 0 || n > kMaxRestoreShards) return std::nullopt;
-    if (!body.u64(seed) || !body.varint(buckets)) return std::nullopt;
-    // Each table entry costs at least one byte, so a lying bucket count is
-    // rejected before the reserve below can allocate against it.
-    if (buckets > kMaxRestoreBuckets || buckets > body.remaining()) return std::nullopt;
-    shard_table table;
-    table.to_shard.reserve(static_cast<std::size_t>(buckets));
-    for (std::uint64_t b = 0; b < buckets; ++b) {
-      std::uint64_t s = 0;
-      if (!body.varint(s) || s >= n) return std::nullopt;
-      table.to_shard.push_back(static_cast<std::uint32_t>(s));
-    }
-    if (buckets != 0 && !table.valid_for(static_cast<std::size_t>(n))) return std::nullopt;
-    std::vector<sketch_type> shards;
-    shards.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t s = 0; s < n; ++s) {
-      auto shard = sketch_type::restore(body);
-      if (!shard) return std::nullopt;
-      shards.push_back(std::move(*shard));
-    }
-    if (!body.done()) return std::nullopt;
-    auto part = buckets == 0
-                    ? shard_partitioner<Key>(static_cast<std::size_t>(n))
-                    : shard_partitioner<Key>(static_cast<std::size_t>(n), std::move(table));
-    return sharded_memento(std::move(shards), std::move(part), seed);
-  }
-
-  /// Streamed counterpart of save(): routing scalars, the bucket table as
-  /// one FoR column, then each shard's streamed section in order. The sink
-  /// flushes chunk by chunk, so peak buffering stays at the chunk size no
-  /// matter how many counters the deployment holds.
-  void save(wire::sink& s, bool packed = true) const {
-    s.begin_section(kWireTag, kWireVersionStream);
-    s.u8(packed ? wire::kCodecPacked : 0);
-    s.varint(shards_.size());
-    s.u64(base_seed_);
-    const shard_table& t = part_.table();
-    s.varint(t.buckets());  // 0 == HASH mode
-    std::size_t i = 0;
-    wire::put_u64_array(s, t.to_shard.size(), packed, [&] { return t.to_shard[i++]; });
-    for (const auto& shard : shards_) shard.save(s, packed);
-    s.end_section();
-  }
-
-  /// Rebuilds a frontend from streamed save() output; same validation
-  /// contract as the buffered restore plus the section CRC.
   [[nodiscard]] static std::optional<sharded_memento> restore(wire::source& s) {
     std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
-    std::uint8_t flags = 0;
-    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return std::nullopt;
-    const bool packed = (flags & wire::kCodecPacked) != 0;
+    if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
+    if (!wire::get_codec_flags(s)) return std::nullopt;
     std::uint64_t n = 0, seed = 0, buckets = 0;
     if (!s.varint(n) || n == 0 || n > kMaxRestoreShards) return std::nullopt;
     if (!s.u64(seed) || !s.varint(buckets)) return std::nullopt;
     if (buckets > kMaxRestoreBuckets) return std::nullopt;
     shard_table table;
     table.to_shard.reserve(static_cast<std::size_t>(buckets));
-    if (!wire::get_u64_array(s, static_cast<std::size_t>(buckets), packed, [&](std::uint64_t v) {
+    if (!wire::get_u64_array(s, static_cast<std::size_t>(buckets), [&](std::uint64_t v) {
           if (v >= n) return false;
           table.to_shard.push_back(static_cast<std::uint32_t>(v));
           return true;

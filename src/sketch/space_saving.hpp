@@ -217,78 +217,20 @@ class space_saving {
   // bucket free list, and the index's slot layout - because behavior depends
   // on all of it: eviction takes the head of the minimum bucket's chain,
   // and chain order is operation-history. A restored instance therefore
-  // continues the stream bit-identically. The wire format predates the
-  // structure-of-arrays split (each counter's fields are interleaved on the
-  // wire), so snapshots cross library versions and dispatch tiers freely.
+  // continues the stream bit-identically, across dispatch tiers.
 
   static constexpr std::uint16_t kWireTag = 0x5353;  ///< "SS"
-  static constexpr std::uint16_t kWireVersion = 1;
-  /// Streamed framing (wire::sink/source): structure-of-arrays columns with
-  /// per-column compression (util/compress.hpp) and a section CRC.
-  static constexpr std::uint16_t kWireVersionStream = 2;
+  static constexpr std::uint16_t kWireVersion = 2;
 
-  /// Serializes the full structure as one versioned section.
-  void save(wire::writer& w) const {
-    const std::size_t tok = w.begin_section(kWireTag, kWireVersion);
-    w.varint(capacity());
-    w.varint(used_);
-    w.u64(adds_);
-    w.u32(min_bucket_);
-    w.u32(bucket_free_);
-    w.varint(buckets_.size());
-    for (const bucket_node& b : buckets_) {
-      w.varint(b.count);
-      w.u32(b.head);
-      w.u32(b.prev);
-      w.u32(b.next);
-    }
-    for (std::size_t i = 0; i < used_; ++i) {
-      wire::codec<Key>::put(w, nodes_[i].key);
-      w.varint(counts_[i]);
-      w.varint(nodes_[i].overest);
-      w.u32(nodes_[i].prev);
-      w.u32(nodes_[i].next);
-      w.u32(nodes_[i].bucket);
-      w.u32(nodes_[i].islot);
-    }
-    index_.save(w);
-    w.end_section(tok);
-  }
-
-  /// Rebuilds an instance from save() output; nullopt on ANY malformed
-  /// input - unknown version, out-of-range link, index/counter mismatch,
-  /// broken chain topology - never a crash or a structurally unsound
-  /// instance. Every 32-bit link is range-checked, the index is
-  /// cross-checked entry-by-entry against the counters' islot
-  /// back-references, and the bucket lists are walked end to end (ascending
-  /// counts, doubly linked, chains owning their counters, free list
-  /// disjoint), so later operations are correct by construction.
-  [[nodiscard]] static std::optional<space_saving> restore(wire::reader& r) {
-    std::uint16_t ptag = 0, pver = 0;
-    if (r.peek_section(ptag, pver) && ptag == kWireTag && pver == kWireVersionStream) {
-      wire::source src(r.rest());
-      auto out = restore(src);
-      if (!out) return std::nullopt;
-      r.skip(src.consumed());
-      return out;
-    }
-    wire::reader body;
-    wire_header h;
-    if (!open_section(r, body, h)) return std::nullopt;
-    space_saving out(static_cast<std::size_t>(h.cap));
-    if (!out.load(body, h)) return std::nullopt;
-    return out;
-  }
-
-  /// Streamed, compressed counterpart of save(): the same state shipped as
-  /// structure-of-arrays columns (matching the in-memory split), each
-  /// through the codec that fits it - zig-zag deltas for the count arrays,
-  /// FoR blocks for keys and link indices. npos links are mapped to 0 on
-  /// the wire (real links shift up by one) so the 2^32-1 sentinel does not
-  /// blow every frame of reference.
-  void save(wire::sink& s, bool packed = true) const {
-    s.begin_section(kWireTag, kWireVersionStream);
-    s.u8(packed ? wire::kCodecPacked : 0);
+  /// Serializes the full structure as one section of structure-of-arrays
+  /// columns (matching the in-memory split), each through the codec that
+  /// fits it - zig-zag deltas for the count arrays, FoR blocks for keys and
+  /// link indices. npos links are mapped to 0 on the wire (real links shift
+  /// up by one) so the 2^32-1 sentinel does not blow every frame of
+  /// reference.
+  void save(wire::sink& s) const {
+    s.begin_section(kWireTag, kWireVersion);
+    s.u8(wire::kCodecPacked);
     s.varint(capacity());
     s.varint(used_);
     s.u64(adds_);
@@ -298,40 +240,43 @@ class space_saving {
     std::size_t i = 0;
     wire::put_zigzag_u64(s, buckets_.size(), [&] { return buckets_[i++].count; });
     i = 0;
-    wire::put_u64_array(s, buckets_.size(), packed, [&] { return wire_link(buckets_[i++].head); });
+    wire::put_u64_array(s, buckets_.size(), [&] { return wire_link(buckets_[i++].head); });
     i = 0;
-    wire::put_u64_array(s, buckets_.size(), packed, [&] { return wire_link(buckets_[i++].prev); });
+    wire::put_u64_array(s, buckets_.size(), [&] { return wire_link(buckets_[i++].prev); });
     i = 0;
-    wire::put_u64_array(s, buckets_.size(), packed, [&] { return wire_link(buckets_[i++].next); });
+    wire::put_u64_array(s, buckets_.size(), [&] { return wire_link(buckets_[i++].next); });
     i = 0;
-    wire::put_u64_array(s, used_, packed,
-                        [&] { return wire::codec<Key>::to_u64(nodes_[i++].key); });
+    wire::put_key_column<Key>(s, used_, [&]() -> const Key& { return nodes_[i++].key; });
     i = 0;
     wire::put_zigzag_u64(s, used_, [&] { return counts_[i++]; });
     i = 0;
     wire::put_zigzag_u64(s, used_, [&] { return nodes_[i++].overest; });
     i = 0;
-    wire::put_u64_array(s, used_, packed, [&] { return wire_link(nodes_[i++].prev); });
+    wire::put_u64_array(s, used_, [&] { return wire_link(nodes_[i++].prev); });
     i = 0;
-    wire::put_u64_array(s, used_, packed, [&] { return wire_link(nodes_[i++].next); });
+    wire::put_u64_array(s, used_, [&] { return wire_link(nodes_[i++].next); });
     i = 0;
-    wire::put_u64_array(s, used_, packed, [&] { return wire_link(nodes_[i++].bucket); });
+    wire::put_u64_array(s, used_, [&] { return wire_link(nodes_[i++].bucket); });
     i = 0;
-    wire::put_u64_array(s, used_, packed,
-                        [&] { return static_cast<std::uint64_t>(nodes_[i++].islot); });
+    wire::put_u64_array(s, used_, [&] { return static_cast<std::uint64_t>(nodes_[i++].islot); });
     // The key index is fully determined by the columns above: entry i lives
     // at slot islot[i] with key key[i] and value i. Shipping only its
     // capacity and rebuilding at restore saves a second copy of every key
-    // (plus positions and values) - the largest single block of v1 wire.
+    // (plus positions and values).
     s.varint(index_.capacity());
     s.end_section();
   }
 
-  /// Rebuilds an instance from streamed save() output, under the exact
-  /// validation contract of the buffered restore() - the columns land in the
-  /// same arrays and go through the same topology / index cross-checks, plus
-  /// the section CRC (which is what catches bit flips that still decode to
-  /// range-valid values inside packed blocks).
+  /// Rebuilds an instance from save() output; nullopt on ANY malformed
+  /// input - unknown version, out-of-range link, index/counter mismatch,
+  /// broken chain topology, CRC mismatch - never a crash or a structurally
+  /// unsound instance. Every 32-bit link is range-checked, the index is
+  /// cross-checked entry-by-entry against the counters' islot
+  /// back-references, and the bucket lists are walked end to end (ascending
+  /// counts, doubly linked, chains owning their counters, free list
+  /// disjoint), so later operations are correct by construction. The
+  /// section CRC catches bit flips that still decode to range-valid values
+  /// inside packed blocks.
   [[nodiscard]] static std::optional<space_saving> restore(wire::source& s) {
     wire_header h;
     if (!open_section(s, h)) return std::nullopt;
@@ -362,7 +307,6 @@ class space_saving {
     std::uint64_t adds = 0;
     std::uint32_t min_bucket = 0;
     std::uint32_t bucket_free = 0;
-    bool packed = false;  ///< streamed form only: FoR columns
   };
 
   [[nodiscard]] static bool header_valid(const wire_header& h) noexcept {
@@ -370,28 +314,11 @@ class space_saving {
     return h.used <= h.cap && h.nbuckets <= 2 * h.cap + 2;
   }
 
-  /// Buffered form: opens the v1 section, reads the preamble into h and
-  /// hands back a reader bounded to the rest of the body.
-  [[nodiscard]] static bool open_section(wire::reader& r, wire::reader& body, wire_header& h) {
-    std::uint16_t version = 0;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return false;
-    if (!body.varint(h.cap) || !body.varint(h.used) || !body.u64(h.adds)) return false;
-    if (!body.u32(h.min_bucket) || !body.u32(h.bucket_free) || !body.varint(h.nbuckets)) {
-      return false;
-    }
-    // Each bucket costs >= 13 bytes: reject lying counts before touching
-    // memory.
-    return header_valid(h) && h.nbuckets <= body.remaining() / 13;
-  }
-
-  /// Streamed form: opens the v2 section (codec flags included) and reads
-  /// the preamble into h.
+  /// Opens the section (codec flags included) and reads the preamble into h.
   [[nodiscard]] static bool open_section(wire::source& s, wire_header& h) {
     std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return false;
-    std::uint8_t flags = 0;
-    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return false;
-    h.packed = (flags & wire::kCodecPacked) != 0;
+    if (!s.open_section(kWireTag, version) || version != kWireVersion) return false;
+    if (!wire::get_codec_flags(s)) return false;
     if (!s.varint(h.cap) || !s.varint(h.used) || !s.u64(h.adds) || !s.u32(h.min_bucket) ||
         !s.u32(h.bucket_free) || !s.varint(h.nbuckets)) {
       return false;
@@ -399,19 +326,13 @@ class space_saving {
     return header_valid(h);
   }
 
-  /// Restores a serialized instance (either framing) into *this, which must
-  /// already have the saved capacity - the owner's constructor built it, so
-  /// nothing is allocated twice. False on any malformed input, after which
-  /// *this is unspecified and the owner must discard itself.
-  template <typename In>
-  [[nodiscard]] bool restore_in_place(In& in) {
+  /// Restores a serialized instance into *this, which must already have
+  /// the saved capacity - the owner's constructor built it, so nothing is
+  /// allocated twice. False on any malformed input, after which *this is
+  /// unspecified and the owner must discard itself.
+  [[nodiscard]] bool restore_in_place(wire::source& s) {
     wire_header h;
-    if constexpr (std::is_same_v<In, wire::reader>) {
-      wire::reader body;
-      return open_section(in, body, h) && h.cap == capacity() && load(body, h);
-    } else {
-      return open_section(in, h) && h.cap == capacity() && load(in, h);
-    }
+    return open_section(s, h) && h.cap == capacity() && load(s, h);
   }
 
   void set_scalars(const wire_header& h) {
@@ -422,42 +343,15 @@ class space_saving {
     buckets_.resize(static_cast<std::size_t>(h.nbuckets));
   }
 
-  /// Buffered body after the preamble: buckets, interleaved counters, the
-  /// key index; then the shared topology and index cross-checks.
-  [[nodiscard]] bool load(wire::reader& body, const wire_header& h) {
-    set_scalars(h);
-    for (auto& b : buckets_) {
-      if (!body.varint(b.count) || !body.u32(b.head) || !body.u32(b.prev) || !body.u32(b.next)) {
-        return false;
-      }
-    }
-    // Each counter costs >= 26 bytes.
-    if (h.used > body.remaining() / 26) return false;
-    for (std::size_t i = 0; i < used_; ++i) {
-      cnode& m = nodes_[i];
-      if (!wire::codec<Key>::get(body, m.key) || !body.varint(counts_[i]) ||
-          !body.varint(m.overest)) {
-        return false;
-      }
-      if (!body.u32(m.prev) || !body.u32(m.next) || !body.u32(m.bucket) || !body.u32(m.islot)) {
-        return false;
-      }
-    }
-    if (!restored_topology_valid()) return false;
-    if (!index_.restore(body) || !body.done()) return false;
-    return restored_index_valid();
-  }
-
-  /// Streamed body after the preamble: the structure-of-arrays columns, the
+  /// Section body after the preamble: the structure-of-arrays columns, the
   /// index rebuilt from them, the cross-checks, then the section CRC.
   [[nodiscard]] bool load(wire::source& s, const wire_header& h) {
     set_scalars(h);
-    const bool packed = h.packed;
     const std::uint64_t nbuckets = h.nbuckets;
     const std::uint64_t used = h.used;
     const auto read_links = [&](std::uint64_t n, auto&& set) {
       std::size_t j = 0;
-      return wire::get_u64_array(s, static_cast<std::size_t>(n), packed, [&](std::uint64_t raw) {
+      return wire::get_u64_array(s, static_cast<std::size_t>(n), [&](std::uint64_t raw) {
         std::uint32_t link = 0;
         if (!unwire_link(raw, link)) return false;
         set(j++, link);
@@ -477,8 +371,9 @@ class space_saving {
       return false;
     }
     i = 0;
-    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
-          return wire::codec<Key>::from_u64(raw, nodes_[i++].key);
+    if (!wire::get_key_column<Key>(s, used, [&](const Key& key) {
+          nodes_[i++].key = key;
+          return true;
         })) {
       return false;
     }
@@ -502,7 +397,7 @@ class space_saving {
       return false;
     }
     i = 0;
-    if (!wire::get_u64_array(s, used, packed, [&](std::uint64_t raw) {
+    if (!wire::get_u64_array(s, used, [&](std::uint64_t raw) {
           if (raw > npos) return false;
           nodes_[i++].islot = static_cast<std::uint32_t>(raw);
           return true;
@@ -511,8 +406,8 @@ class space_saving {
     }
     if (!restored_topology_valid()) return false;
     // Rebuild the key index from the node columns at the exact saved
-    // capacity and slot positions, so a v1 re-save of the restored object
-    // is byte-identical to a v1 re-save of the original. rebuild_placed
+    // capacity and slot positions, so the restored object probes, iterates
+    // and re-saves exactly like the original. rebuild_placed
     // rejects out-of-range or colliding islot values and unreachable probe
     // layouts; restored_index_valid still cross-checks the bijection.
     std::uint64_t icap = 0;

@@ -182,84 +182,33 @@ class window_summary {
   // --- wire format -----------------------------------------------------------
 
   static constexpr std::uint16_t kWireTag = 0x5753;  ///< "WS"
-  static constexpr std::uint16_t kWireVersion = 1;
-  /// Streamed framing (wire::sink/source): FoR-packed key column + section
-  /// CRC. Keys ship in entry (merge) order, so a streamed round trip
-  /// preserves the exact entry sequence like the buffered one does.
-  static constexpr std::uint16_t kWireVersionStream = 2;
+  static constexpr std::uint16_t kWireVersion = 2;
 
-  /// Serializes the summary as one versioned section.
-  void save(wire::writer& w) const {
-    const std::size_t tok = w.begin_section(kWireTag, kWireVersion);
-    w.varint(window_);
-    w.varint(stream_);
-    w.f64(width_);
-    w.f64(miss_upper_);
-    w.varint(entries_.size());
-    for (const heavy_hitter& e : entries_) {
-      wire::codec<Key>::put(w, e.key);
-      w.f64(e.estimate);
-    }
-    w.end_section(tok);
-  }
-
-  /// Rebuilds a summary from save() output; nullopt on malformed input
-  /// (truncation, duplicate keys, lying counts) - never a crash.
-  [[nodiscard]] static std::optional<window_summary> restore(wire::reader& r) {
-    std::uint16_t ptag = 0, pver = 0;
-    if (r.peek_section(ptag, pver) && ptag == kWireTag && pver == kWireVersionStream) {
-      wire::source src(r.rest());
-      auto out = restore(src);
-      if (!out) return std::nullopt;
-      r.skip(src.consumed());
-      return out;
-    }
-    std::uint16_t version = 0;
-    wire::reader body;
-    if (!r.open_section(kWireTag, version, body) || version != kWireVersion) return std::nullopt;
-    window_summary s;
-    std::uint64_t count = 0;
-    if (!body.varint(s.window_) || !body.varint(s.stream_) || !body.f64(s.width_) ||
-        !body.f64(s.miss_upper_) || !body.varint(count)) {
-      return std::nullopt;
-    }
-    // 8B key + 8B estimate per entry; divide, don't multiply - a huge count
-    // from a 9-byte varint must not wrap the guard into a throwing resize.
-    if (count > body.remaining() / 16) return std::nullopt;
-    s.entries_.resize(static_cast<std::size_t>(count));
-    for (heavy_hitter& e : s.entries_) {
-      if (!wire::codec<Key>::get(body, e.key) || !body.f64(e.estimate)) return std::nullopt;
-    }
-    if (!body.done()) return std::nullopt;
-    s.rebuild_index();
-    if (s.index_.size() != s.entries_.size()) return std::nullopt;  // duplicate keys
-    return s;
-  }
-
-  /// Streamed counterpart of save(): scalars, one FoR key column (entry
-  /// order), one f64 estimate column.
-  void save(wire::sink& s, bool packed = true) const {
-    s.begin_section(kWireTag, kWireVersionStream);
-    s.u8(packed ? wire::kCodecPacked : 0);
+  /// Serializes the summary as one section: scalars, one FoR key column
+  /// (entry order, so a round trip preserves the exact entry sequence), one
+  /// f64 estimate column.
+  void save(wire::sink& s) const {
+    s.begin_section(kWireTag, kWireVersion);
+    s.u8(wire::kCodecPacked);
     s.varint(window_);
     s.varint(stream_);
     s.f64(width_);
     s.f64(miss_upper_);
     s.varint(entries_.size());
     std::size_t i = 0;
-    wire::put_u64_array(s, entries_.size(), packed,
-                        [&] { return wire::codec<Key>::to_u64(entries_[i++].key); });
+    wire::put_key_column<Key>(s, entries_.size(),
+                              [&]() -> const Key& { return entries_[i++].key; });
     for (const heavy_hitter& e : entries_) s.f64(e.estimate);
     s.end_section();
   }
 
-  /// Rebuilds a summary from streamed save() output.
+  /// Rebuilds a summary from save() output; nullopt on malformed input
+  /// (truncation, duplicate keys, lying counts, CRC mismatch) - never a
+  /// crash.
   [[nodiscard]] static std::optional<window_summary> restore(wire::source& s) {
     std::uint16_t version = 0;
-    if (!s.open_section(kWireTag, version) || version != kWireVersionStream) return std::nullopt;
-    std::uint8_t flags = 0;
-    if (!s.u8(flags) || (flags & ~wire::kCodecKnownMask) != 0) return std::nullopt;
-    const bool packed = (flags & wire::kCodecPacked) != 0;
+    if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
+    if (!wire::get_codec_flags(s)) return std::nullopt;
     window_summary out;
     std::uint64_t count = 0;
     if (!s.varint(out.window_) || !s.varint(out.stream_) || !s.f64(out.width_) ||
@@ -272,8 +221,9 @@ class window_summary {
     if (count > (std::uint64_t{1} << 21)) return std::nullopt;
     out.entries_.resize(static_cast<std::size_t>(count));
     std::size_t i = 0;
-    if (!wire::get_u64_array(s, static_cast<std::size_t>(count), packed, [&](std::uint64_t raw) {
-          return wire::codec<Key>::from_u64(raw, out.entries_[i++].key);
+    if (!wire::get_key_column<Key>(s, static_cast<std::size_t>(count), [&](const Key& key) {
+          out.entries_[i++].key = key;
+          return true;
         })) {
       return std::nullopt;
     }

@@ -1,14 +1,19 @@
-// Section compression codecs for the streamed (v2) wire format: the
-// in-repo answer to "snapshots are mostly small integers stored wide".
+// Column codecs for the snapshot wire format: the in-repo answer to
+// "snapshots are mostly small integers stored wide".
 //
-// Three array shapes cover everything the sketches serialize:
+// Four column shapes cover everything the sketches serialize:
 //
-//   * put_u64_array / get_u64_array - general unsigned columns (keys, link
+//   * put_u64_array / get_u64_array - general unsigned columns (link
 //     indices, table entries). Frame-of-reference per block of up to
 //     kPackBlock values: `varint base | u8 bits | bit-packed (v - base)`,
-//     so a column of nearby values (counter keys from one prefix range,
-//     link indices bounded by k) costs bit_width(max - min) bits per value
-//     instead of 8 bytes. bits == 0 encodes a constant block in two bytes.
+//     so a column of nearby values (link indices bounded by k) costs
+//     bit_width(max - min) bits per value instead of 8 bytes. bits == 0
+//     encodes a constant block in two bytes.
+//   * put_key_column / get_key_column - sketch keys through their
+//     wire::codec: per block of up to kPackBlock keys, one FoR block per
+//     codec word (one for integral keys, so a 1-D key column is exactly a
+//     u64 array; two for 2-D prefix pairs). Every decoded key is validated
+//     by the codec before the consumer sees it.
 //   * put_ascending_u64 / get_ascending_u64 - strictly ascending sequences
 //     (flat_hash slot positions). Delta-minus-one transform first, then the
 //     same FoR blocks; the decoder re-validates strict ascent, so the
@@ -20,37 +25,40 @@
 //
 // All writers take a generator (called once per value, in order) and all
 // readers a consumer (returning false to reject a value), so neither side
-// ever materializes the column: the block scratch (~16 KB of stack; the
-// reader also keeps one block of decoded deltas) is the whole memory
-// footprint, which is what lets a sink checkpoint a 1M-counter
-// deployment in bounded memory.
+// ever materializes the column: one block of scratch per codec word (on
+// the stack) is the whole memory footprint, which is what lets a sink
+// checkpoint a 1M-counter deployment in bounded memory.
 //
-// The `packed` flag mirrors the section's codec-flags byte (kCodecPacked):
-// a writer may emit plain varints instead of FoR blocks (testability, and
-// the escape hatch for pathological columns), and the reader must be told
-// which it is. Readers validate everything - bits <= 64, base + delta not
-// wrapping - and the enclosing streamed section's CRC32 (wire::sink/source)
-// catches what per-value validation cannot: a bit flip inside a packed
-// block that still decodes to plausible values.
+// Readers validate everything - bits <= 64, base + delta not wrapping - and
+// the enclosing section's CRC32 (wire::sink/source) catches what per-value
+// validation cannot: a bit flip inside a packed block that still decodes to
+// plausible values.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "util/wire.hpp"
 
 namespace memento::wire {
 
-/// Values per frame-of-reference block; bounds the codec scratch to ~16 KB.
+/// Values per frame-of-reference block; bounds the codec scratch.
 inline constexpr std::size_t kPackBlock = 1024;
 
-/// Codec-flags byte of a v2 section: bit 0 = FoR bit-packing in use.
-/// Unknown bits are a decode failure (they would change the byte layout).
+/// Codec-flags byte at the head of each section that carries FoR columns:
+/// bit 0 = FoR bit-packing. Writers always pack, and readers reject any
+/// other value (unknown bits would change the byte layout).
 inline constexpr std::uint8_t kCodecPacked = 0x01;
-inline constexpr std::uint8_t kCodecKnownMask = 0x01;
+
+/// Reads a section's codec-flags byte; false unless it is kCodecPacked.
+[[nodiscard]] inline bool get_codec_flags(source& s) noexcept {
+  std::uint8_t flags = 0;
+  return s.u8(flags) && flags == kCodecPacked;
+}
 
 namespace detail {
 
@@ -105,70 +113,108 @@ inline void unpack_bits(const std::uint8_t* in, std::size_t m, unsigned bits,
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }
 
+/// Writes one FoR block of m (<= kPackBlock) values; clobbers v.
+inline void put_for_block(sink& s, std::uint64_t* v, std::size_t m) {
+  std::uint8_t bytes[kPackBlock * 8 + kPackPad];
+  const auto [lo, hi] = std::minmax_element(v, v + m);
+  const std::uint64_t base = *lo;
+  const auto bits = static_cast<unsigned>(std::bit_width(*hi - base));
+  s.varint(base);
+  s.u8(static_cast<std::uint8_t>(bits));
+  if (bits == 0) return;
+  for (std::size_t i = 0; i < m; ++i) v[i] -= base;
+  pack_bits(v, m, bits, bytes);
+  s.bytes(std::span<const std::uint8_t>(bytes, (m * bits + 7) / 8));
+}
+
+/// Reads one FoR block of m (<= kPackBlock) values into out; false on
+/// truncation, bits > 64, or a wrapping base + delta.
+[[nodiscard]] inline bool get_for_block(source& s, std::size_t m, std::uint64_t* out) {
+  std::uint8_t bytes[kPackBlock * 8 + kPackPad];
+  std::uint64_t base = 0;
+  std::uint8_t bits = 0;
+  if (!s.varint(base) || !s.u8(bits) || bits > 64) return false;
+  if (bits == 0) {
+    std::fill(out, out + m, base);
+    return true;
+  }
+  const std::size_t nbytes = (m * bits + 7) / 8;
+  if (!s.read(bytes, nbytes)) return false;
+  std::memset(bytes + nbytes, 0, kPackPad);
+  unpack_bits(bytes, m, bits, out);
+  // base + d must not wrap: every delta stays within ~base.
+  const std::uint64_t room = ~std::uint64_t{0} - base;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (out[i] > room) return false;
+    out[i] += base;
+  }
+  return true;
+}
+
 }  // namespace detail
 
-/// Writes n values (pulled from next(), in order) as FoR blocks when
-/// `packed`, plain varints otherwise.
+/// Writes n values (pulled from next(), in order) as FoR blocks.
 template <typename NextFn>
-void put_u64_array(sink& s, std::size_t n, bool packed, NextFn&& next) {
+void put_u64_array(sink& s, std::size_t n, NextFn&& next) {
   std::uint64_t buf[kPackBlock];
-  std::uint8_t bytes[kPackBlock * 8 + detail::kPackPad];
-  std::size_t done = 0;
-  while (done < n) {
+  for (std::size_t done = 0; done < n;) {
     const std::size_t m = std::min(kPackBlock, n - done);
     for (std::size_t i = 0; i < m; ++i) buf[i] = next();
-    if (!packed) {
-      for (std::size_t i = 0; i < m; ++i) s.varint(buf[i]);
-    } else {
-      const auto [lo, hi] = std::minmax_element(buf, buf + m);
-      const std::uint64_t base = *lo;
-      const auto bits = static_cast<unsigned>(std::bit_width(*hi - base));
-      s.varint(base);
-      s.u8(static_cast<std::uint8_t>(bits));
-      if (bits > 0) {
-        for (std::size_t i = 0; i < m; ++i) buf[i] -= base;
-        detail::pack_bits(buf, m, bits, bytes);
-        s.bytes(std::span<const std::uint8_t>(bytes, (m * bits + 7) / 8));
-      }
-    }
+    detail::put_for_block(s, buf, m);
     done += m;
   }
 }
 
 /// Reads n values written by put_u64_array, passing each to put(v) in
-/// order; false on truncation, bits > 64, a wrapping base + delta, or
-/// put() rejecting a value.
+/// order; false on a malformed block or put() rejecting a value.
 template <typename PutFn>
-[[nodiscard]] bool get_u64_array(source& s, std::size_t n, bool packed, PutFn&& put) {
-  std::uint8_t bytes[kPackBlock * 8 + detail::kPackPad];
-  std::uint64_t deltas[kPackBlock];
-  std::size_t done = 0;
-  while (done < n) {
+[[nodiscard]] bool get_u64_array(source& s, std::size_t n, PutFn&& put) {
+  std::uint64_t buf[kPackBlock];
+  for (std::size_t done = 0; done < n;) {
     const std::size_t m = std::min(kPackBlock, n - done);
-    if (!packed) {
-      for (std::size_t i = 0; i < m; ++i) {
-        std::uint64_t v = 0;
-        if (!s.varint(v) || !put(v)) return false;
-      }
-    } else {
-      std::uint64_t base = 0;
-      std::uint8_t bits = 0;
-      if (!s.varint(base) || !s.u8(bits) || bits > 64) return false;
-      if (bits == 0) {
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!put(base)) return false;
-        }
-      } else {
-        const std::size_t nbytes = (m * bits + 7) / 8;
-        if (!s.read(bytes, nbytes)) return false;
-        std::memset(bytes + nbytes, 0, detail::kPackPad);
-        detail::unpack_bits(bytes, m, bits, deltas);
-        // base + d must not wrap: every delta stays within ~base.
-        const std::uint64_t room = ~std::uint64_t{0} - base;
-        for (std::size_t i = 0; i < m; ++i) {
-          if (deltas[i] > room || !put(base + deltas[i])) return false;
-        }
-      }
+    if (!detail::get_for_block(s, m, buf)) return false;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (!put(buf[i])) return false;
+    }
+    done += m;
+  }
+  return true;
+}
+
+/// Writes n keys (pulled from next(), in order) through wire::codec<Key>:
+/// per block of up to kPackBlock keys, one FoR block per codec word.
+template <typename Key, typename NextFn>
+void put_key_column(sink& s, std::size_t n, NextFn&& next) {
+  using kc = codec<Key>;
+  std::uint64_t cols[kc::words][kPackBlock];
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t m = std::min(kPackBlock, n - done);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto w = kc::to_u64(next());
+      for (std::size_t c = 0; c < kc::words; ++c) cols[c][i] = w[c];
+    }
+    for (std::size_t c = 0; c < kc::words; ++c) detail::put_for_block(s, cols[c], m);
+    done += m;
+  }
+}
+
+/// Reads n keys written by put_key_column, passing each to put(key) in
+/// order; false on a malformed block, a word tuple the codec rejects, or
+/// put() rejecting a key.
+template <typename Key, typename PutFn>
+[[nodiscard]] bool get_key_column(source& s, std::size_t n, PutFn&& put) {
+  using kc = codec<Key>;
+  std::uint64_t cols[kc::words][kPackBlock];
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t m = std::min(kPackBlock, n - done);
+    for (std::size_t c = 0; c < kc::words; ++c) {
+      if (!detail::get_for_block(s, m, cols[c])) return false;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      typename kc::word_array w;
+      for (std::size_t c = 0; c < kc::words; ++c) w[c] = cols[c][i];
+      Key key{};
+      if (!kc::from_u64(w, key) || !put(key)) return false;
     }
     done += m;
   }
@@ -178,10 +224,10 @@ template <typename PutFn>
 /// Strictly ascending sequences: delta-minus-one transform over
 /// put_u64_array, so dense position arrays pack to a few bits per entry.
 template <typename NextFn>
-void put_ascending_u64(sink& s, std::size_t n, bool packed, NextFn&& next) {
+void put_ascending_u64(sink& s, std::size_t n, NextFn&& next) {
   std::uint64_t prev = 0;
   bool first = true;
-  put_u64_array(s, n, packed, [&] {
+  put_u64_array(s, n, [&] {
     const std::uint64_t v = next();
     const std::uint64_t d = first ? v : v - prev - 1;
     first = false;
@@ -194,10 +240,10 @@ void put_ascending_u64(sink& s, std::size_t n, bool packed, NextFn&& next) {
 /// (a wrapping prev + d + 1 is a decode failure), so consumers keep the
 /// sortedness invariant even from forged bytes.
 template <typename PutFn>
-[[nodiscard]] bool get_ascending_u64(source& s, std::size_t n, bool packed, PutFn&& put) {
+[[nodiscard]] bool get_ascending_u64(source& s, std::size_t n, PutFn&& put) {
   std::uint64_t prev = 0;
   bool first = true;
-  return get_u64_array(s, n, packed, [&](std::uint64_t d) {
+  return get_u64_array(s, n, [&](std::uint64_t d) {
     std::uint64_t v = 0;
     if (first) {
       first = false;

@@ -258,8 +258,7 @@ class flat_hash {
   // iteration order), so a restored table must probe, iterate and relocate
   // exactly like the original - the bit-identical-continuation guarantee of
   // the snapshot layer rests on it. The control array is derived state
-  // (rebuilt from the keys), so the wire format is unchanged from the
-  // scalar-probe era and snapshots cross dispatch tiers freely.
+  // (rebuilt from the keys), so snapshots cross dispatch tiers freely.
 
   /// Invokes fn(slot_pos, key, value) for every entry in slot order. Used by
   /// restore-side cross-checks (e.g. Space-Saving's islot validation).
@@ -268,64 +267,25 @@ class flat_hash {
     for_each_used([&](std::size_t i) { fn(i, slots_[i].key, slots_[i].value); });
   }
 
-  /// Serializes capacity + the used slots (ascending position).
-  void save(wire::writer& w) const {
-    w.varint(slots_.size());
-    w.varint(size_);
-    for_each_used([&](std::size_t i) {
-      w.varint(i);
-      wire::codec<Key>::put(w, slots_[i].key);
-      w.varint(static_cast<std::uint64_t>(slots_[i].value));
-    });
-  }
-
-  /// Rebuilds the exact layout from save() output. Returns false - leaving
-  /// the table empty - on ANY structural violation: capacity not a power of
-  /// two (or absurd), overload, positions out of range or non-ascending, or
-  /// an entry that a probe from its home bucket would not reach (which
-  /// would make it silently unfindable). Malformed bytes can never produce
-  /// a table that crashes later. A table already at the saved capacity is
-  /// refilled in place (see begin_restore).
-  [[nodiscard]] bool restore(wire::reader& r) {
-    if (size_ != 0) clear();
-    std::uint64_t cap = 0, count = 0;
-    if (!r.varint(cap) || !r.varint(count)) return false;
-    // An honest save of `count` entries occupies at least 10 bytes each
-    // (pos + 8-byte key + value); reject lying counts before allocating.
-    if (count > r.remaining() / 10 || !begin_restore(cap, count)) return false;
-    std::uint64_t prev_pos = 0;
-    for (std::uint64_t n = 0; n < count; ++n) {
-      std::uint64_t pos = 0, value = 0;
-      Key key{};
-      if (!r.varint(pos) || !wire::codec<Key>::get(r, key) || !r.varint(value)) return false;
-      if (pos >= cap || (n > 0 && pos <= prev_pos)) return false;
-      if (value > std::numeric_limits<Value>::max()) return false;
-      prev_pos = pos;
-      place(static_cast<std::size_t>(pos), token_of(key), key, static_cast<Value>(value));
-    }
-    return probe_layout_valid();
-  }
-
-  /// Streamed, optionally compressed counterpart of save(): same capacity +
-  /// size preamble, then the used slots in tiles of up to wire::kPackBlock
-  /// entries - per tile an ascending-delta position column, a FoR key
-  /// column, and a FoR value column. Tiling (rather than three whole-table
-  /// columns) is what keeps the RESTORE side bounded too: it rebuilds from
-  /// one tile of scratch, never a table-sized temporary. Inline like save()
-  /// - the enclosing section's codec flags decide `packed`.
-  void save_stream(wire::sink& s, bool packed) const {
+  /// Serializes capacity + size, then the used slots (ascending position)
+  /// in tiles of up to wire::kPackBlock entries - per tile an
+  /// ascending-delta position column, a FoR key column, and a FoR value
+  /// column. Tiling (rather than three whole-table columns) is what keeps
+  /// the RESTORE side bounded too: it rebuilds from one tile of scratch,
+  /// never a table-sized temporary. Inline in the owner's section, whose
+  /// codec-flags byte covers these columns.
+  void save(wire::sink& s) const {
     s.varint(slots_.size());
     s.varint(size_);
     std::uint64_t pos[wire::kPackBlock];
     std::size_t m = 0;
     const auto put_tile = [&] {
       std::size_t i = 0;
-      wire::put_ascending_u64(s, m, packed, [&] { return pos[i++]; });
+      wire::put_ascending_u64(s, m, [&] { return pos[i++]; });
       i = 0;
-      wire::put_u64_array(s, m, packed,
-                          [&] { return wire::codec<Key>::to_u64(slots_[pos[i++]].key); });
+      wire::put_key_column<Key>(s, m, [&]() -> const Key& { return slots_[pos[i++]].key; });
       i = 0;
-      wire::put_u64_array(s, m, packed, [&] {
+      wire::put_u64_array(s, m, [&] {
         return static_cast<std::uint64_t>(slots_[pos[i++]].value);
       });
       m = 0;
@@ -337,23 +297,27 @@ class flat_hash {
     if (m > 0) put_tile();
   }
 
-  /// Rebuilds the exact layout from save_stream() output, with the same
-  /// validation contract as restore(): false on any structural violation,
-  /// leaving the table empty. Positions must ascend strictly across tiles,
-  /// not just within them.
-  [[nodiscard]] bool restore_stream(wire::source& s, bool packed) {
+  /// Rebuilds the exact layout from save() output. Returns false - leaving
+  /// the table empty - on ANY structural violation: capacity not a power of
+  /// two (or absurd), overload, positions out of range or non-ascending
+  /// (across tiles, not just within them), or an entry that a probe from
+  /// its home bucket would not reach (which would make it silently
+  /// unfindable). Malformed bytes can never produce a table that crashes
+  /// later. A table already at the saved capacity is refilled in place (see
+  /// begin_restore).
+  [[nodiscard]] bool restore(wire::source& s) {
     if (size_ != 0) clear();
     std::uint64_t cap = 0, count = 0;
     if (!s.varint(cap) || !s.varint(count) || !begin_restore(cap, count)) return false;
     std::uint64_t pos[wire::kPackBlock];
-    std::uint64_t keys[wire::kPackBlock];
+    Key keys[wire::kPackBlock];
     std::uint64_t prev_pos = 0;
     bool any = false;
     std::uint64_t left = count;
     while (left > 0) {
       const std::size_t m = std::min<std::uint64_t>(wire::kPackBlock, left);
       std::size_t i = 0;
-      const bool pos_ok = wire::get_ascending_u64(s, m, packed, [&](std::uint64_t p) {
+      const bool pos_ok = wire::get_ascending_u64(s, m, [&](std::uint64_t p) {
         if (p >= cap || (any && p <= prev_pos)) return false;
         prev_pos = p;
         any = true;
@@ -365,19 +329,18 @@ class flat_hash {
         return false;
       }
       i = 0;
-      if (!wire::get_u64_array(s, m, packed, [&](std::uint64_t raw) {
-            keys[i++] = raw;
+      if (!wire::get_key_column<Key>(s, m, [&](const Key& key) {
+            keys[i++] = key;
             return true;
           })) {
         clear();
         return false;
       }
       i = 0;
-      const bool values_ok = wire::get_u64_array(s, m, packed, [&](std::uint64_t raw) {
+      const bool values_ok = wire::get_u64_array(s, m, [&](std::uint64_t raw) {
         if (raw > std::numeric_limits<Value>::max()) return false;
-        Key key{};
-        if (!wire::codec<Key>::from_u64(keys[i], key)) return false;
-        place(static_cast<std::size_t>(pos[i]), token_of(key), key, static_cast<Value>(raw));
+        place(static_cast<std::size_t>(pos[i]), token_of(keys[i]), keys[i],
+              static_cast<Value>(raw));
         ++i;
         return true;
       });

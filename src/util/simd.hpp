@@ -18,8 +18,8 @@
 //
 //   * byte-group probing primitives (16-wide SSE2, 32-wide AVX2) for
 //     flat_hash's SwissTable-style control array;
-//   * contiguous-u64 scans (threshold visit, min+argmin, running suffix max)
-//     for space_saving's counter vectors and the two-stacks window aggregate;
+//   * contiguous-u64 scans (threshold visit, min+argmin) for space_saving's
+//     counter vectors;
 //   * prefix-mask kernels (variable-shift netmask + key packing) for the
 //     hierarchical batch path: H-Memento materializes one sampled
 //     generalization per packet, which is a data-parallel AND with a
@@ -189,10 +189,6 @@ void scan_ge_u64(const std::uint64_t* v, std::size_t n, std::uint64_t bar, Fn&& 
 [[nodiscard]] inline std::pair<std::uint64_t, std::size_t> min_scan_u64(const std::uint64_t* v,
                                                                         std::size_t n);
 
-/// Running suffix maximum: dst[i] = max(src[i], src[i+1], ..., src[n-1]).
-/// src and dst must not alias. The two-stacks window aggregate's flip.
-inline void suffix_max_u64(const std::uint64_t* src, std::uint64_t* dst, std::size_t n);
-
 // --- prefix masking ----------------------------------------------------------
 // The 1-D prefix encoding is (depth << 32) | (addr & mask_for_depth(depth))
 // with mask_for_depth(d) = d >= 4 ? 0 : ~0u << 8d (prefix1d.hpp). Both
@@ -231,14 +227,6 @@ void scan_ge_u64_scalar(const std::uint64_t* v, std::size_t n, std::uint64_t bar
     }
   }
   return {best, at};
-}
-
-inline void suffix_max_u64_scalar(const std::uint64_t* src, std::uint64_t* dst, std::size_t n) {
-  std::uint64_t running = 0;
-  for (std::size_t i = n; i-- > 0;) {
-    if (src[i] > running) running = src[i];
-    dst[i] = running;
-  }
 }
 
 /// mask_for_depth as branch-free arithmetic: (~0 << 8d) truncated to 32
@@ -328,44 +316,6 @@ MEMENTO_TARGET_AVX2 [[nodiscard]] inline std::pair<std::uint64_t, std::size_t> m
   return {m, n};  // unreachable: m was observed in v
 }
 
-MEMENTO_TARGET_AVX2 [[nodiscard]] inline __m256i max_epu64_avx2(__m256i a, __m256i b) noexcept {
-  const __m256i bias = _mm256_set1_epi64x(kBias64);
-  const __m256i gt =
-      _mm256_cmpgt_epi64(_mm256_xor_si256(a, bias), _mm256_xor_si256(b, bias));
-  return _mm256_blendv_epi8(b, a, gt);
-}
-
-MEMENTO_TARGET_AVX2 inline void suffix_max_u64_avx2(const std::uint64_t* src, std::uint64_t* dst,
-                                                    std::size_t n) {
-  // Tail (n % 4) first, right to left, establishing the carry.
-  std::uint64_t carry = 0;
-  std::size_t i = n;
-  while (i & 3) {
-    --i;
-    if (src[i] > carry) carry = src[i];
-    dst[i] = carry;
-  }
-  // Whole blocks of 4, right to left. In-register suffix max via two
-  // lane-shift + max steps (identity 0 fills vacated lanes), then fold in
-  // the carry from everything to the right of the block.
-  const __m256i zero = _mm256_setzero_si256();
-  while (i) {
-    i -= 4;
-    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    // step 1: lane j gains lane j+1 (lane 3 gains identity).
-    __m256i s1 = _mm256_permute4x64_epi64(x, _MM_SHUFFLE(3, 3, 2, 1));
-    s1 = _mm256_blend_epi32(s1, zero, 0b11000000);
-    __m256i m = max_epu64_avx2(x, s1);
-    // step 2: lane j gains lanes j+2.. (lanes 2,3 gain identity).
-    __m256i s2 = _mm256_permute4x64_epi64(m, _MM_SHUFFLE(3, 3, 3, 2));
-    s2 = _mm256_blend_epi32(s2, zero, 0b11110000);
-    m = max_epu64_avx2(m, s2);
-    m = max_epu64_avx2(m, _mm256_set1_epi64x(static_cast<std::int64_t>(carry)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), m);
-    carry = dst[i];
-  }
-}
-
 MEMENTO_TARGET_AVX2 inline void mask_addr_by_depth_avx2(const std::uint32_t* addrs,
                                                         const std::uint8_t* depths,
                                                         std::uint32_t* out, std::size_t n) {
@@ -423,16 +373,6 @@ void scan_ge_u64(const std::uint64_t* v, std::size_t n, std::uint64_t bar, Fn&& 
   if (active() >= tier::avx2) return detail::min_scan_u64_avx2(v, n);
 #endif
   return detail::min_scan_u64_scalar(v, n);
-}
-
-inline void suffix_max_u64(const std::uint64_t* src, std::uint64_t* dst, std::size_t n) {
-#if MEMENTO_SIMD_X86
-  if (active() >= tier::avx2 && n >= 4) {
-    detail::suffix_max_u64_avx2(src, dst, n);
-    return;
-  }
-#endif
-  detail::suffix_max_u64_scalar(src, dst, n);
 }
 
 inline void mask_addr_by_depth(const std::uint32_t* addrs, const std::uint8_t* depths,

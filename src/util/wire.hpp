@@ -1,7 +1,8 @@
 // Shared wire primitives for everything this repository serializes: the
-// netwide control-channel codecs (netwide/codec.hpp, summary_channel.hpp)
-// and the snapshot layer (snapshot/*.hpp, plus the save()/restore() members
-// on the sketches themselves).
+// netwide sample-report codec (netwide/codec.hpp) on the fixed-layout
+// `writer`/`reader` pair, and the snapshot layer (snapshot/*.hpp, plus the
+// save()/restore() members on the sketches themselves) on the streamed
+// `sink`/`source` pair.
 //
 // Design rules, enforced here once so every consumer inherits them:
 //
@@ -10,28 +11,23 @@
 //   * varints are LEB128 (7 bits per byte, low group first), capped at 10
 //     bytes so a malformed stream cannot spin the decoder;
 //   * every read is bounds-checked and returns false instead of touching
-//     out-of-range memory - a decoder built on `reader` can be fed ANY byte
-//     garbage and must only ever answer "no" (the fuzz tests in
-//     tests/codec_test.cpp and tests/snapshot_test.cpp hold it to that);
-//   * composite objects frame themselves with a versioned section header
-//     (u16 tag | u16 version | u32 body length), so readers can reject
-//     unknown tags/versions cheaply and skip to the end of what they do
-//     understand.
+//     out-of-range memory - a decoder built on `reader` or `source` can be
+//     fed ANY byte garbage and must only ever answer "no" (the fuzz tests in
+//     tests/codec_test.cpp, tests/snapshot_test.cpp and tests/stream_test.cpp
+//     hold it to that).
 //
 // The reader never allocates; the writer only appends to one vector.
 //
-// Streamed (v2) sections: the buffer writer backpatches each section's u32
-// length, which requires the whole body in memory at once. The chunked
-// counterparts below - `sink` and `source` - drop that requirement: a
-// streamed section's length field carries the kStreamLength sentinel (which
-// a v1 reader rejects cleanly, since no real body exceeds the remaining
-// buffer), the body is self-delimiting, and the section closes with a CRC32
-// of its body bytes. The CRC is what keeps the nullopt-on-anything-wrong
-// contract for compressed payloads: a bit flip inside a bit-packed array can
-// decode to structurally valid but wrong state, so structure validation
-// alone is not enough. A sink produces the same bytes whatever the chunk
-// size - and the same bytes whether it flushes to a callback or fills one
-// buffer - so streamed and buffered saves are byte-identical by construction.
+// Sections: composite objects frame themselves through `sink`/`source` as
+// `u16 tag | u16 version | u32 kStreamLength`, a self-delimiting body, and a
+// trailing CRC32 of the body bytes. The sentinel length means no section
+// ever needs its body in memory to backpatch a length, and the CRC is what
+// keeps the nullopt-on-anything-wrong contract for compressed payloads: a
+// bit flip inside a bit-packed array can decode to structurally valid but
+// wrong state, so structure validation alone is not enough. A sink produces
+// the same bytes whatever the chunk size - and the same bytes whether it
+// flushes to a callback or fills one buffer - so chunked and buffered saves
+// are byte-identical by construction.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +36,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -48,11 +43,9 @@
 
 namespace memento::wire {
 
-/// Body-length sentinel of a streamed (v2-framing) section: the writer
-/// cannot backpatch a length it has already flushed, so it declares the body
-/// self-delimiting instead. A v1 `reader` rejects the sentinel as an
-/// over-long body, which is exactly the clean failure wanted from readers
-/// that predate streaming.
+/// Body-length field of every section: a sink cannot backpatch a length it
+/// has already flushed, so it declares the body self-delimiting instead;
+/// a source rejects any other value.
 inline constexpr std::uint32_t kStreamLength = 0xFFFFFFFFu;
 
 /// Little-endian loads and stores of the low `sizeof(T)` bytes at an
@@ -86,7 +79,7 @@ inline void store_le(std::uint8_t* p, T v) noexcept {
 }
 
 /// Incremental CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320): the
-/// per-section integrity check of streamed sections. Slicing-by-8: eight
+/// per-section integrity check of every section. Slicing-by-8: eight
 /// 256-entry tables (built once per process) fold eight input bytes per
 /// step; the tail runs the classic one-table loop. The value does not
 /// depend on how the input is split across update() calls.
@@ -131,8 +124,8 @@ class crc32 {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// Append-only little-endian serializer. Sections nest (tokens are plain
-/// byte offsets), and `take()` releases the buffer without a copy.
+/// Append-only little-endian serializer for fixed-layout payloads;
+/// `take()` releases the buffer without a copy.
 class writer {
  public:
   void reserve(std::size_t n) { out_.reserve(n); }
@@ -146,45 +139,6 @@ class writer {
   /// IEEE double by bit pattern (total order not needed; exactness is).
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-  /// LEB128: 7 bits per byte, low group first, high bit = continuation.
-  void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-
-  void bytes(std::span<const std::uint8_t> b) { out_.insert(out_.end(), b.begin(), b.end()); }
-
-  /// Opens a versioned section: writes `u16 tag | u16 version | u32 length`
-  /// with the length patched by end_section(). Returns the token to pass
-  /// there. Sections may nest; close them innermost-first.
-  [[nodiscard]] std::size_t begin_section(std::uint16_t tag, std::uint16_t version) {
-    u16(tag);
-    u16(version);
-    const std::size_t token = out_.size();
-    u32(0);  // length placeholder
-    return token;
-  }
-
-  /// Closes the section opened at `token` (its body is everything written
-  /// since). A body exceeding the u32 length field poisons the writer (see
-  /// ok()) instead of silently wrapping the framing.
-  void end_section(std::size_t token) {
-    const std::size_t body = out_.size() - token - 4;
-    if (body > std::numeric_limits<std::uint32_t>::max()) {
-      overflowed_ = true;
-      return;
-    }
-    const auto len = static_cast<std::uint32_t>(body);
-    for (int i = 0; i < 4; ++i) out_[token + i] = static_cast<std::uint8_t>(len >> (8 * i));
-  }
-
-  /// False once any section body overflowed its length field; the buffer's
-  /// framing is then corrupt and must not be shipped or stored.
-  [[nodiscard]] bool ok() const noexcept { return !overflowed_; }
-
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return out_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(out_); }
@@ -195,7 +149,6 @@ class writer {
   }
 
   std::vector<std::uint8_t> out_;
-  bool overflowed_ = false;
 };
 
 /// Bounds-checked little-endian deserializer over a borrowed span. Every
@@ -223,63 +176,6 @@ class reader {
     return true;
   }
 
-  /// LEB128 decode; rejects streams running past 10 bytes (the 64-bit max)
-  /// or overflowing 64 bits, so garbage cannot spin or wrap the decoder.
-  [[nodiscard]] bool varint(std::uint64_t& v) noexcept {
-    v = 0;
-    for (int shift = 0; shift < 70; shift += 7) {
-      std::uint8_t byte = 0;
-      if (!u8(byte)) return false;
-      if (shift == 63 && (byte & 0xFE)) return false;  // would overflow 64 bits
-      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if (!(byte & 0x80)) return true;
-    }
-    return false;
-  }
-
-  /// Borrows the next n bytes (no copy); false when fewer remain.
-  [[nodiscard]] bool bytes(std::size_t n, std::span<const std::uint8_t>& out) noexcept {
-    if (remaining() < n) return false;
-    out = in_.subspan(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  /// Opens a section written by writer::begin_section: checks the tag,
-  /// surfaces the version, hands back a reader bounded to the body, and
-  /// advances this reader past it. Tag mismatch or a length running past
-  /// the buffer is a decode failure.
-  [[nodiscard]] bool open_section(std::uint16_t expected_tag, std::uint16_t& version,
-                                  reader& body) noexcept {
-    std::uint16_t tag = 0;
-    std::uint32_t len = 0;
-    if (!u16(tag) || !u16(version) || !u32(len)) return false;
-    if (tag != expected_tag || len > remaining()) return false;
-    body = reader(in_.subspan(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
-  /// Peeks the next section's tag and version without consuming anything;
-  /// false when fewer than four bytes remain. Restore paths use this to
-  /// dispatch between the buffered (v1-framing) and streamed (v2-framing)
-  /// forms of a type before committing to either decoder.
-  [[nodiscard]] bool peek_section(std::uint16_t& tag, std::uint16_t& version) const noexcept {
-    if (remaining() < 4) return false;
-    tag = static_cast<std::uint16_t>(in_[pos_] | (in_[pos_ + 1] << 8));
-    version = static_cast<std::uint16_t>(in_[pos_ + 2] | (in_[pos_ + 3] << 8));
-    return true;
-  }
-
-  /// The unread remainder of the buffer (borrowed, nothing consumed); feed
-  /// it to a buffer-backed `source`, then skip() what the source consumed.
-  [[nodiscard]] std::span<const std::uint8_t> rest() const noexcept {
-    return in_.subspan(pos_);
-  }
-
-  /// Advances past n bytes (clamped to the remainder).
-  void skip(std::size_t n) noexcept { pos_ += std::min(n, remaining()); }
-
   [[nodiscard]] std::size_t remaining() const noexcept { return in_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == in_.size(); }
 
@@ -298,14 +194,14 @@ class reader {
   std::size_t pos_ = 0;
 };
 
-/// Chunked-stream counterpart of `writer`: same primitives, but bytes leave
-/// through a backend callback every `chunk_bytes`, so serializing any amount
-/// of state holds at most one chunk in memory. Sections use the streamed
-/// framing (kStreamLength sentinel + trailing CRC32 of the body); they nest
-/// LIFO, each byte feeding exactly one CRC: a section's body bytes feed its
-/// own, its header and trailing CRC bytes feed its parent's. Backend failure
-/// or writing past finish() poisons the sink (ok() goes false) instead of
-/// losing bytes silently.
+/// Chunked serializer for sections (`writer` only appends fixed-width
+/// fields to one vector): bytes leave through a backend callback every
+/// `chunk_bytes`, so serializing any amount of state holds at most one
+/// chunk in memory. Sections (kStreamLength sentinel + trailing CRC32 of the
+/// body) nest LIFO, each byte feeding exactly one CRC: a section's body
+/// bytes feed its own, its header and trailing CRC bytes feed its parent's.
+/// Backend failure or writing past finish() poisons the sink (ok() goes
+/// false) instead of losing bytes silently.
 ///
 /// Puts land straight in the chunk buffer; the CRC is not stepped per put
 /// but caught up lazily over the span written since its last sync - at
@@ -365,8 +261,8 @@ class sink {
     }
   }
 
-  /// Opens a streamed section: `u16 tag | u16 version | u32 kStreamLength`.
-  /// No token - streamed sections close innermost-first by construction.
+  /// Opens a section: `u16 tag | u16 version | u32 kStreamLength`.
+  /// No token - sections close innermost-first by construction.
   void begin_section(std::uint16_t tag, std::uint16_t version) {
     u16(tag);
     u16(version);
@@ -458,7 +354,7 @@ class sink {
   bool finished_ = false;
 };
 
-/// Validating pull-stream counterpart of `reader`: refills an internal
+/// Validating pull-stream deserializer for sections: refills an internal
 /// window from a backend callback (or walks a borrowed span without
 /// copying), mirrors the sink's CRC stack, and latches failure on the first
 /// short read, bad frame, or CRC mismatch - after which every getter
@@ -491,7 +387,9 @@ class source {
     return true;
   }
 
-  /// LEB128 decode with the same 10-byte / 64-bit caps as reader::varint.
+  /// LEB128 decode; rejects encodings running past 10 bytes (the 64-bit
+  /// max) or overflowing 64 bits, so garbage cannot spin or wrap the
+  /// decoder.
   [[nodiscard]] bool varint(std::uint64_t& v) noexcept {
     if (view_.size() - pos_ >= 10) {  // the longest legal varint is in the window
       const std::uint8_t* p = view_.data() + pos_;
@@ -522,7 +420,7 @@ class source {
   /// Copies the next n bytes into dst; false (latching) on truncation.
   [[nodiscard]] bool read(std::uint8_t* dst, std::size_t n) noexcept { return take(dst, n); }
 
-  /// Opens a streamed section: checks the tag and the kStreamLength
+  /// Opens a section: checks the tag and the kStreamLength
   /// sentinel, surfaces the version, starts the body CRC.
   [[nodiscard]] bool open_section(std::uint16_t expected_tag, std::uint16_t& version) noexcept {
     std::uint16_t tag = 0;
@@ -536,7 +434,7 @@ class source {
 
   /// Closes the innermost open section: reads the stored CRC32 and compares
   /// it against the computed one. Any mismatch is a decode failure - this is
-  /// what turns every bit flip in a streamed body into a deterministic
+  /// what turns every bit flip in a section body into a deterministic
   /// nullopt instead of a silently wrong decode.
   [[nodiscard]] bool close_section() noexcept {
     if (crcs_.empty()) return fail();
@@ -636,39 +534,30 @@ class source {
   bool failed_ = false;
 };
 
-/// Key codec used by the templated sketch save()/restore() members. The
-/// default covers the integral keys every sketch in this repository uses
-/// (u32 addresses, u64 flow ids / prefix keys); other key types opt in by
-/// specializing. Fixed 8-byte encoding: snapshot size is dominated by the
-/// counter payloads, and a fixed width keeps the format trivially auditable.
+/// Key codec used by the templated sketch save()/restore() members: a key
+/// crosses the wire as `words` u64 values, and the key-column helpers
+/// (util/compress.hpp) ship each word as its own FoR column. The default
+/// covers the integral keys every 1-D sketch in this repository uses (u32
+/// addresses, u64 flow ids / prefix keys) in one word; other key types opt
+/// in by specializing with the same three members.
 template <typename T>
 struct codec {
   static_assert(std::is_integral_v<T> && sizeof(T) <= 8,
                 "specialize memento::wire::codec<T> for non-integral keys");
 
-  static void put(writer& w, const T& v) {
-    w.u64(static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(v)));
+  static constexpr std::size_t words = 1;
+  using word_array = std::array<std::uint64_t, words>;
+
+  [[nodiscard]] static word_array to_u64(const T& v) noexcept {
+    return {static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(v))};
   }
 
-  [[nodiscard]] static bool get(reader& r, T& v) noexcept {
-    std::uint64_t raw = 0;
-    if (!r.u64(raw)) return false;
-    return from_u64(raw, v);
-  }
-
-  /// The same 8-byte value as put(), as an integer: the compressed-array
-  /// codecs (util/compress.hpp) move keys through u64 columns instead of
-  /// fixed 8-byte fields.
-  [[nodiscard]] static std::uint64_t to_u64(const T& v) noexcept {
-    return static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(v));
-  }
-
-  /// Inverse of to_u64 with the same range validation as get().
-  [[nodiscard]] static bool from_u64(std::uint64_t raw, T& v) noexcept {
+  /// Inverse of to_u64; false when the word does not fit T.
+  [[nodiscard]] static bool from_u64(const word_array& w, T& v) noexcept {
     if constexpr (sizeof(T) < 8) {
-      if (raw > static_cast<std::uint64_t>(std::make_unsigned_t<T>(-1))) return false;
+      if (w[0] > static_cast<std::uint64_t>(std::make_unsigned_t<T>(-1))) return false;
     }
-    v = static_cast<T>(raw);
+    v = static_cast<T>(w[0]);
     return true;
   }
 };

@@ -19,7 +19,7 @@
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
 #include "util/simd.hpp"
-#include "util/wire.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace memento {
 namespace {
@@ -312,11 +312,7 @@ TEST(BatchEquivalence, EmptyAndSingleElementBatches) {
 // produce identical observables AND identical save() bytes - the SIMD
 // probes/scans may only change speed, never state.
 
-std::vector<std::uint8_t> sketch_bytes(const sketch& s) {
-  wire::writer w;
-  s.save(w);
-  return w.data();
-}
+std::vector<std::uint8_t> sketch_bytes(const sketch& s) { return snapshot::save(s); }
 
 std::vector<simd::tier> host_tiers() {
   std::vector<simd::tier> out{simd::tier::scalar};
@@ -371,8 +367,7 @@ TEST(BatchSimd, SimdBuiltSketchContinuesIdenticallyUnderScalar) {
   }
   {
     simd::scoped_tier guard(simd::tier::scalar);
-    wire::reader r(image);
-    auto restored = sketch::restore(r);
+    auto restored = snapshot::restore<sketch>(image);
     ASSERT_TRUE(restored.has_value());
     restored->update_batch(ids.data() + half, ids.size() - half);
     EXPECT_EQ(sketch_bytes(*restored), reference);
@@ -389,11 +384,7 @@ TEST(BatchSimd, HMementoEveryTierIsByteIdenticalOnBothHierarchies) {
   std::vector<packet> packets;
   for (int i = 0; i < 20000; ++i) packets.push_back(gen.next());
 
-  auto bytes_of = [](const auto& h) {
-    wire::writer w;
-    h.save(w);
-    return w.data();
-  };
+  auto bytes_of = [](const auto& h) { return snapshot::save(h); };
   auto run = [&](auto tag, simd::tier t, double tau) {
     using hierarchy = decltype(tag);
     simd::scoped_tier guard(t);

@@ -596,9 +596,7 @@ TEST(Controller, InlinePipelineHostSamplesIngestAndRebalances) {
 TEST(Controller, HierarchicalFrontHostRebalancesButCannotRescale) {
   // The HHH frontend gets the same lifecycle except elastic scaling
   // (reshard.hpp: HHH N -> M is future work): rescale reports unsupported
-  // and the brain logs scale_rejected instead of wedging. 1-D hierarchy:
-  // the streamed checkpoint path needs wire::codec<Key>::to_u64, which
-  // prefix2d keys do not have.
+  // and the brain logs scale_rejected instead of wedging.
   using front_t = sharded_h_memento<source_hierarchy>;
   const h_memento_config cfg{40000, 512, 1.0, 0.05, 21};
   front_t front(cfg, 2);

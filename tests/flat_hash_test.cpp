@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,9 +35,17 @@ std::vector<simd::tier> host_tiers() {
 }
 
 std::vector<std::uint8_t> save_bytes(const flat_hash<std::uint64_t>& h) {
-  wire::writer w;
-  h.save(w);
-  return w.data();
+  std::vector<std::uint8_t> out;
+  wire::sink s(out);
+  h.save(s);
+  EXPECT_TRUE(s.finish());
+  return out;
+}
+
+/// Restores `h` from save_bytes() output; false unless every byte is used.
+bool restore_bytes(flat_hash<std::uint64_t>& h, std::span<const std::uint8_t> image) {
+  wire::source s(image);
+  return h.restore(s) && s.done();
 }
 
 TEST(FlatHash, StartsEmptyAndUnallocated) {
@@ -406,11 +415,8 @@ void run_op_stream(simd::tier t, std::uint64_t seed, std::vector<std::uint64_t>*
       }
       default: {  // save/restore interleaving mid-stream
         if (op % 977 == 0) {
-          wire::writer w;
-          h.save(w);
-          wire::reader r(w.data());
           flat_hash<std::uint64_t> back;
-          ASSERT_TRUE(back.restore(r)) << "mid-stream restore failed";
+          ASSERT_TRUE(restore_bytes(back, save_bytes(h))) << "mid-stream restore failed";
           probe_log->push_back(back.size());
           h = std::move(back);
         }
@@ -462,9 +468,8 @@ TEST(FlatHashSimd, SaveRestoreCrossesDispatchTiers) {
     std::vector<std::uint8_t> final_a, final_b;
     for (int which = 0; which < 2; ++which) {
       simd::scoped_tier guard(which == 0 ? continue_tier : simd::tier::scalar);
-      wire::reader r(image);
       flat_hash<std::uint64_t> h;
-      ASSERT_TRUE(h.restore(r));
+      ASSERT_TRUE(restore_bytes(h, image));
       EXPECT_EQ(save_bytes(h), image) << "restore-save not a fixed point";
       xoshiro256 rng(1717);
       for (int i = 0; i < 400; ++i) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/memento.hpp"
 #include "core/wcss.hpp"
 #include "sketch/exact_window.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
 
@@ -314,6 +316,40 @@ TEST(MementoWindow, EvictStormStaysWithinTheSizedOverflowBound) {
     EXPECT_GE(peak, k / 2) << "the storm should fill B to near a frame's k events";
     EXPECT_LE(peak, 2 * k);
     EXPECT_EQ(m.forced_drains(), 0u);
+  }
+}
+
+TEST(MementoWindow, OverflowPeakMatchesPerBlockAppendOracle) {
+  // block_overflow_peak() is the max append count over the completed
+  // blocks still in the window, less the oldest one being retired: the
+  // last k - 1 completed blocks. The oracle records each block's appends
+  // as it closes (a block boundary fires at the start of every
+  // block_length()-th update, before that packet's own append).
+  for (const std::size_t k : {std::size_t{2}, std::size_t{8}, std::size_t{33}}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    memento_sketch<std::uint64_t> m(k * 60, k, 1.0, 5);
+    xoshiro256 rng(k);
+    std::deque<std::uint64_t> completed;
+    for (int i = 0; i < 20000; ++i) {
+      // Alternate quiet stretches over many keys with bursts on a few, so
+      // block append counts swing and the peak has to expire.
+      const bool burst = (i / 700) % 3 == 0;
+      const std::uint64_t open_appends = m.block_overflow_appends();
+      m.update(burst ? rng.bounded(3) : rng.bounded(500));
+      if (m.stream_length() % m.block_length() == 0) {
+        completed.push_back(open_appends);
+        if (completed.size() > k - 1) completed.pop_front();
+      }
+      const std::uint64_t oracle =
+          completed.empty() ? 0 : *std::max_element(completed.begin(), completed.end());
+      ASSERT_EQ(m.block_overflow_peak(), oracle) << "packet " << i;
+    }
+    // The peak is derived from the ring, so a restored sketch reports the
+    // restored window's peak.
+    const auto back = snapshot::restore<memento_sketch<std::uint64_t>>(snapshot::save(m));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->block_overflow_peak(), m.block_overflow_peak());
+    EXPECT_EQ(back->block_overflow_appends(), m.block_overflow_appends());
   }
 }
 

@@ -370,6 +370,15 @@ TEST(SummaryChannel, ReportCodecRoundTripsAndRejectsGarbage) {
   auto garbage = payload;
   garbage.push_back(0x00);
   EXPECT_FALSE(decode_summary_report<std::uint64_t>(garbage).has_value());
+  // Past the 12-byte origin/covered header the payload is one CRC'd
+  // section: every bit flip there is rejected.
+  auto flipped = payload;
+  for (std::size_t i = 12; i < payload.size(); ++i) {
+    flipped[i] ^= 0x01;
+    EXPECT_FALSE(decode_summary_report<std::uint64_t>(flipped).has_value())
+        << "accepted corruption at byte " << i;
+    flipped[i] = payload[i];
+  }
 }
 
 TEST(SummaryChannel, BudgetGatesSummaryCadence) {
@@ -514,7 +523,7 @@ TEST(DeltaChannel, ReportCodecRoundTripsFullAndDelta) {
   EXPECT_EQ(got->changed, report.changed);
   EXPECT_EQ(got->removed, report.removed);
 
-  // Full kind: the embedded WS v2 section round-trips its entries.
+  // Full kind: the embedded WS section round-trips its entries.
   delta_summary_report<std::uint64_t> full;
   full.origin = 3;
   full.epoch = 1;

@@ -32,15 +32,13 @@
 #include "trace/packet_ring.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
-#include "util/wire.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace memento {
 namespace {
 
 std::vector<std::uint8_t> frontend_bytes(const sharded_memento<std::uint64_t>& f) {
-  wire::writer w;
-  f.save(w);
-  return w.data();
+  return snapshot::save(f);
 }
 
 std::vector<std::uint64_t> keys_of(const std::vector<packet>& pkts) {
@@ -342,10 +340,7 @@ TEST(ShardedPool, DrainedPoolMatchesDeterministicFrontend) {
   ASSERT_EQ(pool.frontend().stream_length(), reference.stream_length());
   for (std::size_t s = 0; s < cfg.sharding.shards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
-    wire::writer a, b;
-    pool.frontend().shard(s).save(a);
-    reference.shard(s).save(b);
-    EXPECT_EQ(a.data(), b.data());
+    EXPECT_EQ(snapshot::save(pool.frontend().shard(s)), snapshot::save(reference.shard(s)));
   }
   const auto hh = pool.heavy_hitters(0.01);
   EXPECT_FALSE(hh.empty());

@@ -41,7 +41,7 @@
 #include "snapshot/reshard.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/trace_generator.hpp"
-#include "util/wire.hpp"
+#include "util/compress.hpp"
 
 namespace memento {
 namespace {
@@ -477,19 +477,23 @@ TEST(Rebalance, WireRejectsMalformedBucketTables) {
   const auto ids = skewed_ids(12000, 1.0, 57);
   front.update_batch(ids.data(), ids.size());
 
-  // Valid v2 envelope builder with a hand-chosen table section.
+  // Valid envelope builder with a hand-chosen table section.
   auto build = [&](std::uint64_t buckets, const std::vector<std::uint64_t>& entries) {
-    wire::writer w;
+    std::vector<std::uint8_t> out;
+    wire::sink w(out);
     w.u32(snapshot::kMagic);
-    const auto tok = w.begin_section(sharded::kWireTag, sharded::kWireVersion);
+    w.begin_section(sharded::kWireTag, sharded::kWireVersion);
+    w.u8(wire::kCodecPacked);
     w.varint(2);
     w.u64(cfg.seed);
     w.varint(buckets);
-    for (const auto e : entries) w.varint(e);
+    std::size_t i = 0;
+    wire::put_u64_array(w, entries.size(), [&] { return entries[i++]; });
     front.shard(0).save(w);
     front.shard(1).save(w);
-    w.end_section(tok);
-    return w.take();
+    w.end_section();
+    EXPECT_TRUE(w.finish());
+    return out;
   };
 
   // Control: the envelope itself is sound (uniform 2-shard table decodes).

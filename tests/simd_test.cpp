@@ -1,16 +1,13 @@
-// util/simd.hpp + util/sliding_window_agg.hpp: runtime dispatch semantics
-// and kernel differentials.
+// util/simd.hpp: runtime dispatch semantics and kernel differentials.
 //
 // Every vectorized kernel has a scalar twin that is the behavioral oracle;
 // these tests drive the SAME binary through every tier the host supports
 // (simd::scoped_tier) and require identical results - values, visit order,
-// and tie-breaks. The two-stacks window aggregate is additionally checked
-// against a naive recompute-the-window-max oracle.
+// and tie-breaks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <vector>
 
 #include "hierarchy/prefix1d.hpp"
@@ -18,7 +15,6 @@
 #include "trace/packet.hpp"
 #include "util/random.hpp"
 #include "util/simd.hpp"
-#include "util/sliding_window_agg.hpp"
 
 namespace memento {
 namespace {
@@ -134,24 +130,6 @@ TEST(SimdScan, MinScanHandlesExtremeValues) {
   }
 }
 
-TEST(SimdScan, SuffixMaxMatchesScalarOnEveryTier) {
-  xoshiro256 rng(33);
-  for (const std::size_t n : {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 11ul, 64ul, 257ul}) {
-    for (int round = 0; round < 20; ++round) {
-      std::vector<std::uint64_t> src(n);
-      for (auto& x : src) x = rng();
-      std::vector<std::uint64_t> expect(n), got(n);
-      simd::detail::suffix_max_u64_scalar(src.data(), expect.data(), n);
-      for (const simd::tier t : host_tiers()) {
-        simd::scoped_tier guard(t);
-        std::fill(got.begin(), got.end(), 0);
-        simd::suffix_max_u64(src.data(), got.data(), n);
-        EXPECT_EQ(got, expect) << "tier " << simd::tier_name(t) << " n=" << n;
-      }
-    }
-  }
-}
-
 // --- prefix masking kernels: the HHH batch hot path ---------------------------
 
 TEST(SimdPrefix, DepthMaskMatchesPrefix1dIncludingFullGeneralization) {
@@ -232,77 +210,6 @@ TEST(SimdPrefix, MaterializeKeysMatchesKeyAtOracleForBothHierarchies) {
   };
   check(source_hierarchy{});
   check(two_dim_hierarchy{});
-}
-
-// --- two-stacks sliding-window aggregate -------------------------------------
-
-/// Naive oracle: keep the raw window, recompute the max on every query.
-class naive_max_window {
- public:
-  explicit naive_max_window(std::size_t window) : window_(window) {}
-  void push(std::uint64_t v) {
-    if (vals_.size() == window_) vals_.pop_front();
-    vals_.push_back(v);
-  }
-  [[nodiscard]] std::uint64_t query() const {
-    std::uint64_t m = 0;
-    for (const auto v : vals_) m = std::max(m, v);
-    return m;
-  }
-  [[nodiscard]] std::size_t size() const { return vals_.size(); }
-
- private:
-  std::size_t window_;
-  std::deque<std::uint64_t> vals_;
-};
-
-TEST(TwoStacksWindow, EmptyQueriesIdentity) {
-  max_window_u64 w(8);
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.query(), 0u);
-  EXPECT_EQ(w.window(), 8u);
-}
-
-TEST(TwoStacksWindow, MatchesNaiveOracleOnEveryTier) {
-  for (const simd::tier t : host_tiers()) {
-    simd::scoped_tier guard(t);
-    for (const std::size_t window : {1ul, 2ul, 3ul, 7ul, 16ul, 100ul}) {
-      xoshiro256 rng(1234);
-      max_window_u64 fast(window);
-      naive_max_window naive(window);
-      for (int i = 0; i < 5000; ++i) {
-        // Mixed magnitudes: long quiet stretches with rare spikes, so evicting
-        // the current max (the hard case) actually happens.
-        const std::uint64_t v = (rng() % 100 == 0) ? rng() : rng() % 8;
-        fast.push(v);
-        naive.push(v);
-        ASSERT_EQ(fast.size(), naive.size());
-        ASSERT_EQ(fast.query(), naive.query())
-            << "tier " << simd::tier_name(t) << " window=" << window << " step=" << i;
-      }
-    }
-  }
-}
-
-TEST(TwoStacksWindow, ClearEmptiesButKeepsWindowLength) {
-  max_window_u64 w(4);
-  for (std::uint64_t v : {5ull, 9ull, 2ull}) w.push(v);
-  EXPECT_EQ(w.query(), 9u);
-  w.clear();
-  EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.query(), 0u);
-  EXPECT_EQ(w.window(), 4u);
-  w.push(3);
-  EXPECT_EQ(w.query(), 3u);
-}
-
-TEST(TwoStacksWindow, WindowOfOneTracksTheLastValue) {
-  max_window_u64 w(1);
-  for (std::uint64_t v : {7ull, 100ull, 1ull, 42ull}) {
-    w.push(v);
-    EXPECT_EQ(w.query(), v);
-    EXPECT_EQ(w.size(), 1u);
-  }
 }
 
 }  // namespace

@@ -20,11 +20,14 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/h_memento.hpp"
 #include "core/memento.hpp"
 #include "hierarchy/prefix1d.hpp"
+#include "hierarchy/prefix2d.hpp"
+#include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "sketch/exact_window.hpp"
 #include "sketch/space_saving.hpp"
@@ -32,6 +35,7 @@
 #include "snapshot/snapshot.hpp"
 #include "snapshot/summary.hpp"
 #include "trace/trace_generator.hpp"
+#include "util/compress.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -118,9 +122,11 @@ TEST(Wire, VarintRoundTripsBoundaryValues) {
                                  1u << 21, 1ull << 35, 1ull << 56,
                                  ~0ull - 1, ~0ull};
   for (const std::uint64_t v : cases) {
-    wire::writer w;
+    bytes_t buf;
+    wire::sink w(buf);
     w.varint(v);
-    wire::reader r(w.data());
+    ASSERT_TRUE(w.finish());
+    wire::source r{std::span<const std::uint8_t>(buf)};
     std::uint64_t back = 0;
     ASSERT_TRUE(r.varint(back)) << v;
     EXPECT_EQ(back, v);
@@ -131,48 +137,74 @@ TEST(Wire, VarintRoundTripsBoundaryValues) {
 TEST(Wire, VarintRejectsOverflowAndRunaway) {
   // 11 continuation bytes: runs past the 10-byte cap.
   const bytes_t runaway(11, 0x80);
-  wire::reader r1{std::span<const std::uint8_t>(runaway)};
+  wire::source r1{std::span<const std::uint8_t>(runaway)};
   std::uint64_t v = 0;
   EXPECT_FALSE(r1.varint(v));
   // 10 bytes whose last group overflows 64 bits.
   bytes_t overflow(10, 0x80);
   overflow[9] = 0x02;
-  wire::reader r2{std::span<const std::uint8_t>(overflow)};
+  wire::source r2{std::span<const std::uint8_t>(overflow)};
   EXPECT_FALSE(r2.varint(v));
+  // The same bytes one per read: the window-edge path keeps both caps.
+  const bytes_t* const bad_inputs[] = {&runaway, &overflow};
+  for (const bytes_t* bad : bad_inputs) {
+    std::size_t at = 0;
+    wire::source trickle(
+        [&](std::uint8_t* dst, std::size_t) {
+          if (at == bad->size()) return std::size_t{0};
+          *dst = (*bad)[at++];
+          return std::size_t{1};
+        },
+        1);
+    EXPECT_FALSE(trickle.varint(v));
+  }
   // Truncated mid-varint.
   const bytes_t cut = {0x80};
-  wire::reader r3{std::span<const std::uint8_t>(cut)};
+  wire::source r3{std::span<const std::uint8_t>(cut)};
   EXPECT_FALSE(r3.varint(v));
 }
 
 TEST(Wire, SectionsFrameAndRejectMismatches) {
-  wire::writer w;
-  const auto tok = w.begin_section(0xABCD, 3);
+  bytes_t buf;
+  wire::sink w(buf);
+  w.begin_section(0xABCD, 3);
   w.u32(42);
-  w.end_section(tok);
+  w.end_section();
   w.u8(0x77);  // trailing data after the section
+  ASSERT_TRUE(w.finish());
+  // tag | version | kStreamLength | body | CRC32(body) | trailing byte
+  ASSERT_EQ(buf.size(), 8u + 4 + 4 + 1);
+  EXPECT_EQ(wire::load_le<std::uint32_t>(buf.data() + 4), wire::kStreamLength);
 
-  wire::reader r(w.data());
+  wire::source r{std::span<const std::uint8_t>(buf)};
   std::uint16_t version = 0;
-  wire::reader body;
-  ASSERT_TRUE(r.open_section(0xABCD, version, body));
+  ASSERT_TRUE(r.open_section(0xABCD, version));
   EXPECT_EQ(version, 3);
   std::uint32_t v = 0;
-  ASSERT_TRUE(body.u32(v));
+  ASSERT_TRUE(r.u32(v));
   EXPECT_EQ(v, 42u);
-  EXPECT_TRUE(body.done());
+  ASSERT_TRUE(r.close_section());
   std::uint8_t tail = 0;
   ASSERT_TRUE(r.u8(tail));
   EXPECT_EQ(tail, 0x77);
+  EXPECT_TRUE(r.done());
 
-  wire::reader wrong(w.data());
-  EXPECT_FALSE(wrong.open_section(0x1111, version, body));  // tag mismatch
+  wire::source wrong{std::span<const std::uint8_t>(buf)};
+  EXPECT_FALSE(wrong.open_section(0x1111, version));  // tag mismatch
 
-  // A section length running past the buffer is a decode failure.
-  bytes_t lying(w.data().begin(), w.data().end());
-  lying[4] = 0xFF;  // length field low byte
-  wire::reader r2(lying);
-  EXPECT_FALSE(r2.open_section(0xABCD, version, body));
+  // Any length field but the sentinel is a decode failure.
+  bytes_t lying = buf;
+  lying[4] = 0x04;
+  wire::source r2{std::span<const std::uint8_t>(lying)};
+  EXPECT_FALSE(r2.open_section(0xABCD, version));
+
+  // A body byte that no longer matches the trailing CRC fails the close.
+  bytes_t flipped = buf;
+  flipped[8] ^= 0x01;
+  wire::source r3{std::span<const std::uint8_t>(flipped)};
+  ASSERT_TRUE(r3.open_section(0xABCD, version));
+  ASSERT_TRUE(r3.u32(v));
+  EXPECT_FALSE(r3.close_section());
 }
 
 // --- space_saving round trip ------------------------------------------------
@@ -318,8 +350,8 @@ TEST(SnapshotSharded, RestoreThenContinueIsBitIdentical) {
 
 TEST(SnapshotShardedHMemento, RestoreThenContinueIsBitIdentical) {
   // Weighted (TABLE-mode) routing: migrate two buckets so the snapshot must
-  // carry a non-uniform table, then round-trip through both the buffered v1
-  // and the streamed v2 framing. Continuation after restore must be
+  // carry a non-uniform table, then round-trip through the buffer and
+  // through a chunked sink. Continuation after restore must be
   // byte-identical to the original continuing through the same stream -
   // routing, per-shard sampler/PRNG timelines and window state included.
   const h_memento_config cfg{20000, 240, 0.5, 1e-3, 23};
@@ -330,9 +362,20 @@ TEST(SnapshotShardedHMemento, RestoreThenContinueIsBitIdentical) {
   const auto ps = trace_packets(60000, 11);
   a.update_batch(ps.data(), 40000);
 
-  for (const bool streamed : {false, true}) {
-    SCOPED_TRACE(streamed ? "streamed v2" : "buffered v1");
-    const auto buf = streamed ? snapshot::save_streamed(a) : snapshot::save(a);
+  for (const bool chunked : {false, true}) {
+    SCOPED_TRACE(chunked ? "chunked sink" : "buffer");
+    bytes_t buf;
+    if (chunked) {
+      wire::sink sink(
+          [&](std::span<const std::uint8_t> b) {
+            buf.insert(buf.end(), b.begin(), b.end());
+            return true;
+          },
+          256);
+      ASSERT_TRUE(snapshot::stream_save(a, sink));
+    } else {
+      buf = snapshot::save(a);
+    }
     ASSERT_FALSE(buf.empty());
     auto b = snapshot::restore<sharded_h_memento<source_hierarchy>>(buf);
     ASSERT_TRUE(b.has_value());
@@ -361,21 +404,28 @@ TEST(SnapshotShardedHMemento, RestoreThenContinueIsBitIdentical) {
 }
 
 TEST(SnapshotShardedHMemento, TwoDimFrontendRoundTrips) {
-  // The 2-D lattice exercises the prefix2d key codec through every layer of
-  // the section stack (counters, overflow table, block ring). Buffered
-  // framing only: prefix2d exceeds the streamed formats' 64-bit key column
-  // (see wire::codec<prefix2d>), so 2-D deployments checkpoint buffered.
+  // The 2-D lattice exercises the two-word prefix2d key codec through every
+  // key column of the section stack (counters, overflow table, block ring).
   sharded_h_memento<two_dim_hierarchy> a(h_memento_config{8000, 300, 0.5, 1e-3, 29}, 3);
   const auto ps = trace_packets(30000, 17);
   a.update_batch(ps.data(), 20000);
+  ASSERT_GT(a.shard(0).inner().overflow_entries(), 0u);
 
   const auto buf = snapshot::save(a);
   auto b = snapshot::restore<sharded_h_memento<two_dim_hierarchy>>(buf);
   ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(snapshot::save(*b), buf);
   sharded_h_memento<two_dim_hierarchy> cont = a;
   cont.update_batch(ps.data() + 20000, 10000);
   b->update_batch(ps.data() + 20000, 10000);
   EXPECT_EQ(snapshot::save(cont), snapshot::save(*b));
+  const auto oa = cont.output(0.02);
+  const auto ob = b->output(0.02);
+  ASSERT_EQ(oa.size(), ob.size());
+  for (std::size_t i = 0; i < oa.size(); ++i) {
+    EXPECT_EQ(oa[i].key, ob[i].key);
+    EXPECT_DOUBLE_EQ(oa[i].conditioned_frequency, ob[i].conditioned_frequency);
+  }
 }
 
 // --- mergeable summaries ----------------------------------------------------
@@ -586,20 +636,24 @@ TEST(Reshard, RejectsDuplicatedShardSections) {
   front.update_batch(ids.data(), ids.size());
   ASSERT_GT(front.shard(0).overflow_entries() + front.shard(0).counters(), 0u);
 
-  wire::writer w;
+  bytes_t buf;
+  wire::sink w(buf);
   w.u32(snapshot::kMagic);
-  const auto tok = w.begin_section(sharded::kWireTag, sharded::kWireVersion);
+  w.begin_section(sharded::kWireTag, sharded::kWireVersion);
+  w.u8(wire::kCodecPacked);
   w.varint(2);       // shard count
-  w.u64(cfg.seed);   // base seed (v2)
-  w.varint(0);       // no bucket table (v2): HASH-mode routing
+  w.u64(cfg.seed);   // base seed
+  w.varint(0);       // no bucket table: HASH-mode routing
   front.shard(0).save(w);
   front.shard(0).save(w);  // same shard twice: same keys twice
-  w.end_section(tok);
+  w.end_section();
+  ASSERT_TRUE(w.finish());
+  ASSERT_TRUE(snapshot::restore<sharded>(buf).has_value());  // individually valid shards
 
   shard_config nc = cfg;
-  EXPECT_FALSE(snapshot_builder::reshard<std::uint64_t>(
-                   std::span<const std::uint8_t>(w.data()), nc)
-                   .has_value());
+  EXPECT_FALSE(
+      snapshot_builder::reshard<std::uint64_t>(std::span<const std::uint8_t>(buf), nc)
+          .has_value());
 }
 
 TEST(Reshard, RejectsIncompatibleGeometries) {
@@ -625,10 +679,81 @@ TEST(Reshard, RejectsIncompatibleGeometries) {
 
 // --- malformed-input hardening ---------------------------------------------
 
-/// Every prefix of a valid snapshot must decode to nullopt; every bit-flip
-/// must either decode to nullopt or to a structurally sane object - never
-/// crash, never a partial object. Run under ASan/UBSan in CI (ctest label
-/// `snapshot`), which turns any out-of-bounds touch into a hard failure.
+/// One section of an honest image: its CRC32 sits at `end`, and `own` are
+/// the byte ranges that CRC covers - the section's body minus its child
+/// sections' bodies (a child's header and CRC word feed the parent's CRC,
+/// its body bytes only its own).
+struct section_span {
+  std::size_t end = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> own;
+};
+
+/// A section header at `at`: a known tag, any version, the sentinel.
+bool section_header_at(const bytes_t& image, std::size_t at) {
+  const std::uint16_t tags[] = {space_saving<std::uint64_t>::kWireTag, sketch::kWireTag,
+                                h_memento<source_hierarchy>::kWireTag, sharded::kWireTag,
+                                sharded_h_memento<source_hierarchy>::kWireTag,
+                                summary::kWireTag};
+  if (at + 8 > image.size()) return false;
+  const auto tag = wire::load_le<std::uint16_t>(image.data() + at);
+  return std::find(std::begin(tags), std::end(tags), tag) != std::end(tags) &&
+         wire::load_le<std::uint32_t>(image.data() + at + 4) == wire::kStreamLength;
+}
+
+/// Walks the section whose header is at `at`, appending it after its
+/// children (post-order); returns its CRC position, or 0 when none is found.
+/// The end is the first offset where the running CRC matches the stored
+/// word.
+std::size_t walk_section(const bytes_t& image, std::size_t at, std::vector<section_span>& out) {
+  section_span sec;
+  wire::crc32 crc;
+  std::size_t from = at + 8;
+  for (std::size_t i = at + 8; i + 4 <= image.size();) {
+    if (section_header_at(image, i)) {
+      crc.update(image.data() + i, 8);
+      sec.own.emplace_back(from, i + 8);
+      const std::size_t child_end = walk_section(image, i, out);
+      if (child_end == 0) return 0;
+      crc.update(image.data() + child_end, 4);
+      from = child_end;
+      i = child_end + 4;
+    } else if (crc.value() == wire::load_le<std::uint32_t>(image.data() + i)) {
+      sec.own.emplace_back(from, i);
+      sec.end = i;
+      out.push_back(std::move(sec));
+      return i;
+    } else {
+      crc.update(image.data() + i, 1);
+      ++i;
+    }
+  }
+  return 0;
+}
+
+/// Every section of an honest snapshot image, children before parents.
+std::vector<section_span> find_sections(const bytes_t& image) {
+  std::vector<section_span> out;
+  if (section_header_at(image, 4)) walk_section(image, 4, out);  // after the magic
+  return out;
+}
+
+/// Recomputes every section CRC of a (corrupted) image, children first, so
+/// only structural validation stands between the bytes and a restored
+/// object.
+void reseal(bytes_t& image, const std::vector<section_span>& sections) {
+  for (const section_span& sec : sections) {
+    wire::crc32 crc;
+    for (const auto& [from, to] : sec.own) crc.update(image.data() + from, to - from);
+    wire::store_le(image.data() + sec.end, crc.value());
+  }
+}
+
+/// Every prefix of a valid snapshot must decode to nullopt and every bit
+/// flip must be rejected (the section CRCs). With the CRCs recomputed over
+/// a flipped byte, the image must either decode to nullopt or to a
+/// structurally sane object - never crash, never a partial object. Run
+/// under ASan/UBSan in CI (ctest label `snapshot`), which turns any
+/// out-of-bounds touch into a hard failure.
 template <typename T>
 void fuzz_snapshot(const bytes_t& valid) {
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
@@ -636,13 +761,24 @@ void fuzz_snapshot(const bytes_t& valid) {
         snapshot::restore<T>(std::span<const std::uint8_t>(valid.data(), cut)).has_value())
         << "accepted truncation at " << cut << "/" << valid.size();
   }
+  const auto sections = find_sections(valid);
+  ASSERT_FALSE(sections.empty());
+  ASSERT_EQ(sections.back().end + 4, valid.size());
+  bytes_t resealed = valid;
+  reseal(resealed, sections);
+  ASSERT_EQ(resealed, valid) << "the section walk missed a CRC range";
   bytes_t mutated = valid;
   for (std::size_t i = 0; i < valid.size(); ++i) {
     for (const std::uint8_t flip : {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
       mutated[i] = valid[i] ^ flip;
-      (void)snapshot::restore<T>(mutated);  // must not crash; value optional
+      EXPECT_FALSE(snapshot::restore<T>(mutated).has_value())
+          << "accepted corruption at byte " << i << " flip " << int(flip);
     }
-    mutated[i] = valid[i];
+    // One re-sealed flip per byte keeps the sweep's cost near one pass.
+    mutated[i] = valid[i] ^ 0x01;
+    reseal(mutated, sections);
+    (void)snapshot::restore<T>(mutated);  // must not crash; value optional
+    mutated = valid;
   }
   // Trailing garbage is rejected even though the payload is intact.
   mutated.push_back(0x5A);
@@ -687,7 +823,6 @@ TEST(SnapshotFuzz, ShardedHMementoSurvivesTruncationAndCorruption) {
   const auto ps = trace_packets(8000, 63);
   s.update_batch(ps.data(), ps.size());
   fuzz_snapshot<sharded_h_memento<source_hierarchy>>(snapshot::save(s));
-  fuzz_snapshot<sharded_h_memento<source_hierarchy>>(snapshot::save_streamed(s));
 }
 
 TEST(SnapshotFuzz, TwoDimShardedHMementoSurvivesTruncationAndCorruption) {
@@ -705,16 +840,20 @@ TEST(SnapshotFuzz, SummarySurvivesTruncationAndCorruption) {
 }
 
 TEST(SnapshotFuzz, RestoredCorruptionSurvivorsStayUsable) {
-  // When a bit flip happens to decode (e.g. it only touched a key byte),
-  // the object must still be SAFE to drive - feed every survivor a stream.
+  // When a bit flip with a recomputed CRC happens to decode (e.g. it only
+  // touched a key bit), the object must still be SAFE to drive - feed every
+  // survivor a stream.
   sketch s(2000, 16, 1.0, 2);
   const auto ids = skewed_ids(6000, 1.0, 61);
   s.update_batch(ids.data(), ids.size());
   const auto valid = snapshot::save(s);
+  const auto sections = find_sections(valid);
+  ASSERT_EQ(sections.size(), 2u);  // the sketch and its Space-Saving
   bytes_t mutated = valid;
   std::size_t survivors = 0;
   for (std::size_t i = 0; i < valid.size(); ++i) {
     mutated[i] = valid[i] ^ 0x01;
+    reseal(mutated, sections);
     if (auto r = snapshot::restore<sketch>(mutated)) {
       ++survivors;
       r->update_batch(ids.data(), 2000);
@@ -724,7 +863,7 @@ TEST(SnapshotFuzz, RestoredCorruptionSurvivorsStayUsable) {
     }
     mutated[i] = valid[i];
   }
-  // The identity flip set always contains survivors (key bytes); this just
+  // The resealed flip set always contains survivors (key bits); this just
   // documents that the loop above exercised real objects.
   EXPECT_GT(survivors, 0u);
 }
@@ -733,16 +872,19 @@ TEST(SnapshotFuzz, RejectsLyingEntryCountWithoutAllocating) {
   // A 9-byte varint can claim 2^60 entries in a tiny payload; the guard
   // must reject it by division (a multiply would wrap and reach a throwing
   // resize, violating the nullopt-never-crash contract).
-  wire::writer w;
+  bytes_t buf;
+  wire::sink w(buf);
   w.u32(snapshot::kMagic);
-  const auto tok = w.begin_section(summary::kWireTag, summary::kWireVersion);
+  w.begin_section(summary::kWireTag, summary::kWireVersion);
+  w.u8(wire::kCodecPacked);
   w.varint(100);               // window
   w.varint(100);               // stream
   w.f64(1.0);                  // width
   w.f64(1.0);                  // miss bound
   w.varint(1ull << 60);        // entry count: absurd
-  w.end_section(tok);
-  EXPECT_FALSE(snapshot::restore<summary>(w.data()).has_value());
+  w.end_section();
+  ASSERT_TRUE(w.finish());
+  EXPECT_FALSE(snapshot::restore<summary>(buf).has_value());
 }
 
 TEST(SnapshotFuzz, RejectsUndersizedCounterIndex) {
@@ -750,21 +892,22 @@ TEST(SnapshotFuzz, RejectsUndersizedCounterIndex) {
   // constructor's reserve headroom: accepting it would let a later add()
   // probe an empty (or unresizable) table. Hand-built because no honest
   // save can produce it.
-  wire::writer w;
+  bytes_t buf;
+  wire::sink w(buf);
   w.u32(snapshot::kMagic);
-  const auto tok =
-      w.begin_section(space_saving<std::uint64_t>::kWireTag,
-                      space_saving<std::uint64_t>::kWireVersion);
+  w.begin_section(space_saving<std::uint64_t>::kWireTag,
+                  space_saving<std::uint64_t>::kWireVersion);
+  w.u8(wire::kCodecPacked);
   w.varint(8);                 // capacity: 8 counters
   w.varint(0);                 // used
   w.u64(0);                    // adds
   w.u32(~0u);                  // min_bucket = npos
   w.u32(~0u);                  // bucket_free = npos
-  w.varint(0);                 // no bucket nodes
+  w.varint(0);                 // no bucket nodes (every column empty)
   w.varint(0);                 // index capacity 0 (honest: >= 32 slots)
-  w.varint(0);                 // index size 0
-  w.end_section(tok);
-  EXPECT_FALSE(snapshot::restore<space_saving<std::uint64_t>>(w.data()).has_value());
+  w.end_section();
+  ASSERT_TRUE(w.finish());
+  EXPECT_FALSE(snapshot::restore<space_saving<std::uint64_t>>(buf).has_value());
 }
 
 TEST(Snapshot, RejectsWrongMagicAndForeignTags) {

@@ -13,7 +13,7 @@
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
 #include "util/simd.hpp"
-#include "util/wire.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace memento {
 namespace {
@@ -204,10 +204,7 @@ TEST(SpaceSaving, AddBatchEqualsSequentialAdds) {
   space_saving<std::uint64_t> batched(64);
   batched.add_batch(ids.data(), ids.size());
 
-  wire::writer wa, wb;
-  one_by_one.save(wa);
-  batched.save(wb);
-  EXPECT_EQ(wa.data(), wb.data());
+  EXPECT_EQ(snapshot::save(one_by_one), snapshot::save(batched));
 }
 
 TEST(SpaceSaving, MinScanCrossChecksTheBucketList) {
@@ -259,14 +256,10 @@ TEST(SpaceSaving, SaveRestoreRoundTripsTheFastPathStates) {
   for (int i = 0; i < 20000; ++i) {
     ss.add(rng.bounded(8) == 0 ? rng.bounded(4) : rng.bounded(5000));
   }
-  wire::writer w;
-  ss.save(w);
-  wire::reader r(w.data());
-  auto back = space_saving<std::uint64_t>::restore(r);
+  const auto image = snapshot::save(ss);
+  auto back = snapshot::restore<space_saving<std::uint64_t>>(image);
   ASSERT_TRUE(back.has_value());
-  wire::writer w2;
-  back->save(w2);
-  EXPECT_EQ(w2.data(), w.data());
+  EXPECT_EQ(snapshot::save(*back), image);
   // And the restored instance continues identically.
   for (int i = 0; i < 1000; ++i) {
     const std::uint64_t id = rng.bounded(5000);

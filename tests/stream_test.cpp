@@ -1,21 +1,18 @@
-// Streamed-wire suite: section codecs (FoR / ascending-delta / zig-zag),
-// chunked sink/source framing, streamed-vs-monolithic equivalence for every
-// serializable type, v1 backward compatibility through the dispatching
-// restore, and CRC/truncation hardening of the v2 format.
+// Streamed-wire suite: column codecs (FoR / key columns / ascending-delta /
+// zig-zag), chunked sink/source framing, buffer-vs-chunked equivalence for
+// every serializable type, and CRC/truncation hardening of the format.
 //
-// The load-bearing invariants (ISSUE acceptance criteria):
-//   * a streamed (v2) save restores to an object whose v1 re-save is
-//     BYTE-IDENTICAL to the original's v1 save - for space_saving,
-//     memento_sketch, h_memento, sharded_memento and window_summary, both
-//     packed and unpacked;
-//   * v1 images still restore through the same entry points (dispatch on
-//     the section version), and v2 images restore through the buffered
-//     snapshot::restore<T>() path;
+// The load-bearing invariants:
+//   * an image restores - through the chunked source path AND the buffered
+//     snapshot::restore<T>() path - to an object whose re-save is
+//     BYTE-IDENTICAL to the original's save, for space_saving,
+//     memento_sketch, h_memento, sharded_memento, sharded_h_memento (1-D
+//     and 2-D keys) and window_summary;
 //   * the sink's buffered working set stays at chunk scale regardless of
 //     image size, and chunk size never changes the bytes produced;
-//   * every truncation of a streamed image is rejected with nullopt and
-//     every single-byte corruption is rejected (header checks + section
-//     CRCs) - run under ASan in CI via the `snapshot` ctest label.
+//   * every truncation of an image is rejected with nullopt and every
+//     single-byte corruption is rejected (header checks + section CRCs) -
+//     run under ASan in CI via the `snapshot` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +25,7 @@
 #include "core/h_memento.hpp"
 #include "core/memento.hpp"
 #include "hierarchy/prefix1d.hpp"
+#include "hierarchy/prefix2d.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "sketch/space_saving.hpp"
@@ -65,17 +63,17 @@ std::vector<packet> trace_packets(std::size_t n, std::uint64_t seed) {
 
 // --- section codecs ---------------------------------------------------------
 
-/// Round-trips `values` through put/get_u64_array at the given packing and
-/// checks exact recovery.
-void roundtrip_for(const std::vector<std::uint64_t>& values, bool packed) {
+/// Round-trips `values` through put/get_u64_array and checks exact
+/// recovery.
+void roundtrip_for(const std::vector<std::uint64_t>& values) {
   bytes_t buf;
   wire::sink s(buf);
   std::size_t i = 0;
-  wire::put_u64_array(s, values.size(), packed, [&] { return values[i++]; });
+  wire::put_u64_array(s, values.size(), [&] { return values[i++]; });
   ASSERT_TRUE(s.finish());
   wire::source src{std::span<const std::uint8_t>(buf)};
   std::vector<std::uint64_t> got;
-  ASSERT_TRUE(wire::get_u64_array(src, values.size(), packed, [&](std::uint64_t v) {
+  ASSERT_TRUE(wire::get_u64_array(src, values.size(), [&](std::uint64_t v) {
     got.push_back(v);
     return true;
   }));
@@ -98,16 +96,14 @@ TEST(StreamCodec, ForRoundTripsMixedMagnitudes) {
   }
   values[0] = 0;
   values[1] = ~0ull;
-  roundtrip_for(values, /*packed=*/true);
-  roundtrip_for(values, /*packed=*/false);
+  roundtrip_for(values);
 }
 
 TEST(StreamCodec, ForHandlesDegenerateShapes) {
-  roundtrip_for({}, true);
-  roundtrip_for({}, false);
-  roundtrip_for({42}, true);
-  roundtrip_for(std::vector<std::uint64_t>(wire::kPackBlock, 0x1234567890ULL), true);  // bits = 0
-  roundtrip_for({0, ~0ull}, true);  // full 64-bit range in one frame
+  roundtrip_for({});
+  roundtrip_for({42});
+  roundtrip_for(std::vector<std::uint64_t>(wire::kPackBlock, 0x1234567890ULL));  // bits = 0
+  roundtrip_for({0, ~0ull});  // full 64-bit range in one frame
 }
 
 TEST(StreamCodec, AscendingRoundTripsWithGaps) {
@@ -119,33 +115,31 @@ TEST(StreamCodec, AscendingRoundTripsWithGaps) {
     z = z * 6364136223846793005ULL + 1442695040888963407ULL;
     v += 1 + (z & 0xFFFF) * ((z >> 60) == 0 ? 1u << 20 : 1u);  // occasional huge gaps
   }
-  for (const bool packed : {true, false}) {
-    bytes_t buf;
-    wire::sink s(buf);
-    std::size_t i = 0;
-    wire::put_ascending_u64(s, values.size(), packed, [&] { return values[i++]; });
-    ASSERT_TRUE(s.finish());
-    wire::source src{std::span<const std::uint8_t>(buf)};
-    std::vector<std::uint64_t> got;
-    ASSERT_TRUE(wire::get_ascending_u64(src, values.size(), packed, [&](std::uint64_t x) {
-      got.push_back(x);
-      return true;
-    }));
-    EXPECT_EQ(values, got);
-  }
+  bytes_t buf;
+  wire::sink s(buf);
+  std::size_t i = 0;
+  wire::put_ascending_u64(s, values.size(), [&] { return values[i++]; });
+  ASSERT_TRUE(s.finish());
+  wire::source src{std::span<const std::uint8_t>(buf)};
+  std::vector<std::uint64_t> got;
+  ASSERT_TRUE(wire::get_ascending_u64(src, values.size(), [&](std::uint64_t x) {
+    got.push_back(x);
+    return true;
+  }));
+  EXPECT_EQ(values, got);
 }
 
 TEST(StreamCodec, AscendingRejectsWraparound) {
   // first = 2^64 - 1, then any positive delta wraps past zero; the decoder
   // must reject rather than emit a non-ascending value.
+  const std::uint64_t deltas[] = {~0ull, 4};  // 4: delta-minus-one of the second element
   bytes_t buf;
   wire::sink s(buf);
-  s.varint(~0ull);
-  s.varint(4);  // delta-minus-one of the second element
+  std::size_t i = 0;
+  wire::put_u64_array(s, 2, [&] { return deltas[i++]; });
   ASSERT_TRUE(s.finish());
   wire::source src{std::span<const std::uint8_t>(buf)};
-  EXPECT_FALSE(
-      wire::get_ascending_u64(src, 2, /*packed=*/false, [](std::uint64_t) { return true; }));
+  EXPECT_FALSE(wire::get_ascending_u64(src, 2, [](std::uint64_t) { return true; }));
 }
 
 TEST(StreamCodec, ZigzagRoundTripsExtremes) {
@@ -174,20 +168,117 @@ TEST(StreamCodec, PackedFrameRejectsAbsurdBitWidth) {
   s.u8(65);     // bits per value: impossible
   ASSERT_TRUE(s.finish());
   wire::source src{std::span<const std::uint8_t>(buf)};
-  EXPECT_FALSE(wire::get_u64_array(src, 1, /*packed=*/true, [](std::uint64_t) { return true; }));
+  EXPECT_FALSE(wire::get_u64_array(src, 1, [](std::uint64_t) { return true; }));
 }
 
 TEST(StreamCodec, ConsumerVetoStopsDecoding) {
   bytes_t buf;
   wire::sink s(buf);
   std::size_t i = 0;
-  wire::put_u64_array(s, 8, /*packed=*/true, [&] { return std::uint64_t{100} + i++; });
+  wire::put_u64_array(s, 8, [&] { return std::uint64_t{100} + i++; });
   ASSERT_TRUE(s.finish());
   wire::source src{std::span<const std::uint8_t>(buf)};
   std::size_t seen = 0;
-  EXPECT_FALSE(
-      wire::get_u64_array(src, 8, /*packed=*/true, [&](std::uint64_t) { return ++seen < 3; }));
+  EXPECT_FALSE(wire::get_u64_array(src, 8, [&](std::uint64_t) { return ++seen < 3; }));
   EXPECT_EQ(seen, 3u);
+}
+
+TEST(StreamCodec, OneWordKeyColumnIsAU64Array) {
+  // Integral keys are one codec word, so their key column is byte for byte
+  // the u64 array of the same values - the layout 1-D images have always
+  // had.
+  std::vector<std::uint64_t> keys;
+  std::uint64_t z = 5;
+  for (std::size_t i = 0; i < wire::kPackBlock + 99; ++i) {
+    z = z * 6364136223846793005ULL + 1442695040888963407ULL;
+    keys.push_back(z >> (i % 40));
+  }
+  bytes_t as_keys, as_array;
+  {
+    wire::sink s(as_keys);
+    std::size_t i = 0;
+    wire::put_key_column<std::uint64_t>(s, keys.size(), [&]() -> const std::uint64_t& {
+      return keys[i++];
+    });
+    ASSERT_TRUE(s.finish());
+  }
+  {
+    wire::sink s(as_array);
+    std::size_t i = 0;
+    wire::put_u64_array(s, keys.size(), [&] { return keys[i++]; });
+    ASSERT_TRUE(s.finish());
+  }
+  EXPECT_EQ(as_keys, as_array);
+  wire::source src{std::span<const std::uint8_t>(as_keys)};
+  std::vector<std::uint64_t> got;
+  ASSERT_TRUE(wire::get_key_column<std::uint64_t>(src, keys.size(), [&](std::uint64_t k) {
+    got.push_back(k);
+    return true;
+  }));
+  EXPECT_TRUE(src.done());
+  EXPECT_EQ(got, keys);
+}
+
+TEST(StreamCodec, NarrowKeysRejectOutOfRangeWords) {
+  using kc = wire::codec<std::uint32_t>;
+  std::uint32_t v = 0;
+  EXPECT_TRUE(kc::from_u64({0xFFFFFFFFull}, v));
+  EXPECT_EQ(v, 0xFFFFFFFFu);
+  EXPECT_FALSE(kc::from_u64({0x100000000ull}, v));
+}
+
+TEST(StreamCodec, TwoDimKeyColumnRoundTripsEveryLatticePattern) {
+  // prefix2d is two codec words (src<<32|dst, src_depth<<8|dst_depth), each
+  // its own FoR column per block; every one of the 25 lattice patterns
+  // survives, across more than one block.
+  std::vector<prefix2d> keys;
+  std::uint64_t z = 9;
+  for (std::size_t i = 0; i < wire::kPackBlock + 500; ++i) {
+    z = z * 6364136223846793005ULL + 1442695040888963407ULL;
+    keys.push_back(prefix2::make(static_cast<std::uint32_t>(z >> 32), i % 5,
+                                 static_cast<std::uint32_t>(z), (i / 5) % 5));
+  }
+  bytes_t buf;
+  wire::sink s(buf);
+  std::size_t i = 0;
+  wire::put_key_column<prefix2d>(s, keys.size(), [&]() -> const prefix2d& { return keys[i++]; });
+  ASSERT_TRUE(s.finish());
+  wire::source src{std::span<const std::uint8_t>(buf)};
+  std::vector<prefix2d> got;
+  ASSERT_TRUE(wire::get_key_column<prefix2d>(src, keys.size(), [&](const prefix2d& k) {
+    got.push_back(k);
+    return true;
+  }));
+  EXPECT_TRUE(src.done());
+  EXPECT_EQ(got, keys);
+}
+
+TEST(StreamCodec, TwoDimCodecRejectsDepthFiveAndUnmaskedAddresses) {
+  using kc = wire::codec<prefix2d>;
+  prefix2d v;
+  // Honest words decode, including the all-wildcard root.
+  EXPECT_TRUE(kc::from_u64(kc::to_u64(prefix2::make(0x0A0B0C0D, 1, 0x01020304, 3)), v));
+  EXPECT_EQ(v, prefix2::make(0x0A0B0C0D, 1, 0x01020304, 3));
+  EXPECT_TRUE(kc::from_u64({0, 4u << 8 | 4u}, v));
+  // Depth 5 is outside the 5-level hierarchy, in either dimension.
+  EXPECT_FALSE(kc::from_u64({0, 5u << 8 | 0u}, v));
+  EXPECT_FALSE(kc::from_u64({0, 0u << 8 | 5u}, v));
+  // Depth bytes beyond the 16-bit word 1 layout.
+  EXPECT_FALSE(kc::from_u64({0, std::uint64_t{1} << 16}, v));
+  // Addresses must be stored masked to their depth: a /24 source (depth 1)
+  // with its low byte set, a /0 destination (depth 4) with any bit set.
+  EXPECT_FALSE(kc::from_u64({std::uint64_t{0x0A0B0C0D} << 32, 1u << 8 | 0u}, v));
+  EXPECT_TRUE(kc::from_u64({std::uint64_t{0x0A0B0C00} << 32, 1u << 8 | 0u}, v));
+  EXPECT_FALSE(kc::from_u64({0x00000001, 0u << 8 | 4u}, v));
+  // A column carrying a rejected word pair fails the whole decode.
+  bytes_t buf;
+  wire::sink s(buf);
+  const std::uint64_t word0 = 0, word1 = 5u << 8;
+  wire::put_u64_array(s, 1, [&] { return word0; });
+  wire::put_u64_array(s, 1, [&] { return word1; });
+  ASSERT_TRUE(s.finish());
+  wire::source src{std::span<const std::uint8_t>(buf)};
+  EXPECT_FALSE(wire::get_key_column<prefix2d>(src, 1, [](const prefix2d&) { return true; }));
 }
 
 // --- chunked framing --------------------------------------------------------
@@ -197,7 +288,7 @@ TEST(StreamFraming, SinkBuffersAtChunkScaleAndChunkSizeIsInvisible) {
   const auto ids = skewed_ids(60'000, 1.0, 17);
   s.update_batch(ids.data(), ids.size());
 
-  const bytes_t reference = snapshot::save_streamed(s);
+  const bytes_t reference = snapshot::save(s);
   ASSERT_FALSE(reference.empty());
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
@@ -245,19 +336,17 @@ std::optional<T> restore_in_chunks(const bytes_t& image, std::size_t chunk, bool
   return snapshot::stream_restore<T>(src);
 }
 
-/// Every chunk size restores `object`'s streamed image to a byte-identical
-/// object (v1 and v2 re-saves), and a bit flip in chunk 3 is rejected.
+/// Every chunk size restores `object`'s image to a byte-identical object,
+/// and a bit flip in chunk 3 is rejected.
 template <typename T>
 void expect_chunked_restores(const T& object) {
-  const bytes_t image = snapshot::save_streamed(object);
-  const bytes_t v1 = snapshot::save(object);
+  const bytes_t image = snapshot::save(object);
   ASSERT_FALSE(image.empty());
   for (const std::size_t chunk : {1, 3, 7, 64, 4096}) {
     SCOPED_TRACE(testing::Message() << "chunk " << chunk << ", image " << image.size());
     const auto back = restore_in_chunks<T>(image, chunk);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(v1, snapshot::save(*back));
-    EXPECT_EQ(image, snapshot::save_streamed(*back));
+    EXPECT_EQ(image, snapshot::save(*back));
     EXPECT_FALSE(restore_in_chunks<T>(image, chunk, /*flip=*/true).has_value());
   }
 }
@@ -287,6 +376,10 @@ TEST(StreamFraming, TinyChunkSourceRestoresIdentically) {
   shm.update_batch(ps.data(), ps.size());
   expect_chunked_restores(shm);
 
+  sharded_h_memento<two_dim_hierarchy> two_dim(h_memento_config{8'000, 300, 0.5, 1e-3, 29}, 2);
+  two_dim.update_batch(ps.data(), ps.size());
+  expect_chunked_restores(two_dim);
+
   expect_chunked_restores(summary::from(s));
 }
 
@@ -303,7 +396,7 @@ TEST(StreamFraming, SourceShortReadRejects) {
   sketch s(5'000, 16, 1.0, 7);
   const auto ids = skewed_ids(10'000, 1.0, 29);
   s.update_batch(ids.data(), ids.size());
-  const bytes_t image = snapshot::save_streamed(s);
+  const bytes_t image = snapshot::save(s);
   const std::size_t stop = image.size() / 2;
   std::size_t cursor = 0;
   wire::source src(
@@ -317,36 +410,33 @@ TEST(StreamFraming, SourceShortReadRejects) {
   EXPECT_FALSE(snapshot::stream_restore<sketch>(src).has_value());
 }
 
-// --- streamed vs monolithic, per type ---------------------------------------
+// --- buffer vs chunked stream, per type ------------------------------------
 
-/// The cross-format contract: a v2 (streamed) image of `object`, packed or
-/// not, restores - through BOTH the source path and the buffered dispatch
-/// path - to an object whose v1 re-save is byte-identical to the original's
-/// v1 save. And the v1 image itself still restores post-dispatch.
+/// The buffer/stream contract: the buffered image of `object` equals the
+/// one a chunked callback sink produces, and it restores - through a
+/// chunked callback source AND the buffered snapshot::restore<T>() path -
+/// to an object whose re-save is byte-identical to the original's save.
 template <typename T>
-void expect_stream_equivalence(const T& object, bool expect_smaller = true) {
-  const bytes_t v1 = snapshot::save(object);
-  for (const bool packed : {true, false}) {
-    const bytes_t v2 = snapshot::save_streamed(object, packed);
-    ASSERT_FALSE(v2.empty());
-    // Fixed framing overhead (CRCs, frame headers) can exceed the packing
-    // gain on near-empty objects; callers with trivial payloads opt out.
-    if (packed && expect_smaller) {
-      EXPECT_LT(v2.size(), v1.size()) << "packed v2 should be smaller";
-    }
+void expect_stream_equivalence(const T& object) {
+  const bytes_t image = snapshot::save(object);
+  ASSERT_FALSE(image.empty());
+  bytes_t chunked;
+  wire::sink sink(
+      [&](std::span<const std::uint8_t> b) {
+        chunked.insert(chunked.end(), b.begin(), b.end());
+        return true;
+      },
+      512);
+  ASSERT_TRUE(snapshot::stream_save(object, sink));
+  EXPECT_EQ(chunked, image);
 
-    wire::source src{std::span<const std::uint8_t>(v2)};
-    const auto from_stream = snapshot::stream_restore<T>(src);
-    ASSERT_TRUE(from_stream.has_value()) << "packed=" << packed;
-    EXPECT_EQ(v1, snapshot::save(*from_stream)) << "packed=" << packed;
+  const auto from_stream = restore_in_chunks<T>(image, 512);
+  ASSERT_TRUE(from_stream.has_value());
+  EXPECT_EQ(image, snapshot::save(*from_stream));
 
-    const auto from_buffer = snapshot::restore<T>(v2);  // dispatch on section version
-    ASSERT_TRUE(from_buffer.has_value()) << "packed=" << packed;
-    EXPECT_EQ(v1, snapshot::save(*from_buffer)) << "packed=" << packed;
-  }
-  const auto from_v1 = snapshot::restore<T>(v1);
-  ASSERT_TRUE(from_v1.has_value());
-  EXPECT_EQ(v1, snapshot::save(*from_v1));
+  const auto from_buffer = snapshot::restore<T>(image);
+  ASSERT_TRUE(from_buffer.has_value());
+  EXPECT_EQ(image, snapshot::save(*from_buffer));
 }
 
 TEST(StreamEquivalence, SpaceSaving) {
@@ -361,9 +451,9 @@ TEST(StreamEquivalence, SpaceSavingCold) {
   // shapes take different wire paths than the saturated steady state.
   space_saving<std::uint64_t> s(64);
   for (std::uint64_t k = 0; k < 10; ++k) s.add(k);
-  expect_stream_equivalence(s, /*expect_smaller=*/false);
+  expect_stream_equivalence(s);
   space_saving<std::uint64_t> fresh(8);
-  expect_stream_equivalence(fresh, /*expect_smaller=*/false);
+  expect_stream_equivalence(fresh);
 }
 
 TEST(StreamEquivalence, Memento) {
@@ -388,13 +478,13 @@ TEST(StreamEquivalence, Sharded) {
 }
 
 TEST(StreamEquivalence, Summary) {
-  // A sketch-derived summary has only a handful of candidates, so size
-  // parity is all the framing overhead allows there; a controller-scale
-  // summary (built through the delta channel's upsert) shows the packing.
+  // A sketch-derived summary has only a handful of candidates; a
+  // controller-scale summary (built through the delta channel's upsert)
+  // spans several key-column blocks.
   sketch s(8'000, 48, 1.0, 17);
   const auto ids = skewed_ids(30'000, 1.0, 47);
   s.update_batch(ids.data(), ids.size());
-  expect_stream_equivalence(summary::from(s), /*expect_smaller=*/false);
+  expect_stream_equivalence(summary::from(s));
 
   summary big;
   big.set_scalars(100'000, 500'000, 12.5, 3.0);
@@ -408,26 +498,20 @@ TEST(StreamEquivalence, Summary) {
 
 // --- seeded round trips at the ring's edge cases ----------------------------
 
-/// Checkpoints `object` both ways and asserts the restore contract at this
-/// point of its stream: restore then re-save is byte-identical in v1 and
-/// v2 (whichever image it came from), and 10k more packets leave every
-/// restored copy state-identical to the original.
+/// Checkpoints `object` and asserts the restore contract at this point of
+/// its stream: restore then re-save is byte-identical, and 10k more packets
+/// leave the restored copy state-identical to the original.
 template <typename T, typename Feed>
 void expect_round_trip(const T& object, Feed&& feed_more) {
-  const bytes_t v1 = snapshot::save(object);
-  const bytes_t v2 = snapshot::save_streamed(object);
+  const bytes_t image = snapshot::save(object);
   T original = object;
   feed_more(original);
   const bytes_t continued = snapshot::save(original);
-  for (const bytes_t* image : {&v1, &v2}) {
-    SCOPED_TRACE(image == &v1 ? "from v1" : "from v2");
-    auto back = snapshot::restore<T>(*image);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(v1, snapshot::save(*back));
-    EXPECT_EQ(v2, snapshot::save_streamed(*back));
-    feed_more(*back);
-    EXPECT_EQ(continued, snapshot::save(*back));
-  }
+  auto back = snapshot::restore<T>(image);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(image, snapshot::save(*back));
+  feed_more(*back);
+  EXPECT_EQ(continued, snapshot::save(*back));
 }
 
 TEST(StreamRoundTrip, SeededCheckpointsAtFrameFlushRingWrapAndMultiOverflowBlocks) {
@@ -482,12 +566,12 @@ TEST(StreamRoundTrip, SeededCheckpointsAtFrameFlushRingWrapAndMultiOverflowBlock
 
 // --- corruption hardening ---------------------------------------------------
 
-/// Every prefix of a streamed image must restore to nullopt; every
-/// single-byte corruption must be REJECTED outright - unlike v1 (where a
-/// key-byte flip can decode to a different valid object), the v2 format
-/// CRCs every section, so nothing corrupt survives. Both the source path
-/// and the buffered dispatch path are exercised; ASan (ctest label
-/// `snapshot`) turns any out-of-bounds touch into a hard failure.
+/// Every prefix of an image must restore to nullopt; every single-byte
+/// corruption must be REJECTED outright - the format CRCs every section,
+/// so even a key-byte flip that would decode to a different valid object
+/// does not survive. Both the source path and the buffered path are
+/// exercised; ASan (ctest label `snapshot`) turns any out-of-bounds touch
+/// into a hard failure.
 template <typename T>
 void fuzz_streamed(const bytes_t& valid) {
   ASSERT_FALSE(valid.empty());
@@ -518,63 +602,77 @@ TEST(StreamFuzz, SpaceSavingRejectsAllCorruption) {
   space_saving<std::uint64_t> s(48);
   const auto ids = skewed_ids(20'000, 1.0, 51);
   for (const auto id : ids) s.add(id);
-  fuzz_streamed<space_saving<std::uint64_t>>(snapshot::save_streamed(s));
+  fuzz_streamed<space_saving<std::uint64_t>>(snapshot::save(s));
 }
 
 TEST(StreamFuzz, MementoRejectsAllCorruption) {
   sketch s(5'000, 32, 0.5, 2);
   const auto ids = skewed_ids(20'000, 1.0, 53);
   s.update_batch(ids.data(), ids.size());
-  fuzz_streamed<sketch>(snapshot::save_streamed(s));
+  fuzz_streamed<sketch>(snapshot::save(s));
 }
 
 TEST(StreamFuzz, HMementoRejectsAllCorruption) {
   h_memento<source_hierarchy> s(5'000, 64, 0.5, 1e-3, 3);
   const auto ps = trace_packets(12'000, 5);
   s.update_batch(ps.data(), ps.size());
-  fuzz_streamed<h_memento<source_hierarchy>>(snapshot::save_streamed(s));
+  fuzz_streamed<h_memento<source_hierarchy>>(snapshot::save(s));
 }
 
 TEST(StreamFuzz, ShardedRejectsAllCorruption) {
   sharded s(shard_config{4'000, 32, 1.0, 3, 3});
   const auto ids = skewed_ids(12'000, 1.0, 57);
   s.update_batch(ids.data(), ids.size());
-  fuzz_streamed<sharded>(snapshot::save_streamed(s));
+  fuzz_streamed<sharded>(snapshot::save(s));
 }
 
 TEST(StreamFuzz, SummaryRejectsAllCorruption) {
   sketch s(5'000, 32, 1.0, 2);
   const auto ids = skewed_ids(20'000, 1.0, 59);
   s.update_batch(ids.data(), ids.size());
-  fuzz_streamed<summary>(snapshot::save_streamed(summary::from(s)));
-}
-
-TEST(StreamFuzz, UnpackedImagesAreCrcProtectedToo) {
-  // The CRC is a property of the framing, not the codec: unpacked sections
-  // must reject corruption just as hard.
-  space_saving<std::uint64_t> s(32);
-  const auto ids = skewed_ids(8'000, 1.0, 61);
-  for (const auto id : ids) s.add(id);
-  fuzz_streamed<space_saving<std::uint64_t>>(snapshot::save_streamed(s, /*packed=*/false));
+  fuzz_streamed<summary>(snapshot::save(summary::from(s)));
 }
 
 TEST(StreamFuzz, RejectsUnknownCodecFlags) {
-  // Codec negotiation is a byte inside the CRC'd section, so a flipped flag
-  // alone dies on CRC; a future-flag payload must die on the flag check.
-  // Hand-build a space_saving v2 section with an unknown flag bit and a
-  // recomputed CRC; there is no public CRC hook, so instead assert the
-  // known-mask contract on honest images: the flags byte of every streamed
-  // save has no bits outside kCodecKnownMask (so any set unknown bit in a
-  // payload is by definition dishonest, and the decoders reject it).
-  space_saving<std::uint64_t> s(16);
-  s.add(1);
-  const bytes_t packed = snapshot::save_streamed(s, true);
-  const bytes_t plain = snapshot::save_streamed(s, false);
-  // magic(4) + tag(2) + version(2) + sentinel(4) = offset 12 is the flags byte.
-  ASSERT_GT(packed.size(), 12u);
-  EXPECT_EQ(packed[12] & ~wire::kCodecKnownMask, 0);
-  EXPECT_EQ(plain[12] & ~wire::kCodecKnownMask, 0);
-  EXPECT_NE(packed[12], plain[12]);
+  // Writers always FoR-pack: the flags byte of every honest image is
+  // exactly kCodecPacked (magic(4) + tag(2) + version(2) + sentinel(4) =
+  // offset 12 for every type that carries one at its top level).
+  sketch m(2'000, 16, 1.0, 3);
+  const auto ids = skewed_ids(6'000, 1.0, 67);
+  m.update_batch(ids.data(), ids.size());
+  space_saving<std::uint64_t> ss(16);
+  for (const auto id : ids) ss.add(id);
+  sharded sh(shard_config{4'000, 32, 1.0, 3, 2});
+  sh.update_batch(ids.data(), ids.size());
+  sharded_h_memento<source_hierarchy> shm(h_memento_config{2'000, 48, 0.5, 1e-3, 7}, 2);
+  const auto ps = trace_packets(4'000, 69);
+  shm.update_batch(ps.data(), ps.size());
+  for (const bytes_t& image : {snapshot::save(m), snapshot::save(ss), snapshot::save(sh),
+                               snapshot::save(shm), snapshot::save(summary::from(m))}) {
+    ASSERT_GT(image.size(), 12u);
+    EXPECT_EQ(image[12], wire::kCodecPacked);
+  }
+
+  // A flipped flag alone dies on the CRC; a forged image with any other
+  // flags byte and a recomputed CRC must die on the flag check. space_saving
+  // is one section, so its CRC covers [12, size - 4).
+  const bytes_t honest = snapshot::save(ss);
+  for (const std::uint8_t flags : {std::uint8_t{0x00}, std::uint8_t{0x03}, std::uint8_t{0x81}}) {
+    bytes_t forged = honest;
+    forged[12] = flags;
+    wire::crc32 crc;
+    crc.update(forged.data() + 12, forged.size() - 16);
+    wire::store_le(forged.data() + forged.size() - 4, crc.value());
+    EXPECT_FALSE(snapshot::restore<space_saving<std::uint64_t>>(forged).has_value())
+        << "flags " << int(flags);
+  }
+  // The same recomputation on the honest flags byte reproduces the image,
+  // so the rejections above come from the flag check, not the CRC.
+  bytes_t resealed = honest;
+  wire::crc32 crc;
+  crc.update(resealed.data() + 12, resealed.size() - 16);
+  wire::store_le(resealed.data() + resealed.size() - 4, crc.value());
+  EXPECT_EQ(resealed, honest);
 }
 
 }  // namespace
