@@ -19,9 +19,10 @@
 //
 // Sampling: the tau decision comes from H-Memento's own random_table_sampler
 // (util/random.hpp, seeded apart from the inner sketch's), whose table holds
-// only the positions of its sampled draws; the batch path takes a chunk's
-// sampled offsets straight from it, so per-chunk sampling cost tracks
-// tau * chunk rather than the chunk length.
+// only the positions of its sampled draws. At every tau the batch path takes
+// a chunk's sampled offsets straight from it and hands the compacted prefix
+// keys to the inner sketch's gap walk (memento_sketch::update_batch_sampled),
+// so per-chunk cost tracks tau * chunk rather than the chunk length.
 //
 // Template parameter H supplies the hierarchy (source_hierarchy with H = 5,
 // two_dim_hierarchy with H = 25, or any user-defined traits with the same
@@ -98,24 +99,15 @@ class h_memento {
   ///   3. materialize the sampled prefix keys in 32-key blocks through the
   ///      hierarchy's vectorized mask kernel (H::materialize_keys ->
   ///      util/simd.hpp sllv prefix masking; a scalar-oracle loop for
-  ///      hierarchies without the hook), scattered back to packet order;
-  ///   4. replay through the inner Memento: dense taus scatter back to
-  ///      packet order for the decided-batch kernel (prehash + prefetch of
-  ///      every sampled slot); sparse taus keep the compacted form and take
+  ///      hierarchies without the hook);
+  ///   4. hand the compacted keys and offsets to the inner Memento's
   ///      update_batch_sampled, whose gap walk skips unsampled packets in
   ///      bulk, so chunk cost tracks the sampled count.
   void update_batch(const packet* ps, std::size_t n) {
     constexpr std::size_t kChunk = 256;
-    bool decisions[kChunk];
-    key_type keys[kChunk];
     std::uint32_t idx[kChunk];
     std::uint8_t levels[kChunk];
     key_type packed[kChunk];
-    // Dense regime: most slots are sampled, so the decided kernel's
-    // every-slot prehash pass is worth its scan. Sparse regime: hand the
-    // COMPACTED keys straight to the gap-skipping kernel - no scatter back
-    // to packet order, no per-packet decision walk downstream.
-    const bool dense = inner_.tau() >= 0.25;
     for (std::size_t i = 0; i < n; i += kChunk) {
       const std::size_t m = std::min(kChunk, n - i);
       const std::size_t sampled = sampler_.take(idx, m);
@@ -129,16 +121,7 @@ class h_memento {
           packed[t] = H::key_at(ps[i + idx[t]], levels[t]);
         }
       }
-      if (dense) {
-        std::fill_n(decisions, m, false);
-        for (std::size_t t = 0; t < sampled; ++t) {
-          keys[idx[t]] = packed[t];
-          decisions[idx[t]] = true;
-        }
-        inner_.update_batch_decided(keys, decisions, m);
-      } else {
-        inner_.update_batch_sampled(packed, idx, sampled, m);
-      }
+      inner_.update_batch_sampled(packed, idx, sampled, m);
     }
   }
 

@@ -44,16 +44,17 @@
 // processes n packets with *identical observable state* to n scalar update()
 // calls - the sampler is consumed in the same order, so the sampled sequence
 // is the same for the same seed, and every queue/table mutation happens in
-// the same order. The batch path is faster because it (a) pre-draws the
-// chunk's sampling decisions from the sampler's sampled-position list -
-// random_table_sampler::fill for dense taus; below tau 1/8, ::take hands over
-// just the sampled offsets, so the gap walk (update_batch_sampled) never
-// touches an unsampled packet - (b) hashes the chunk's keys in one
-// vectorizable pass and prefetches their flat-table slots, (c) hoists the
-// per-packet frame/block boundary checks into a packets-until-boundary
-// countdown per run, and (d) replaces the per-packet overflow division with
-// a multiply-based divisibility test. Composite samplers (H-Memento) drive
-// the same kernel through update_batch_decided / update_batch_sampled.
+// the same order. There is one kernel per regime. At tau = 1 every packet is
+// a Full update: the chunk's keys are hashed in one vectorizable pass with
+// their counter-index slots prefetched, the per-packet frame/block boundary
+// checks are hoisted into a packets-until-boundary countdown per run, and
+// the per-packet overflow division becomes a multiply-based divisibility
+// test. Below tau = 1 only the sampled packets matter (Section 4.1):
+// random_table_sampler::take hands over just the chunk's sampled offsets and
+// update_batch_sampled walks the gaps between them, advancing the window in
+// bulk, so a chunk costs its sampled count plus retirements and never touches
+// an unsampled packet. Composite samplers (H-Memento) draw their own
+// decisions and drive that same gap walk through update_batch_sampled.
 #pragma once
 
 #include <algorithm>
@@ -162,58 +163,35 @@ class memento_sketch {
   /// file comment). This is the intended per-burst ingest call.
   void update_batch(const Key* xs, std::size_t n) {
     if (tau_ >= 1.0) {
-      // WCSS regime: every packet is sampled; skip the decision buffer (the
-      // scalar sampler does not consume the table when tau == 1 either).
+      // WCSS regime: every packet is sampled, so there is nothing to draw
+      // (the scalar sampler does not consume the table when tau == 1 either).
       for (std::size_t i = 0; i < n; i += kBatchChunk) {
-        process_chunk<true, true>(xs + i, nullptr, std::min(kBatchChunk, n - i));
+        process_chunk(xs + i, std::min(kBatchChunk, n - i));
       }
       return;
     }
-    bool decisions[kBatchChunk];
     std::uint32_t idx[kBatchChunk];
     Key packed[kBatchChunk];
     for (std::size_t i = 0; i < n; i += kBatchChunk) {
       const std::size_t m = std::min(kBatchChunk, n - i);
-      // Dense taus amortize a branch-free hash-precompute pass over every
-      // slot; sparse taus take the sampled offsets straight from the
-      // sampler and run the gap-skipping kernel, so the chunk's cost tracks
-      // the sampled count.
-      if (tau_ >= 0.125) {
-        sampler_.fill(decisions, m);
-        process_chunk<false, true>(xs + i, decisions, m);
-      } else {
-        const std::size_t sampled = sampler_.take(idx, m);
-        for (std::size_t t = 0; t < sampled; ++t) packed[t] = xs[i + idx[t]];
-        update_batch_sampled(packed, idx, sampled, m);
-      }
+      const std::size_t sampled = sampler_.take(idx, m);
+      for (std::size_t t = 0; t < sampled; ++t) packed[t] = xs[i + idx[t]];
+      update_batch_sampled(packed, idx, sampled, m);
     }
   }
 
   void update_batch(std::span<const Key> xs) { update_batch(xs.data(), xs.size()); }
 
-  /// Batched update with the Bernoulli decisions made by the caller
-  /// (H-Memento samples prefixes with its own sampler and rng): packet i
-  /// triggers a Full update of xs[i] iff decisions[i]; xs[i] is not read
-  /// otherwise. Unsampled key slots are uninitialized, so the branch-free
-  /// dense hash pass is off - instead the kernel prehashes and prefetches
-  /// exactly the sampled slots (pass 1 below), which is what overlaps the
-  /// counter-index misses when the caller's keys span a large table (the
-  /// hierarchical frontend's H * k counters). Same equivalence guarantee.
-  void update_batch_decided(const Key* xs, const bool* decisions, std::size_t n) {
-    for (std::size_t i = 0; i < n; i += kBatchChunk) {
-      process_chunk<false, false, true>(xs + i, decisions + i, std::min(kBatchChunk, n - i));
-    }
-  }
-
   /// Batched update with the caller's decisions in COMPACTED form: of a run
   /// of n packets, exactly `sampled` trigger Full updates - the t-th at
-  /// position idx[t] (strictly increasing, < n) with key keys[t].
-  /// State-identical to update_batch_decided over the expanded buffers, but
-  /// the cost scales with the SAMPLED count plus retirements, not with n:
-  /// unsampled gaps advance the window in bulk (advance_window), so a
-  /// sparse-tau burst never walks per-packet scratch at all. This is the
-  /// sparse-regime hot path of the hierarchical frontend
-  /// (h_memento::update_batch) and of update_batch itself below tau 1/8.
+  /// position idx[t] (strictly increasing, < n) with key keys[t]. State-
+  /// identical to n scalar steps that full_update(keys[t]) at idx[t] and
+  /// window_update() everywhere else, but the cost scales with the SAMPLED
+  /// count plus retirements, not with n: unsampled gaps advance the window
+  /// in bulk (advance_window), so a sparse-tau burst never walks per-packet
+  /// scratch at all. This is the sampled-regime kernel of update_batch and
+  /// of the hierarchical frontend (h_memento::update_batch), which samples
+  /// prefixes with its own sampler and rng.
   void update_batch_sampled(const Key* keys, const std::uint32_t* idx, std::size_t sampled,
                             std::size_t n) {
     std::size_t buckets[kBatchChunk];
@@ -503,8 +481,8 @@ class memento_sketch {
  private:
   friend class snapshot_builder;  ///< reshard's bulk state loader (snapshot/reshard.hpp)
 
-  /// Packets per batch-kernel chunk: bounds the decision/bucket scratch (256
-  /// decisions + 256 buckets ~ 2.25 KB of stack) and the prefetch window.
+  /// Packets per batch-kernel chunk: bounds the offset/key/bucket scratch
+  /// (256 entries each, a few KB of stack) and the prefetch window.
   static constexpr std::size_t kBatchChunk = 256;
 
   /// The restored window clock, stream counters, ring head and sampler
@@ -521,35 +499,17 @@ class memento_sketch {
     return true;
   }
 
-  /// The batch kernel: one chunk (m <= kBatchChunk) of packets, with the
-  /// sampling decisions already drawn (dec, or every packet when AllSampled).
-  /// Mutation order is exactly the scalar order - per packet: boundary work,
-  /// one retirement, then the Full-update add - so batch and scalar runs are
-  /// state-identical; only the bookkeeping around the mutations is hoisted.
-  template <bool AllSampled, bool Prehashed, bool PrehashSampled = false>
-  void process_chunk(const Key* xs, const bool* dec, std::size_t m) {
-    static_assert(!(Prehashed && PrehashSampled), "pick one hash-precompute pass");
-    // Pass 1 (dense regimes): hash every key of the chunk - a pure,
-    // branch-free, vectorizable loop - and prefetch the home slots in the
-    // counter index. With a small tau the precompute pass would re-walk the
-    // decision buffer for a handful of hashes, so sampled adds hash inline
-    // instead and this pass disappears. Externally-decided batches only
-    // materialize sampled key slots, so they get the PrehashSampled variant:
-    // hash + prefetch exactly the decided slots (the hash is pure, so doing
-    // it early never perturbs state identity).
+  /// The tau = 1 batch kernel: one chunk (m <= kBatchChunk) of packets,
+  /// every one a Full update. Mutation order is exactly the scalar order -
+  /// per packet: boundary work, one retirement, then the Full-update add - so
+  /// batch and scalar runs are state-identical; only the bookkeeping around
+  /// the mutations is hoisted.
+  void process_chunk(const Key* xs, std::size_t m) {
+    // Pass 1: hash every key of the chunk - a pure, branch-free,
+    // vectorizable loop - and prefetch the home slots in the counter index.
     std::size_t buckets[kBatchChunk];
-    if constexpr (Prehashed) {
-      for (std::size_t j = 0; j < m; ++j) buckets[j] = y_.index_bucket(xs[j]);
-      for (std::size_t j = 0; j < m; ++j) y_.prefetch_bucket(buckets[j]);
-    } else if constexpr (PrehashSampled) {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (dec[j]) {
-          buckets[j] = y_.index_bucket(xs[j]);
-          y_.prefetch_bucket(buckets[j]);
-        }
-      }
-    }
-    constexpr bool kUseBuckets = Prehashed || PrehashSampled;
+    for (std::size_t j = 0; j < m; ++j) buckets[j] = y_.index_bucket(xs[j]);
+    for (std::size_t j = 0; j < m; ++j) y_.prefetch_bucket(buckets[j]);
     // Pass 2: replay the packets in runs that end at the next frame/block
     // boundary, so the boundary test leaves the per-packet loop entirely.
     std::size_t j = 0;
@@ -563,15 +523,9 @@ class memento_sketch {
       const std::size_t tail = tail_index();
       for (; j < interior_end && live_[tail] > 0; ++j) {
         drop_oldest(tail);
-        if (AllSampled || dec[j]) {
-          full_add(xs[j], kUseBuckets ? buckets[j] : y_.index_bucket(xs[j]));
-        }
+        full_add(xs[j], buckets[j]);
       }
-      for (; j < interior_end; ++j) {
-        if (AllSampled || dec[j]) {
-          full_add(xs[j], kUseBuckets ? buckets[j] : y_.index_bucket(xs[j]));
-        }
-      }
+      for (; j < interior_end; ++j) full_add(xs[j], buckets[j]);
       stream_length_ += run;
       clock_ += run;
       if (boundary) {
@@ -585,9 +539,7 @@ class memento_sketch {
         rotate_blocks();
         until_block_end_ = block_len_;
         retire_one();
-        if (AllSampled || dec[j]) {
-          full_add(xs[j], kUseBuckets ? buckets[j] : y_.index_bucket(xs[j]));
-        }
+        full_add(xs[j], buckets[j]);
         ++j;
       } else {
         until_block_end_ -= run;

@@ -11,13 +11,12 @@
 //     where N is the number of add() calls since the last flush().
 //
 // Layout: counter VALUES live in their own flat array (counts_), so the
-// count scans that back threshold queries (for_each_at_least) and the min
-// cross-check (min_scan) are contiguous 64-bit SIMD loads (util/simd.hpp);
-// everything else a mutation touches (key, overestimate, chain links, index
-// back-reference) is packed into one 32-byte node beside it - see cnode for
-// why splitting further costs more than it buys. Equal-count counters are
-// chained into a bucket; buckets form
-// an ascending doubly-linked list whose head is the minimum. All links are
+// snapshot's count column and the min cross-check (min_scan) read them
+// contiguously; everything else a mutation touches (key, overestimate,
+// chain links, index back-reference) is packed into one 32-byte node beside
+// it - see cnode for why splitting further costs more than it buys.
+// Equal-count counters are chained into a bucket; buckets form an ascending
+// doubly-linked list whose head is the minimum. All links are
 // 32-bit indices into flat vectors - compact and cache-predictable (Per.16 /
 // Per.19), no per-update allocation (Per.14): bucket nodes are recycled
 // through a free list. The dominant tau=1 operation - incrementing a counter
@@ -36,7 +35,6 @@
 
 #include "util/compress.hpp"
 #include "util/flat_hash.hpp"
-#include "util/simd.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -142,11 +140,8 @@ class space_saving {
 
   [[nodiscard]] bool contains(const Key& x) const { return index_.contains(x); }
 
-  /// Pulls x's index slot toward the cache ahead of an add(); issued by the
-  /// batched update path for keys a few packets downstream.
-  void prefetch(const Key& x) const noexcept { index_.prefetch(x); }
-
-  /// prefetch() by precomputed home bucket (see index_bucket()).
+  /// Pulls a key's index slot toward the cache ahead of its add, by
+  /// precomputed home bucket (see index_bucket()).
   void prefetch_bucket(std::size_t bucket) const noexcept { index_.prefetch_bucket(bucket); }
 
   /// Value of the minimum counter (0 when empty). O(1) via the bucket list.
@@ -154,12 +149,14 @@ class space_saving {
     return min_bucket_ == npos ? 0 : buckets_[min_bucket_].count;
   }
 
-  /// The minimum counter value recomputed by a SIMD scan over the flat count
+  /// The minimum counter value recomputed by a scan over the flat count
   /// array - an O(k) cross-check of the O(1) bucket-list answer, exposed so
   /// tests and monitoring can validate the structure instead of trusting it.
   [[nodiscard]] std::uint64_t min_scan() const {
     if (used_ == 0) return 0;
-    return simd::min_scan_u64(counts_.data(), used_).first;
+    std::uint64_t low = counts_[0];
+    for (std::size_t i = 1; i < used_; ++i) low = std::min(low, counts_[i]);
+    return low;
   }
 
   /// Resets all counters (Memento calls this at every frame boundary,
@@ -196,17 +193,6 @@ class space_saving {
     for (std::size_t i = 0; i < used_; ++i) {
       fn(nodes_[i].key, counts_[i], nodes_[i].overest);
     }
-  }
-
-  /// Invokes fn(key, count, overestimate) for every entry with
-  /// count >= bar - the heavy-hitter selection loop. The count array is
-  /// contiguous, so the filter is a SIMD compare+movemask sweep that touches
-  /// nodes only for survivors (few, when bar is a real threshold).
-  template <typename Fn>
-  void for_each_at_least(std::uint64_t bar, Fn&& fn) const {
-    simd::scan_ge_u64(counts_.data(), used_, bar, [&](std::size_t i) {
-      fn(nodes_[i].key, counts_[i], nodes_[i].overest);
-    });
   }
 
   /// Probe-behavior stats of the backing key index (see flat_hash::stats).
@@ -428,10 +414,11 @@ class space_saving {
   /// Everything a counter mutation touches besides its count, packed into
   /// ONE node (32 bytes for 8-byte keys) so an add dirties at most two data
   /// lines: this node and the counts_ entry. Only the counts stay split out
-  /// as a separate flat array - they are what the SIMD threshold/min scans
-  /// stream over; scattering key/overestimate/links into parallel arrays as
-  /// well measurably hurt the batched update path (more resident lines per
-  /// add, none of them prefetchable before the index lookup resolves).
+  /// as a separate flat array - they are what the count column and the min
+  /// scan stream over; scattering key/overestimate/links into parallel
+  /// arrays as well measurably hurt the batched update path (more resident
+  /// lines per add, none of them prefetchable before the index lookup
+  /// resolves).
   struct cnode {
     Key key{};
     std::uint64_t overest = 0;    ///< overestimate recorded at last reallocation
@@ -654,7 +641,7 @@ class space_saving {
   }
 
   std::vector<cnode> nodes_;             ///< per-counter key + overestimate + links
-  std::vector<std::uint64_t> counts_;    ///< counter values - contiguous for SIMD scans
+  std::vector<std::uint64_t> counts_;    ///< counter values - contiguous for column scans
   std::vector<bucket_node> buckets_;
   flat_hash<Key, std::uint32_t> index_;
   std::uint32_t bucket_free_ = npos;

@@ -173,16 +173,6 @@ class flat_hash {
     for_each_used([&](std::size_t i) { fn(slots_[i].key, slots_[i].value); });
   }
 
-  /// Hints the cache about x's home slot; pairs with update_batch's
-  /// decision lookahead so the probe's first lines - the control byte read
-  /// first by every lookup, then the slot itself - are resident on arrival.
-  void prefetch(const Key& x) const noexcept {
-    if (slots_.empty()) return;
-    const std::size_t i = token_of(x) & mask_;
-    __builtin_prefetch(ctrl_.data() + i);
-    __builtin_prefetch(&slots_[i]);
-  }
-
   // --- prehashed hot-path entry points -------------------------------------
   // Batched callers hash a whole chunk of keys up front (a vectorizable pure
   // loop) and replay the probes later with the finished hash - the probe
@@ -220,7 +210,9 @@ class flat_hash {
     return i;
   }
 
-  /// Prefetches a home slot (control byte + slot) by bucket() token.
+  /// Prefetches a home slot by bucket() token: the probe's first lines - the
+  /// control byte read first by every lookup, then the slot itself - are
+  /// then resident when the batched caller replays the probe.
   void prefetch_bucket(std::size_t bucket) const noexcept {
     const std::size_t i = bucket & mask_;
     __builtin_prefetch(ctrl_.data() + i);

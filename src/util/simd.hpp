@@ -18,8 +18,6 @@
 //
 //   * byte-group probing primitives (16-wide SSE2, 32-wide AVX2) for
 //     flat_hash's SwissTable-style control array;
-//   * contiguous-u64 scans (threshold visit, min+argmin) for space_saving's
-//     counter vectors;
 //   * prefix-mask kernels (variable-shift netmask + key packing) for the
 //     hierarchical batch path: H-Memento materializes one sampled
 //     generalization per packet, which is a data-parallel AND with a
@@ -28,7 +26,7 @@
 //     for free.
 //
 // Every kernel has a scalar twin here with identical observable behavior
-// (same visit order, same tie-breaks); the differential suites in
+// (the same output bits); the differential suites in
 // tests/simd_test.cpp, tests/flat_hash_test.cpp and tests/batch_test.cpp pin
 // the equivalence per dispatch tier, down to save() byte identity.
 //
@@ -43,7 +41,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <utility>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define MEMENTO_SIMD_X86 1
@@ -175,20 +172,6 @@ struct group16 {
 
 #endif  // MEMENTO_SIMD_X86
 
-// --- contiguous u64 scans ----------------------------------------------------
-// The scalar bodies are the oracles; the AVX2 bodies must visit the same
-// indices in the same order and break ties identically (first index wins).
-// SSE2 lacks 64-bit compares, so the u64 scans have exactly two families:
-// scalar (tiers scalar/sse2) and AVX2.
-
-/// Visits fn(i) for every i < n with v[i] >= bar, in ascending order.
-template <typename Fn>
-void scan_ge_u64(const std::uint64_t* v, std::size_t n, std::uint64_t bar, Fn&& fn);
-
-/// Minimum value and the FIRST index attaining it; n must be >= 1.
-[[nodiscard]] inline std::pair<std::uint64_t, std::size_t> min_scan_u64(const std::uint64_t* v,
-                                                                        std::size_t n);
-
 // --- prefix masking ----------------------------------------------------------
 // The 1-D prefix encoding is (depth << 32) | (addr & mask_for_depth(depth))
 // with mask_for_depth(d) = d >= 4 ? 0 : ~0u << 8d (prefix1d.hpp). Both
@@ -208,26 +191,6 @@ inline void make_prefix_keys(const std::uint32_t* addrs, const std::uint8_t* dep
                              std::uint64_t* keys, std::size_t n);
 
 namespace detail {
-
-template <typename Fn>
-void scan_ge_u64_scalar(const std::uint64_t* v, std::size_t n, std::uint64_t bar, Fn&& fn) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (v[i] >= bar) fn(i);
-  }
-}
-
-[[nodiscard]] inline std::pair<std::uint64_t, std::size_t> min_scan_u64_scalar(
-    const std::uint64_t* v, std::size_t n) {
-  std::uint64_t best = v[0];
-  std::size_t at = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < best) {
-      best = v[i];
-      at = i;
-    }
-  }
-  return {best, at};
-}
 
 /// mask_for_depth as branch-free arithmetic: (~0 << 8d) truncated to 32
 /// bits, so d == 4 shifts the whole mask out. Matches prefix1d exactly.
@@ -249,72 +212,6 @@ inline void make_prefix_keys_scalar(const std::uint32_t* addrs, const std::uint8
 }
 
 #if MEMENTO_SIMD_X86
-
-/// Sign-bias for unsigned 64-bit comparison via the signed pcmpgtq.
-inline constexpr std::int64_t kBias64 = static_cast<std::int64_t>(0x8000'0000'0000'0000ull);
-
-/// 4-bit mask (bit = lane) of lanes where a >= bar, unsigned.
-MEMENTO_TARGET_AVX2 [[nodiscard]] inline std::uint32_t ge_mask_epu64(__m256i a,
-                                                                     __m256i bar_biased) noexcept {
-  const __m256i ab = _mm256_xor_si256(a, _mm256_set1_epi64x(kBias64));
-  // a >= bar  <=>  !(bar > a), signed on biased values.
-  const __m256i lt = _mm256_cmpgt_epi64(bar_biased, ab);
-  return static_cast<std::uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(lt))) ^ 0xFu;
-}
-
-template <typename Fn>
-MEMENTO_TARGET_AVX2 void scan_ge_u64_avx2(const std::uint64_t* v, std::size_t n,
-                                          std::uint64_t bar, Fn&& fn) {
-  const __m256i bar_biased =
-      _mm256_set1_epi64x(static_cast<std::int64_t>(bar) ^ kBias64);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    std::uint32_t m = ge_mask_epu64(a, bar_biased);
-    while (m) {
-      fn(i + static_cast<std::size_t>(__builtin_ctz(m)));
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (v[i] >= bar) fn(i);
-  }
-}
-
-MEMENTO_TARGET_AVX2 [[nodiscard]] inline std::pair<std::uint64_t, std::size_t> min_scan_u64_avx2(
-    const std::uint64_t* v, std::size_t n) {
-  if (n < 8) return min_scan_u64_scalar(v, n);
-  const __m256i bias = _mm256_set1_epi64x(kBias64);
-  __m256i best = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const __m256i lt = _mm256_cmpgt_epi64(_mm256_xor_si256(best, bias),
-                                          _mm256_xor_si256(a, bias));
-    best = _mm256_blendv_epi8(best, a, lt);
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), best);
-  std::uint64_t m = lanes[0];
-  for (int l = 1; l < 4; ++l) {
-    if (lanes[l] < m) m = lanes[l];
-  }
-  for (; i < n; ++i) {
-    if (v[i] < m) m = v[i];
-  }
-  // Second pass: FIRST index holding the minimum (the scalar tie-break).
-  const __m256i mv = _mm256_set1_epi64x(static_cast<std::int64_t>(m));
-  for (std::size_t j = 0; j + 4 <= n; j += 4) {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + j));
-    const std::uint32_t eq = static_cast<std::uint32_t>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(a, mv))));
-    if (eq) return {m, j + static_cast<std::size_t>(__builtin_ctz(eq))};
-  }
-  for (std::size_t j = n & ~std::size_t{3}; j < n; ++j) {
-    if (v[j] == m) return {m, j};
-  }
-  return {m, n};  // unreachable: m was observed in v
-}
 
 MEMENTO_TARGET_AVX2 inline void mask_addr_by_depth_avx2(const std::uint32_t* addrs,
                                                         const std::uint8_t* depths,
@@ -355,25 +252,6 @@ MEMENTO_TARGET_AVX2 inline void make_prefix_keys_avx2(const std::uint32_t* addrs
 #endif  // MEMENTO_SIMD_X86
 
 }  // namespace detail
-
-template <typename Fn>
-void scan_ge_u64(const std::uint64_t* v, std::size_t n, std::uint64_t bar, Fn&& fn) {
-#if MEMENTO_SIMD_X86
-  if (active() >= tier::avx2 && n >= 4) {
-    detail::scan_ge_u64_avx2(v, n, bar, std::forward<Fn>(fn));
-    return;
-  }
-#endif
-  detail::scan_ge_u64_scalar(v, n, bar, std::forward<Fn>(fn));
-}
-
-[[nodiscard]] inline std::pair<std::uint64_t, std::size_t> min_scan_u64(const std::uint64_t* v,
-                                                                        std::size_t n) {
-#if MEMENTO_SIMD_X86
-  if (active() >= tier::avx2) return detail::min_scan_u64_avx2(v, n);
-#endif
-  return detail::min_scan_u64_scalar(v, n);
-}
 
 inline void mask_addr_by_depth(const std::uint32_t* addrs, const std::uint8_t* depths,
                                std::uint32_t* out, std::size_t n) {

@@ -2,10 +2,10 @@
 // composite-sampler kernel behind h_memento::update_batch) must leave a
 // sketch in state *identical* to the same packets fed through scalar
 // update() - same sampled sequence, same queries, same heavy-hitter output,
-// same forced-drain count - for every tau regime and for batch sizes that
-// straddle block and frame boundaries. This is what licenses every
-// batch-path shortcut (pre-drawn decisions, prehashed adds, hoisted
-// boundary checks, the multiply-based overflow test).
+// same forced-drain count, same save() bytes - for every tau regime and for
+// batch sizes that straddle block and frame boundaries. This is what
+// licenses every batch-path shortcut (sampled-offset gap walks, prehashed
+// adds, hoisted boundary checks, the multiply-based overflow test).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,6 +44,7 @@ void expect_identical(const sketch& a, const sketch& b) {
   ASSERT_EQ(a.stream_length(), b.stream_length());
   ASSERT_EQ(a.forced_drains(), b.forced_drains());
   ASSERT_EQ(a.overflow_entries(), b.overflow_entries());
+  ASSERT_EQ(snapshot::save(a), snapshot::save(b));
 
   const auto keys_a = a.monitored_keys();
   const auto keys_b = b.monitored_keys();
@@ -81,7 +82,7 @@ TEST_P(BatchEquivalence, BatchEqualsScalarAcrossTauAndBatchSizes) {
   // boundaries many times. Batch sizes exercise: single packet, unaligned
   // small, exactly one block, one block + 1, prime, exactly one frame,
   // bigger than a frame, and everything at once.
-  const int inv_tau = GetParam();  // 1, 16, 256
+  const int inv_tau = GetParam();  // 1, 2, 4, 8, 16, 256
   const double tau = 1.0 / inv_tau;
   const auto ids = skewed_ids(5000, 42 + static_cast<std::uint64_t>(inv_tau));
 
@@ -99,7 +100,7 @@ TEST_P(BatchEquivalence, BatchEqualsScalarAcrossTauAndBatchSizes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TauRegimes, BatchEquivalence, ::testing::Values(1, 16, 256));
+INSTANTIATE_TEST_SUITE_P(TauRegimes, BatchEquivalence, ::testing::Values(1, 2, 4, 8, 16, 256));
 
 TEST(BatchEquivalence, SpanOverloadAndMixedScalarBatchInterleaving) {
   // Switching between scalar and batch ingestion mid-stream must be seamless
@@ -142,7 +143,7 @@ TEST(BatchEquivalence, HMementoBatchMatchesScalar) {
   std::vector<packet> packets;
   for (int i = 0; i < 4000; ++i) packets.push_back(gen.next());
 
-  for (int inv_tau : {1, 16}) {
+  for (int inv_tau : {1, 2, 4, 16}) {
     h_memento<source_hierarchy> scalar(1000, 8 * source_hierarchy::hierarchy_size,
                                        1.0 / inv_tau, 1e-3, /*seed=*/4);
     h_memento<source_hierarchy> batched(1000, 8 * source_hierarchy::hierarchy_size,
@@ -153,6 +154,7 @@ TEST(BatchEquivalence, HMementoBatchMatchesScalar) {
     }
     SCOPED_TRACE("tau=1/" + std::to_string(inv_tau));
     ASSERT_EQ(scalar.stream_length(), batched.stream_length());
+    ASSERT_EQ(snapshot::save(scalar), snapshot::save(batched));
     const auto out_a = scalar.output(0.05);
     const auto out_b = batched.output(0.05);
     ASSERT_EQ(out_a.size(), out_b.size());
@@ -173,7 +175,7 @@ TEST(BatchEquivalence, TwoDimHMementoBatchMatchesScalar) {
   std::vector<packet> packets;
   for (int i = 0; i < 4000; ++i) packets.push_back(gen.next());
 
-  for (int inv_tau : {1, 16}) {
+  for (int inv_tau : {1, 2, 4, 16}) {
     h_memento<two_dim_hierarchy> scalar(1000, 8 * two_dim_hierarchy::hierarchy_size,
                                         1.0 / inv_tau, 1e-3, /*seed=*/6);
     h_memento<two_dim_hierarchy> batched(1000, 8 * two_dim_hierarchy::hierarchy_size,
@@ -184,6 +186,7 @@ TEST(BatchEquivalence, TwoDimHMementoBatchMatchesScalar) {
     }
     SCOPED_TRACE("tau=1/" + std::to_string(inv_tau));
     ASSERT_EQ(scalar.stream_length(), batched.stream_length());
+    ASSERT_EQ(snapshot::save(scalar), snapshot::save(batched));
     const auto out_a = scalar.output(0.05);
     const auto out_b = batched.output(0.05);
     ASSERT_EQ(out_a.size(), out_b.size());

@@ -2,8 +2,7 @@
 //
 // Every vectorized kernel has a scalar twin that is the behavioral oracle;
 // these tests drive the SAME binary through every tier the host supports
-// (simd::scoped_tier) and require identical results - values, visit order,
-// and tie-breaks.
+// (simd::scoped_tier) and require identical results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -80,55 +79,6 @@ TEST(SimdGroup, Group16MatchBitsFollowByteOrder) {
   EXPECT_EQ(g.match_empty(), 0xFFFFu & ~((1u << 3) | (1u << 7) | (1u << 9)));
 }
 #endif
-
-// --- u64 scan kernels: every tier against the scalar oracle -----------------
-
-TEST(SimdScan, ScanGeMatchesScalarOracleOnEveryTier) {
-  xoshiro256 rng(11);
-  for (const std::size_t n : {0ul, 1ul, 3ul, 4ul, 5ul, 17ul, 64ul, 513ul}) {
-    std::vector<std::uint64_t> v(n);
-    for (auto& x : v) x = rng() % 64;  // small range -> many threshold hits
-    for (const std::uint64_t bar : {0ull, 1ull, 13ull, 63ull, ~0ull}) {
-      std::vector<std::size_t> expect;
-      simd::detail::scan_ge_u64_scalar(v.data(), n, bar,
-                                       [&](std::size_t i) { expect.push_back(i); });
-      for (const simd::tier t : host_tiers()) {
-        simd::scoped_tier guard(t);
-        std::vector<std::size_t> got;
-        simd::scan_ge_u64(v.data(), n, bar, [&](std::size_t i) { got.push_back(i); });
-        EXPECT_EQ(got, expect) << "tier " << simd::tier_name(t) << " n=" << n << " bar=" << bar;
-      }
-    }
-  }
-}
-
-TEST(SimdScan, MinScanMatchesScalarIncludingFirstIndexTieBreak) {
-  xoshiro256 rng(22);
-  for (const std::size_t n : {1ul, 2ul, 4ul, 7ul, 8ul, 9ul, 33ul, 512ul}) {
-    for (int round = 0; round < 50; ++round) {
-      std::vector<std::uint64_t> v(n);
-      // Tiny value range forces duplicated minima, exercising the tie-break.
-      for (auto& x : v) x = rng() % 5;
-      const auto expect = simd::detail::min_scan_u64_scalar(v.data(), n);
-      for (const simd::tier t : host_tiers()) {
-        simd::scoped_tier guard(t);
-        const auto got = simd::min_scan_u64(v.data(), n);
-        EXPECT_EQ(got, expect) << "tier " << simd::tier_name(t) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(SimdScan, MinScanHandlesExtremeValues) {
-  std::vector<std::uint64_t> v{~0ull, ~0ull - 1, ~0ull, 5, 5, ~0ull, 7, 9, 12, 5};
-  const auto expect = simd::detail::min_scan_u64_scalar(v.data(), v.size());
-  EXPECT_EQ(expect.first, 5u);
-  EXPECT_EQ(expect.second, 3u);
-  for (const simd::tier t : host_tiers()) {
-    simd::scoped_tier guard(t);
-    EXPECT_EQ(simd::min_scan_u64(v.data(), v.size()), expect) << simd::tier_name(t);
-  }
-}
 
 // --- prefix masking kernels: the HHH batch hot path ---------------------------
 

@@ -5,14 +5,12 @@
 
 #include <cstdint>
 #include <map>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "sketch/space_saving.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
-#include "util/simd.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace memento {
@@ -208,40 +206,14 @@ TEST(SpaceSaving, AddBatchEqualsSequentialAdds) {
 }
 
 TEST(SpaceSaving, MinScanCrossChecksTheBucketList) {
-  // min_scan recomputes the minimum from the flat count array (SIMD); it
-  // must agree with the O(1) bucket-list answer at every step, on every
-  // dispatch tier.
-  for (const simd::tier t :
-       {simd::tier::scalar, simd::tier::sse2, simd::tier::avx2}) {
-    if (t > simd::detect()) continue;
-    simd::scoped_tier guard(t);
-    space_saving<std::uint64_t> ss(32);
-    xoshiro256 rng(17);
-    EXPECT_EQ(ss.min_scan(), 0u);
-    for (int i = 0; i < 5000; ++i) {
-      ss.add(rng.bounded(200));
-      ASSERT_EQ(ss.min_scan(), ss.min_count()) << "step " << i;
-    }
-  }
-}
-
-TEST(SpaceSaving, ForEachAtLeastMatchesFilteredForEach) {
-  for (const simd::tier t :
-       {simd::tier::scalar, simd::tier::sse2, simd::tier::avx2}) {
-    if (t > simd::detect()) continue;
-    simd::scoped_tier guard(t);
-    space_saving<std::uint64_t> ss(100);
-    xoshiro256 rng(23);
-    for (int i = 0; i < 30000; ++i) ss.add(rng.bounded(400));
-    for (const std::uint64_t bar : {0ull, 1ull, 100ull, 1000ull, ~0ull}) {
-      std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> expect, got;
-      ss.for_each([&](std::uint64_t k, std::uint64_t c, std::uint64_t o) {
-        if (c >= bar) expect.emplace_back(k, c, o);
-      });
-      ss.for_each_at_least(
-          bar, [&](std::uint64_t k, std::uint64_t c, std::uint64_t o) { got.emplace_back(k, c, o); });
-      EXPECT_EQ(got, expect) << "tier " << simd::tier_name(t) << " bar " << bar;
-    }
+  // min_scan recomputes the minimum from the flat count array; it must
+  // agree with the O(1) bucket-list answer at every step.
+  space_saving<std::uint64_t> ss(32);
+  xoshiro256 rng(17);
+  EXPECT_EQ(ss.min_scan(), 0u);
+  for (int i = 0; i < 5000; ++i) {
+    ss.add(rng.bounded(200));
+    ASSERT_EQ(ss.min_scan(), ss.min_count()) << "step " << i;
   }
 }
 
