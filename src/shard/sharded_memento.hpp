@@ -80,7 +80,6 @@
 #include "core/detection_model.hpp"
 #include "core/memento.hpp"
 #include "shard/partitioner.hpp"
-#include "util/compress.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -352,13 +351,7 @@ class sharded_memento {
   /// controller checkpoint a 1M-counter deployment with no O(state) buffer.
   void save(wire::sink& s) const {
     s.begin_section(kWireTag, kWireVersion);
-    s.u8(wire::kCodecPacked);
-    s.varint(shards_.size());
-    s.u64(base_seed_);
-    const shard_table& t = part_.table();
-    s.varint(t.buckets());  // 0 == HASH mode
-    std::size_t i = 0;
-    wire::put_u64_array(s, t.to_shard.size(), [&] { return t.to_shard[i++]; });
+    save_routing(s, shards_.size(), base_seed_, part_.table());
     for (const auto& shard : shards_) shard.save(s);
     s.end_section();
   }
@@ -370,33 +363,18 @@ class sharded_memento {
   [[nodiscard]] static std::optional<sharded_memento> restore(wire::source& s) {
     std::uint16_t version = 0;
     if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
-    if (!wire::get_codec_flags(s)) return std::nullopt;
-    std::uint64_t n = 0, seed = 0, buckets = 0;
-    if (!s.varint(n) || n == 0 || n > kMaxRestoreShards) return std::nullopt;
-    if (!s.u64(seed) || !s.varint(buckets)) return std::nullopt;
-    if (buckets > kMaxRestoreBuckets) return std::nullopt;
-    shard_table table;
-    table.to_shard.reserve(static_cast<std::size_t>(buckets));
-    if (!wire::get_u64_array(s, static_cast<std::size_t>(buckets), [&](std::uint64_t v) {
-          if (v >= n) return false;
-          table.to_shard.push_back(static_cast<std::uint32_t>(v));
-          return true;
-        })) {
-      return std::nullopt;
-    }
-    if (buckets != 0 && !table.valid_for(static_cast<std::size_t>(n))) return std::nullopt;
+    auto routing = restore_routing(s);
+    if (!routing) return std::nullopt;
     std::vector<sketch_type> shards;
-    shards.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
+    shards.reserve(routing->shards);
+    for (std::size_t i = 0; i < routing->shards; ++i) {
       auto shard = sketch_type::restore(s);
       if (!shard) return std::nullopt;
       shards.push_back(std::move(*shard));
     }
     if (!s.close_section()) return std::nullopt;
-    auto part = buckets == 0
-                    ? shard_partitioner<Key>(static_cast<std::size_t>(n))
-                    : shard_partitioner<Key>(static_cast<std::size_t>(n), std::move(table));
-    return sharded_memento(std::move(shards), std::move(part), seed);
+    const std::uint64_t seed = routing->base_seed;
+    return sharded_memento(std::move(shards), std::move(*routing).partitioner<Key>(), seed);
   }
 
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
@@ -408,11 +386,6 @@ class sharded_memento {
   [[nodiscard]] const shard_partitioner<Key>& partitioner() const noexcept { return part_; }
 
  private:
-  /// Restore-side guards: nobody runs thousands of shards on one box, and a
-  /// table bigger than 2^20 buckets is a corrupt length, not a deployment.
-  static constexpr std::uint64_t kMaxRestoreShards = 4096;
-  static constexpr std::uint64_t kMaxRestoreBuckets = 1u << 20;
-
   friend class snapshot_builder;  ///< reshard constructs frontends from parts
 
   /// The shared construction path: both public ctors land here with the

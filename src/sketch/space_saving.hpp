@@ -100,7 +100,9 @@ class space_saving {
   /// Bulk add: mirrors the batched update loop the sketches run (and
   /// HammerSlide's insert(T*, start, end) shape) - hash a chunk of keys in
   /// one pure pass, prefetch their index lines, then replay the structural
-  /// updates with everything resident.
+  /// updates with everything resident. No sketch calls it (they run that
+  /// loop themselves around add_prehashed); perfbench's layer ledger times
+  /// it as sketch.ss_add_ns_per_key.
   void add_batch(const Key* xs, std::size_t n) {
     std::size_t i = 0;
     while (i < n) {

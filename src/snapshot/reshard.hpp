@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -121,7 +122,13 @@ class snapshot_builder {
     if (config.shards == 0 || config.shards != old.num_shards()) return std::nullopt;
     if (config.base.window_size == 0 || config.base.counters == 0) return std::nullopt;
     if (!table.valid_for(config.shards)) return std::nullopt;
-    if (!compatible_hhh(old, config)) return std::nullopt;
+    const h_memento_config target =
+        sharded_h_memento<H>::shard_config_for(config.base, config.shards, /*shard=*/0);
+    if (!compatible(
+            old.num_shards(), [&](std::size_t o) -> const auto& { return old.shard(o).inner(); },
+            memento_config{target.window_size, target.counters, target.tau, target.seed})) {
+      return std::nullopt;
+    }
     auto fresh = sharded_h_memento<H>(config.base, config.shards, table);
     if (!transport_hhh(old, fresh)) return std::nullopt;
     return fresh;
@@ -137,7 +144,11 @@ class snapshot_builder {
       return std::nullopt;
     }
     if (table != nullptr && !table->valid_for(config.shards)) return std::nullopt;
-    if (!compatible(old, config)) return std::nullopt;
+    if (!compatible(
+            old.num_shards(), [&](std::size_t o) -> const auto& { return old.shard(o); },
+            sharded_memento<Key>::shard_config_for(config, /*shard=*/0))) {
+      return std::nullopt;
+    }
     auto fresh = table != nullptr ? sharded_memento<Key>(config, *table)
                                   : sharded_memento<Key>(config);
     if (!transport(old, fresh)) return std::nullopt;
@@ -146,45 +157,23 @@ class snapshot_builder {
   /// Source shards must be one geometry (restore() accepts any sequence of
   /// individually valid shards; reshard does not), and the target must keep
   /// tau and the per-shard overflow threshold - i.e. the same GLOBAL
-  /// window/counter/tau budget with only the routing changing.
-  template <typename Key>
-  [[nodiscard]] static bool compatible(const sharded_memento<Key>& old,
-                                       const shard_config& config) {
-    const auto& ref = old.shard(0);
-    for (std::size_t o = 1; o < old.num_shards(); ++o) {
-      const auto& s = old.shard(o);
+  /// window/counter/tau budget with only the routing changing. sketch_of(o)
+  /// is source shard o's memento_sketch (a hierarchical shard's inner
+  /// sketch: the wrapper adds no window geometry of its own, and its
+  /// sampler/PRNG state restarts on migration by design); `target` is the
+  /// config of the target's shard 0.
+  template <typename SketchOf>
+  [[nodiscard]] static bool compatible(std::size_t shards, const SketchOf& sketch_of,
+                                       const memento_config& target) {
+    const auto& ref = sketch_of(std::size_t{0});
+    for (std::size_t o = 1; o < shards; ++o) {
+      const auto& s = sketch_of(o);
       if (s.counters() != ref.counters() || s.window_size() != ref.window_size() ||
           s.tau() != ref.tau()) {
         return false;
       }
     }
-    const memento_config probe =
-        sharded_memento<Key>::shard_config_for(config, /*shard=*/0);
-    const memento_sketch<Key> target(probe);
-    return target.tau() == ref.tau() &&
-           target.overflow_threshold() == ref.overflow_threshold();
-  }
-
-  /// Source homogeneity + target geometry guard for the hierarchical
-  /// reshard: the same contract as compatible(), phrased against the
-  /// shards' INNER sketches (the wrapper adds no window geometry of its
-  /// own - sampler/PRNG state restarts on migration by design).
-  template <typename H>
-  [[nodiscard]] static bool compatible_hhh(const sharded_h_memento<H>& old,
-                                           const hhh_shard_config& config) {
-    const auto& ref = old.shard(0).inner();
-    for (std::size_t o = 1; o < old.num_shards(); ++o) {
-      const auto& s = old.shard(o).inner();
-      if (s.counters() != ref.counters() || s.window_size() != ref.window_size() ||
-          s.tau() != ref.tau()) {
-        return false;
-      }
-    }
-    const h_memento_config probe_cfg =
-        sharded_h_memento<H>::shard_config_for(config.base, config.shards, /*shard=*/0);
-    const memento_sketch<typename H::key_type> probe(
-        memento_config{probe_cfg.window_size, probe_cfg.counters, probe_cfg.tau,
-                       probe_cfg.seed});
+    const std::remove_cvref_t<decltype(ref)> probe(target);
     return probe.tau() == ref.tau() &&
            probe.overflow_threshold() == ref.overflow_threshold();
   }

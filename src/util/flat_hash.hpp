@@ -9,16 +9,14 @@
 // so a long-running sketch never degrades from accumulated tombstones and
 // never allocates after reserve().
 //
-// SwissTable-style group probing: alongside the slots lives a 1-byte control
-// array - the top 7 hash bits (H2) for a used slot, a sentinel for an empty
-// one - padded with a wraparound mirror so a probe can inspect 16 (SSE2) or
-// 32 (AVX2) consecutive slots with one unaligned load + compare + movemask
-// (util/simd.hpp picks the tier at runtime; MEMENTO_ISA / simd::force clamp
-// it). The group walk visits slots in exactly linear-probe order and stops at
-// the first empty byte, so every dispatch tier finds the same entry, inserts
-// into the same slot, and serializes to the same bytes - the scalar probe
-// (which prefilters on the same control byte) is retained as the
-// differential oracle, pinned by tests/flat_hash_test.cpp.
+// Alongside the slots lives a 1-byte control array - the top 7 hash bits
+// (H2) for a used slot, kCtrlEmpty for an empty one. A probe reads the
+// control byte first: it is both the empty test that ends the probe and a
+// tag prefilter, so a key comparison (and the slot's cache line) is only
+// paid on a 1-in-128 tag match. At load <= 3/4 the mean probe distance is
+// ~0.1-0.2 slots, so almost every lookup is settled by the home slot alone.
+// Iteration walks the control array eight bytes per word
+// (for_each_used_ctrl).
 //
 // Values are small (32-bit counter indices / overflow counts across the
 // stack), so slots stay 16 bytes for 64-bit keys - four per cache line - and
@@ -42,13 +40,15 @@
 
 #include "util/compress.hpp"
 #include "util/random.hpp"
-#include "util/simd.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
 
+/// Control byte for an unoccupied flat_hash slot. H2 tags occupy [0, 0x80).
+inline constexpr std::uint8_t kCtrlEmpty = 0x80;
+
 /// Probe-behavior introspection (flat_hash::stats): how the table actually
-/// probes, so SIMD-vs-scalar behavior is observable, not inferred. Probe
+/// probes, so probe chain lengths are observable, not inferred. Probe
 /// distance of an entry = slots walked past its home bucket (0 = sits at
 /// home); a lookup touches distance+1 slots.
 struct flat_hash_stats {
@@ -64,11 +64,10 @@ struct flat_hash_stats {
 /// control bytes are tested per 64-bit word (a used byte holds an H2 tag in
 /// [0, 0x80), so its top bit is clear), so a sparse table costs one load per
 /// eight slots plus one step per entry rather than a byte-wise walk. Reads
-/// stay inside ctrl[0, n): the tail below a whole word is walked byte-wise,
-/// so a trailing wraparound mirror is never visited.
+/// stay inside ctrl[0, n): the tail below a whole word is walked byte-wise.
 template <typename Fn>
 void for_each_used_ctrl(const std::uint8_t* ctrl, std::size_t n, Fn&& fn) {
-  static_assert(simd::kCtrlEmpty == 0x80, "used bytes are exactly those with the top bit clear");
+  static_assert(kCtrlEmpty == 0x80, "used bytes are exactly those with the top bit clear");
   constexpr std::uint64_t kTopBits = 0x8080808080808080ULL;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -80,7 +79,7 @@ void for_each_used_ctrl(const std::uint8_t* ctrl, std::size_t n, Fn&& fn) {
     }
   }
   for (; i < n; ++i) {
-    if (ctrl[i] != simd::kCtrlEmpty) fn(i);
+    if (ctrl[i] != kCtrlEmpty) fn(i);
   }
 }
 
@@ -162,7 +161,7 @@ class flat_hash {
   /// Drops all entries; capacity is retained (flush() happens every frame).
   void clear() noexcept {
     for (auto& s : slots_) s = slot{};
-    if (!ctrl_.empty()) std::fill(ctrl_.begin(), ctrl_.end(), simd::kCtrlEmpty);
+    if (!ctrl_.empty()) std::fill(ctrl_.begin(), ctrl_.end(), kCtrlEmpty);
     size_ = 0;
   }
 
@@ -177,8 +176,7 @@ class flat_hash {
   // Batched callers hash a whole chunk of keys up front (a vectorizable pure
   // loop) and replay the probes later with the finished hash - the probe
   // token - already in hand. The token carries the full mixed hash (home
-  // bucket in the low bits, the SIMD control tag in the high bits), so it
-  // stays valid however the probe is dispatched. Like before, prehashed
+  // bucket in the low bits, the control tag in the high bits). Prehashed
   // mutation is restricted to pre-reserved tables that never grow
   // (asserted): growth would relocate entries under outstanding slot
   // positions returned by emplace_prehashed.
@@ -249,8 +247,8 @@ class flat_hash {
   // back-references; for_each order is slot order, and through it candidate
   // iteration order), so a restored table must probe, iterate and relocate
   // exactly like the original - the bit-identical-continuation guarantee of
-  // the snapshot layer rests on it. The control array is derived state
-  // (rebuilt from the keys), so snapshots cross dispatch tiers freely.
+  // the snapshot layer rests on it. The control array is derived state,
+  // rebuilt from the keys.
 
   /// Invokes fn(slot_pos, key, value) for every entry in slot order. Used by
   /// restore-side cross-checks (e.g. Space-Saving's islot validation).
@@ -389,7 +387,7 @@ class flat_hash {
     if (count > cap - cap / 4) return false;
     if (cap != slots_.size()) {
       slots_.assign(static_cast<std::size_t>(cap), slot{});
-      ctrl_.assign(static_cast<std::size_t>(cap) + kCtrlPad, simd::kCtrlEmpty);
+      ctrl_.assign(static_cast<std::size_t>(cap), kCtrlEmpty);
       mask_ = static_cast<std::size_t>(cap) - 1;
     }
     return true;
@@ -418,11 +416,6 @@ class flat_hash {
   /// cap also bounds the transient allocation a malicious tiny payload can
   /// trigger before rejection (~50 MB of slots at 2^21).
   static constexpr std::size_t kMaxRestoreCapacity = std::size_t{1} << 21;
-  /// Wraparound mirror after the control array: a group load starting at the
-  /// last slot still reads (widest group - 1) = 31 in-bounds bytes. The
-  /// mirror replicates the array's head, so group probes need no bounds
-  /// logic; set_ctrl keeps it coherent.
-  static constexpr std::size_t kCtrlPad = 31;
   static constexpr std::size_t knpos = std::numeric_limits<std::size_t>::max();
 
   struct slot {
@@ -445,10 +438,10 @@ class flat_hash {
   }
 
   [[nodiscard]] bool is_used(std::size_t i) const noexcept {
-    return ctrl_[i] != simd::kCtrlEmpty;
+    return ctrl_[i] != kCtrlEmpty;
   }
 
-  /// fn(i) for every used slot, ascending (the mirror is never visited).
+  /// fn(i) for every used slot, ascending.
   template <typename Fn>
   void for_each_used(Fn&& fn) const {
     for_each_used_ctrl(ctrl_.data(), slots_.size(), std::forward<Fn>(fn));
@@ -456,133 +449,27 @@ class flat_hash {
 
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept { return (i + 1) & mask_; }
 
-  /// Writes a control byte, replicating into the wraparound mirror.
-  void set_ctrl(std::size_t i, std::uint8_t v) noexcept {
-    ctrl_[i] = v;
-    const std::size_t cap = slots_.size();
-    for (std::size_t p = i + cap; p < cap + kCtrlPad; p += cap) ctrl_[p] = v;
-  }
+  // --- probes ------------------------------------------------------------------
 
-  // --- probe kernels ---------------------------------------------------------
-  // One probe algorithm, three bodies. All walk the same linear probe
-  // sequence and stop at the first empty control byte; the group variants
-  // just inspect 16/32 candidates per load. Tag (H2) collisions cost one
-  // key comparison and nothing else, so every tier returns the same slot.
-
-  /// Slot index of x, or knpos. The home slot settles most probes at load
-  /// <= 3/4 (measured mean probe distance ~0.1), so it is checked directly
-  /// before any group machinery spins up - vector setup per lookup costs
-  /// more than it saves on a probe chain of length zero. Misses dispatch on
-  /// the active tier; group probes need the group to fit the table
-  /// (capacity >= width), which only excludes toy tables below the
-  /// constructor floor of real sketches. Every path starts probing at the
-  /// home slot, so the shortcut cannot change the answer.
+  /// Slot index of x, or knpos: a linear probe from the home bucket, with
+  /// the control byte doing double duty as the tag prefilter and the empty
+  /// test that ends the probe.
   [[nodiscard]] std::size_t find_index(std::uint64_t token, const Key& x) const noexcept {
-    const std::size_t home = token & mask_;
-    const std::uint8_t c = ctrl_[home];
-    if (c == h2(token) && slots_[home].key == x) return home;
-    if (c == simd::kCtrlEmpty) return knpos;
-#if MEMENTO_SIMD_X86
-    const simd::tier t = simd::active();
-    if (t >= simd::tier::avx2 && slots_.size() >= 32) return find_avx2(token, x);
-    if (t >= simd::tier::sse2 && slots_.size() >= 16) return find_sse2(token, x);
-#endif
-    return find_scalar(token, x);
-  }
-
-  /// First empty slot in probe order from the token's home bucket. The
-  /// insert position - identical across tiers by the same argument as
-  /// find_index (including the home-slot shortcut).
-  [[nodiscard]] std::size_t first_empty(std::uint64_t token) const noexcept {
-    const std::size_t home = token & mask_;
-    if (!is_used(home)) return home;
-#if MEMENTO_SIMD_X86
-    const simd::tier t = simd::active();
-    if (t >= simd::tier::avx2 && slots_.size() >= 32) return first_empty_avx2(token);
-    if (t >= simd::tier::sse2 && slots_.size() >= 16) return first_empty_sse2(token);
-#endif
-    std::size_t i = home;
-    while (is_used(i)) i = next(i);
-    return i;
-  }
-
-  /// The scalar oracle: linear probe with the control byte doing double duty
-  /// as the empty test and the tag prefilter (same compare count as the SIMD
-  /// path, one slot at a time).
-  [[nodiscard]] std::size_t find_scalar(std::uint64_t token, const Key& x) const noexcept {
     const std::uint8_t tag = h2(token);
     for (std::size_t i = token & mask_;; i = next(i)) {
       const std::uint8_t c = ctrl_[i];
       if (c == tag && slots_[i].key == x) return i;
-      if (c == simd::kCtrlEmpty) return knpos;
+      if (c == kCtrlEmpty) return knpos;
     }
   }
 
-#if MEMENTO_SIMD_X86
-  [[nodiscard]] std::size_t find_sse2(std::uint64_t token, const Key& x) const noexcept {
-    const std::uint8_t tag = h2(token);
+  /// First empty slot in probe order from the token's home bucket: the
+  /// insert position.
+  [[nodiscard]] std::size_t first_empty(std::uint64_t token) const noexcept {
     std::size_t i = token & mask_;
-    while (true) {
-      const auto g = simd::group16::load(ctrl_.data() + i);
-      std::uint32_t match = g.match(tag);
-      const std::uint32_t empty = g.match_empty();
-      if (empty) match &= empty - 1;  // candidates past the first empty are dead
-      while (match) {
-        const std::size_t idx = (i + static_cast<std::size_t>(__builtin_ctz(match))) & mask_;
-        if (slots_[idx].key == x) return idx;
-        match &= match - 1;
-      }
-      if (empty) return knpos;
-      i = (i + simd::group16::width) & mask_;
-    }
+    while (is_used(i)) i = next(i);
+    return i;
   }
-
-  [[nodiscard]] std::size_t first_empty_sse2(std::uint64_t token) const noexcept {
-    std::size_t i = token & mask_;
-    while (true) {
-      const std::uint32_t empty = simd::group16::load(ctrl_.data() + i).match_empty();
-      if (empty) return (i + static_cast<std::size_t>(__builtin_ctz(empty))) & mask_;
-      i = (i + simd::group16::width) & mask_;
-    }
-  }
-
-  MEMENTO_TARGET_AVX2 [[nodiscard]] std::size_t find_avx2(std::uint64_t token,
-                                                          const Key& x) const noexcept {
-    const __m256i tagv = _mm256_set1_epi8(static_cast<char>(h2(token)));
-    const __m256i emptyv = _mm256_set1_epi8(static_cast<char>(simd::kCtrlEmpty));
-    std::size_t i = token & mask_;
-    while (true) {
-      const __m256i g =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctrl_.data() + i));
-      std::uint32_t match =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(g, tagv)));
-      const std::uint32_t empty =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(g, emptyv)));
-      if (empty) match &= empty - 1;
-      while (match) {
-        const std::size_t idx = (i + static_cast<std::size_t>(__builtin_ctz(match))) & mask_;
-        if (slots_[idx].key == x) return idx;
-        match &= match - 1;
-      }
-      if (empty) return knpos;
-      i = (i + 32) & mask_;
-    }
-  }
-
-  MEMENTO_TARGET_AVX2 [[nodiscard]] std::size_t first_empty_avx2(
-      std::uint64_t token) const noexcept {
-    const __m256i emptyv = _mm256_set1_epi8(static_cast<char>(simd::kCtrlEmpty));
-    std::size_t i = token & mask_;
-    while (true) {
-      const __m256i g =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctrl_.data() + i));
-      const std::uint32_t empty =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(g, emptyv)));
-      if (empty) return (i + static_cast<std::size_t>(__builtin_ctz(empty))) & mask_;
-      i = (i + 32) & mask_;
-    }
-  }
-#endif  // MEMENTO_SIMD_X86
 
   /// Shared backward-shift deletion tail: pos holds the doomed entry.
   template <typename MoveFn>
@@ -596,20 +483,20 @@ class flat_hash {
       if (((i - home) & mask_) >= ((i - hole) & mask_)) {
         slots_[hole].key = std::move(slots_[i].key);
         slots_[hole].value = slots_[i].value;
-        set_ctrl(hole, ctrl_[i]);  // the tag travels with the key
+        ctrl_[hole] = ctrl_[i];  // the tag travels with the key
         on_move(slots_[hole].value, hole);
         hole = i;
       }
     }
     slots_[hole] = slot{};
-    set_ctrl(hole, simd::kCtrlEmpty);
+    ctrl_[hole] = kCtrlEmpty;
     --size_;
   }
 
   void place(std::size_t i, std::uint64_t token, const Key& x, Value v) {
     slots_[i].key = x;
     slots_[i].value = v;
-    set_ctrl(i, h2(token));
+    ctrl_[i] = h2(token);
     ++size_;
   }
 
@@ -625,12 +512,12 @@ class flat_hash {
     std::vector<slot> old = std::move(slots_);
     std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
     slots_.assign(new_capacity, slot{});
-    ctrl_.assign(new_capacity + kCtrlPad, simd::kCtrlEmpty);
+    ctrl_.assign(new_capacity, kCtrlEmpty);
     mask_ = new_capacity - 1;
     const std::size_t moved = size_;
     size_ = 0;
     for (std::size_t i = 0; i < old.size(); ++i) {
-      if (old_ctrl[i] == simd::kCtrlEmpty) continue;
+      if (old_ctrl[i] == kCtrlEmpty) continue;
       const std::uint64_t token = token_of(old[i].key);
       place(first_empty(token), token, std::move(old[i].key), old[i].value);
     }
@@ -642,12 +529,12 @@ class flat_hash {
   void place(std::size_t i, std::uint64_t token, Key&& x, Value v) {
     slots_[i].key = std::move(x);
     slots_[i].value = v;
-    set_ctrl(i, h2(token));
+    ctrl_[i] = h2(token);
     ++size_;
   }
 
   std::vector<slot> slots_;
-  std::vector<std::uint8_t> ctrl_;  ///< H2 tags / empty sentinels + mirror
+  std::vector<std::uint8_t> ctrl_;  ///< H2 tags / empty sentinels, one per slot
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

@@ -1,4 +1,4 @@
-// Runtime ISA dispatch and the SIMD kernels under the hot-path containers.
+// Runtime ISA dispatch and the SIMD prefix-mask kernels of the hierarchical batch path.
 //
 // Everything vectorized in this repository funnels through this header so
 // that exactly one mechanism decides which instruction set runs:
@@ -14,21 +14,16 @@
 //     AVX2 is available and skip the cpuid, but still honor overrides - the
 //     widest path is the default, not the only path.
 //
-// The kernels themselves are deliberately small and total:
-//
-//   * byte-group probing primitives (16-wide SSE2, 32-wide AVX2) for
-//     flat_hash's SwissTable-style control array;
-//   * prefix-mask kernels (variable-shift netmask + key packing) for the
-//     hierarchical batch path: H-Memento materializes one sampled
-//     generalization per packet, which is a data-parallel AND with a
-//     per-level mask (prefix1d::mask_for_depth) - vectorized with sllv,
-//     whose shift-past-width-yields-zero semantics encode the /0 root mask
-//     for free.
+// The kernels themselves are the prefix-mask kernels (variable-shift netmask +
+// key packing) of the hierarchical batch path: H-Memento materializes one
+// sampled generalization per packet, which is a data-parallel AND with a
+// per-level mask (prefix1d::mask_for_depth) - vectorized with sllv, whose
+// shift-past-width-yields-zero semantics encode the /0 root mask for free.
 //
 // Every kernel has a scalar twin here with identical observable behavior
-// (the same output bits); the differential suites in
-// tests/simd_test.cpp, tests/flat_hash_test.cpp and tests/batch_test.cpp pin
-// the equivalence per dispatch tier, down to save() byte identity.
+// (the same output bits); the differential suites in tests/simd_test.cpp and
+// tests/batch_test.cpp pin the equivalence per dispatch tier, down to save()
+// byte identity.
 //
 // AVX2 bodies carry __attribute__((target("avx2"))) so this header compiles
 // - and the scalar/SSE2 tiers keep working - on baseline x86-64 builds; the
@@ -141,36 +136,6 @@ class scoped_tier {
  private:
   int previous_;
 };
-
-// --- byte-group probing ------------------------------------------------------
-// flat_hash keeps a parallel 1-byte control array (7-bit H2 tag per used
-// slot, kCtrlEmpty sentinel otherwise). A group is W consecutive control
-// bytes loaded unaligned; match() returns a bitmask (bit j = byte j matches)
-// so a probe inspects W slots with one load + compare + movemask. Bit order
-// equals probe order, which is what keeps SIMD and scalar probes choosing
-// identical slots.
-
-/// Control byte for an unoccupied slot. H2 tags occupy [0, 0x80).
-inline constexpr std::uint8_t kCtrlEmpty = 0x80;
-
-#if MEMENTO_SIMD_X86
-
-/// 16-byte control group (SSE2 - unconditionally available on x86-64).
-struct group16 {
-  static constexpr std::size_t width = 16;
-  __m128i v;
-
-  [[nodiscard]] static group16 load(const std::uint8_t* p) noexcept {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  [[nodiscard]] std::uint32_t match(std::uint8_t byte) const noexcept {
-    const __m128i m = _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(byte)));
-    return static_cast<std::uint32_t>(_mm_movemask_epi8(m));
-  }
-  [[nodiscard]] std::uint32_t match_empty() const noexcept { return match(kCtrlEmpty); }
-};
-
-#endif  // MEMENTO_SIMD_X86
 
 // --- prefix masking ----------------------------------------------------------
 // The 1-D prefix encoding is (depth << 32) | (addr & mask_for_depth(depth))

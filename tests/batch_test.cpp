@@ -310,71 +310,16 @@ TEST(BatchEquivalence, EmptyAndSingleElementBatches) {
 }
 
 // --- SIMD dispatch differentials ---------------------------------------------
-// The whole-sketch version of the flat_hash tier differentials: the same
-// trace through sketches running under different dispatch tiers must
-// produce identical observables AND identical save() bytes - the SIMD
-// probes/scans may only change speed, never state.
-
-std::vector<std::uint8_t> sketch_bytes(const sketch& s) { return snapshot::save(s); }
+// The hierarchical batch path is the only sketch code with tier-dependent
+// kernels (prefix masking): the same trace under every dispatch tier must
+// produce identical save() bytes - the SIMD kernels may only change speed,
+// never state.
 
 std::vector<simd::tier> host_tiers() {
   std::vector<simd::tier> out{simd::tier::scalar};
   if (simd::detect() >= simd::tier::sse2) out.push_back(simd::tier::sse2);
   if (simd::detect() >= simd::tier::avx2) out.push_back(simd::tier::avx2);
   return out;
-}
-
-TEST(BatchSimd, EveryTierProducesIdenticalSketchState) {
-  const auto ids = skewed_ids(6000, 21);
-  for (const double tau : {1.0, 1.0 / 16}) {
-    std::vector<std::uint8_t> scalar_bytes;
-    {
-      simd::scoped_tier guard(simd::tier::scalar);
-      sketch s(1000, 8, tau, /*seed=*/13);
-      s.update_batch(ids.data(), ids.size());
-      scalar_bytes = sketch_bytes(s);
-    }
-    for (const simd::tier t : host_tiers()) {
-      if (t == simd::tier::scalar) continue;
-      simd::scoped_tier guard(t);
-      sketch s(1000, 8, tau, /*seed=*/13);
-      s.update_batch(ids.data(), ids.size());
-      EXPECT_EQ(sketch_bytes(s), scalar_bytes)
-          << "tau=" << tau << " tier=" << simd::tier_name(t);
-    }
-  }
-}
-
-TEST(BatchSimd, SimdBuiltSketchContinuesIdenticallyUnderScalar) {
-  // Build half the stream under the widest tier, snapshot, restore under
-  // scalar and finish; a sketch that never left scalar must match byte for
-  // byte. This is the cross-tier migration story: snapshots carry no
-  // tier-dependent state.
-  const auto ids = skewed_ids(6000, 77);
-  const std::size_t half = ids.size() / 2;
-
-  std::vector<std::uint8_t> reference;
-  {
-    simd::scoped_tier guard(simd::tier::scalar);
-    sketch s(1000, 8, 1.0, /*seed=*/31);
-    s.update_batch(ids.data(), ids.size());
-    reference = sketch_bytes(s);
-  }
-
-  std::vector<std::uint8_t> image;
-  {
-    simd::scoped_tier guard(simd::detect());
-    sketch s(1000, 8, 1.0, /*seed=*/31);
-    s.update_batch(ids.data(), half);
-    image = sketch_bytes(s);
-  }
-  {
-    simd::scoped_tier guard(simd::tier::scalar);
-    auto restored = snapshot::restore<sketch>(image);
-    ASSERT_TRUE(restored.has_value());
-    restored->update_batch(ids.data() + half, ids.size() - half);
-    EXPECT_EQ(sketch_bytes(*restored), reference);
-  }
 }
 
 TEST(BatchSimd, HMementoEveryTierIsByteIdenticalOnBothHierarchies) {

@@ -3,11 +3,8 @@
 // Directed tests pin the structural invariants (power-of-two growth, load
 // bound, backward-shift erase leaving no unreachable keys, prehashed entry
 // points, move callbacks); a randomized mixed workload checks every
-// observable against a std::unordered_map oracle, including across rehashes
-// and clear(). The tier-differential suites then force each SIMD dispatch
-// tier in turn (simd::scoped_tier) and require bit-identical behavior down
-// to the save() bytes - the group probes must choose exactly the slots the
-// scalar oracle chooses.
+// observable against a std::unordered_map oracle, including across rehashes,
+// clear() and mid-stream save -> restore round trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,19 +17,10 @@
 
 #include "util/flat_hash.hpp"
 #include "util/random.hpp"
-#include "util/simd.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
 namespace {
-
-/// Every dispatch tier this host can run (ascending, scalar first).
-std::vector<simd::tier> host_tiers() {
-  std::vector<simd::tier> out{simd::tier::scalar};
-  if (simd::detect() >= simd::tier::sse2) out.push_back(simd::tier::sse2);
-  if (simd::detect() >= simd::tier::avx2) out.push_back(simd::tier::avx2);
-  return out;
-}
 
 std::vector<std::uint8_t> save_bytes(const flat_hash<std::uint64_t>& h) {
   std::vector<std::uint8_t> out;
@@ -217,8 +205,8 @@ TEST(FlatHash, ForEachVisitsExactlyTheLiveEntries) {
 }
 
 // The iteration kernel against the scalar control-byte walk it replaced, on
-// raw control arrays of every length 0..72 (word-sized or not) followed by a
-// fully used wraparound mirror that must never be visited.
+// raw control arrays of every length 0..72 (word-sized or not) followed by
+// 31 used bytes past the end that must never be visited.
 TEST(FlatHash, ForEachUsedCtrlMatchesScalarWalk) {
   xoshiro256 rng(0xc7);
   const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
@@ -227,11 +215,11 @@ TEST(FlatHash, ForEachUsedCtrlMatchesScalarWalk) {
       std::vector<std::uint8_t> ctrl(n + 31);
       for (std::size_t i = 0; i < ctrl.size(); ++i) {
         const bool used = i >= n || rng.uniform01() < density;
-        ctrl[i] = used ? static_cast<std::uint8_t>(rng.bounded(0x80)) : simd::kCtrlEmpty;
+        ctrl[i] = used ? static_cast<std::uint8_t>(rng.bounded(0x80)) : kCtrlEmpty;
       }
       std::vector<std::size_t> expect;
       for (std::size_t i = 0; i < n; ++i) {
-        if (ctrl[i] != simd::kCtrlEmpty) expect.push_back(i);
+        if (ctrl[i] != kCtrlEmpty) expect.push_back(i);
       }
       std::vector<std::size_t> seen;
       for_each_used_ctrl(ctrl.data(), n, [&](std::size_t i) { seen.push_back(i); });
@@ -292,62 +280,80 @@ TEST(FlatHash, ForEachVisitsUsedSlotsOnceInSlotOrder) {
 
 // Randomized differential test: a long mixed op stream, checked against
 // std::unordered_map after every operation batch and exhaustively at the
-// end. Small key universe maximizes collision/backshift traffic.
+// end. Small key universe maximizes collision/backshift traffic. Each stream
+// runs twice: once straight through, once replacing the table every 977th
+// op with its own save -> restore round trip, which must reproduce the
+// image byte for byte and carry on as if nothing happened.
 TEST(FlatHash, RandomOpsMatchUnorderedMapOracle) {
-  for (std::uint64_t seed : {1ull, 99ull, 123456789ull}) {
-    xoshiro256 rng(seed);
-    flat_hash<std::uint64_t> h;
-    std::unordered_map<std::uint64_t, std::uint32_t> oracle;
-    for (int op = 0; op < 20000; ++op) {
-      const std::uint64_t key = rng() % 512;
-      switch (rng() % 4) {
-        case 0: {  // insert-if-absent
-          if (!oracle.count(key)) {
-            const auto v = static_cast<std::uint32_t>(rng());
-            h.emplace(key, v);
-            oracle.emplace(key, v);
+  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> straight_through;
+  for (const int restore_every : {0, 977}) {
+    for (std::uint64_t seed : {1ull, 99ull, 123456789ull}) {
+      xoshiro256 rng(seed);
+      flat_hash<std::uint64_t> h;
+      std::unordered_map<std::uint64_t, std::uint32_t> oracle;
+      for (int op = 0; op < 20000; ++op) {
+        if (restore_every != 0 && op % restore_every == 0) {
+          const auto image = save_bytes(h);
+          flat_hash<std::uint64_t> back;
+          ASSERT_TRUE(restore_bytes(back, image)) << "mid-stream restore failed at op " << op;
+          EXPECT_EQ(save_bytes(back), image) << "restore-save not a fixed point at op " << op;
+          h = std::move(back);
+        }
+        const std::uint64_t key = rng() % 512;
+        switch (rng() % 4) {
+          case 0: {  // insert-if-absent
+            if (!oracle.count(key)) {
+              const auto v = static_cast<std::uint32_t>(rng());
+              h.emplace(key, v);
+              oracle.emplace(key, v);
+            }
+            break;
           }
-          break;
-        }
-        case 1: {  // counter bump
-          ++h.find_or_emplace(key, 0);
-          ++oracle[key];
-          break;
-        }
-        case 2: {  // erase
-          EXPECT_EQ(h.erase(key), oracle.erase(key) > 0);
-          break;
-        }
-        default: {  // lookup
-          const auto it = oracle.find(key);
-          const std::uint32_t* p = h.find(key);
-          if (it == oracle.end()) {
-            EXPECT_EQ(p, nullptr);
-          } else {
-            ASSERT_NE(p, nullptr);
-            EXPECT_EQ(*p, it->second);
+          case 1: {  // counter bump
+            ++h.find_or_emplace(key, 0);
+            ++oracle[key];
+            break;
           }
-          break;
+          case 2: {  // erase
+            EXPECT_EQ(h.erase(key), oracle.erase(key) > 0);
+            break;
+          }
+          default: {  // lookup
+            const auto it = oracle.find(key);
+            const std::uint32_t* p = h.find(key);
+            if (it == oracle.end()) {
+              EXPECT_EQ(p, nullptr);
+            } else {
+              ASSERT_NE(p, nullptr);
+              EXPECT_EQ(*p, it->second);
+            }
+            break;
+          }
+        }
+        EXPECT_EQ(h.size(), oracle.size());
+        if (op % 4096 == 0) {
+          h.clear();
+          oracle.clear();
         }
       }
-      EXPECT_EQ(h.size(), oracle.size());
-      if (op % 4096 == 0) {
-        h.clear();
-        oracle.clear();
+      for (const auto& [k, v] : oracle) {
+        ASSERT_NE(h.find(k), nullptr) << k;
+        EXPECT_EQ(*h.find(k), v);
+      }
+      std::size_t visited = 0;
+      h.for_each([&](std::uint64_t k, std::uint32_t v) {
+        ++visited;
+        auto it = oracle.find(k);
+        ASSERT_NE(it, oracle.end());
+        EXPECT_EQ(it->second, v);
+      });
+      EXPECT_EQ(visited, oracle.size());
+      if (restore_every == 0) {
+        straight_through[seed] = save_bytes(h);
+      } else {
+        EXPECT_EQ(save_bytes(h), straight_through[seed]) << "round trips changed the end state";
       }
     }
-    for (const auto& [k, v] : oracle) {
-      ASSERT_NE(h.find(k), nullptr) << k;
-      EXPECT_EQ(*h.find(k), v);
-    }
-    std::size_t visited = 0;
-    h.for_each([&](std::uint64_t k, std::uint32_t v) {
-      ++visited;
-      auto it = oracle.find(k);
-      ASSERT_NE(it, oracle.end());
-      EXPECT_EQ(it->second, v);
-    });
-    EXPECT_EQ(visited, oracle.size());
   }
 }
 
@@ -379,133 +385,6 @@ TEST(FlatHash, StatsSeeProbeChainsGrowWithLoad) {
   EXPECT_GE(last_mean, 0.0);
   // At ~68% load some probe displacement is statistically certain.
   EXPECT_GT(st.max_probe, 0u);
-}
-
-// --- SIMD dispatch differentials ---------------------------------------------
-// The acceptance bar of the SIMD rework: the group-probed tiers must be
-// bit-identical to the scalar oracle - same lookup results, same insert
-// slots, same backward-shift relocations, and therefore the same save()
-// bytes after any operation history.
-
-/// One deterministic mixed op stream (insert / bump / erase / lookup /
-/// save+restore), run entirely under the given tier. Writes the final
-/// serialized state to `out`; records every lookup outcome in `probe_log`.
-/// (void-returning so gtest ASSERTs are usable inside.)
-void run_op_stream(simd::tier t, std::uint64_t seed, std::vector<std::uint64_t>* probe_log,
-                   std::vector<std::uint8_t>* out) {
-  simd::scoped_tier guard(t);
-  xoshiro256 rng(seed);
-  flat_hash<std::uint64_t> h;
-  for (int op = 0; op < 12000; ++op) {
-    const std::uint64_t key = rng() % 384;
-    switch (rng() % 5) {
-      case 0:
-        if (!h.contains(key)) h.emplace(key, static_cast<std::uint32_t>(rng()));
-        break;
-      case 1:
-        ++h.find_or_emplace(key, 0);
-        break;
-      case 2:
-        probe_log->push_back(h.erase(key) ? 1 : 0);
-        break;
-      case 3: {
-        const std::uint32_t* p = h.find(key);
-        probe_log->push_back(p ? *p : ~0ull);
-        break;
-      }
-      default: {  // save/restore interleaving mid-stream
-        if (op % 977 == 0) {
-          flat_hash<std::uint64_t> back;
-          ASSERT_TRUE(restore_bytes(back, save_bytes(h))) << "mid-stream restore failed";
-          probe_log->push_back(back.size());
-          h = std::move(back);
-        }
-        break;
-      }
-    }
-  }
-  *out = save_bytes(h);
-}
-
-TEST(FlatHashSimd, EveryTierProducesIdenticalBytesAndLookups) {
-  for (const std::uint64_t seed : {3ull, 777ull, 424242ull}) {
-    std::vector<std::uint64_t> scalar_log;
-    std::vector<std::uint8_t> scalar_bytes;
-    run_op_stream(simd::tier::scalar, seed, &scalar_log, &scalar_bytes);
-    for (const simd::tier t : host_tiers()) {
-      if (t == simd::tier::scalar) continue;
-      std::vector<std::uint64_t> log;
-      std::vector<std::uint8_t> bytes;
-      run_op_stream(t, seed, &log, &bytes);
-      EXPECT_EQ(log, scalar_log) << "lookup divergence under " << simd::tier_name(t);
-      EXPECT_EQ(bytes, scalar_bytes) << "save() divergence under " << simd::tier_name(t);
-    }
-  }
-}
-
-TEST(FlatHashSimd, SaveRestoreCrossesDispatchTiers) {
-  // Build under the widest tier, restore and continue under scalar (and the
-  // reverse): the wire format carries no tier-dependent state, so the
-  // continuations must stay byte-identical.
-  const auto tiers = host_tiers();
-  const simd::tier widest = tiers.back();
-  for (const auto& [build_tier, continue_tier] :
-       {std::pair{widest, simd::tier::scalar}, std::pair{simd::tier::scalar, widest}}) {
-    std::vector<std::uint8_t> image;
-    {
-      simd::scoped_tier guard(build_tier);
-      flat_hash<std::uint64_t> h(256);
-      xoshiro256 rng(99);
-      for (int i = 0; i < 500; ++i) {
-        const std::uint64_t k = rng() % 300;
-        if (!h.contains(k)) h.emplace(k, static_cast<std::uint32_t>(k * 3));
-        if (i % 7 == 0) h.erase(rng() % 300);
-      }
-      image = save_bytes(h);
-    }
-    // Continue identically under both the continue tier and scalar; states
-    // must match each other (and the restored images must equal the saved).
-    std::vector<std::uint8_t> final_a, final_b;
-    for (int which = 0; which < 2; ++which) {
-      simd::scoped_tier guard(which == 0 ? continue_tier : simd::tier::scalar);
-      flat_hash<std::uint64_t> h;
-      ASSERT_TRUE(restore_bytes(h, image));
-      EXPECT_EQ(save_bytes(h), image) << "restore-save not a fixed point";
-      xoshiro256 rng(1717);
-      for (int i = 0; i < 400; ++i) {
-        const std::uint64_t k = rng() % 300;
-        ++h.find_or_emplace(k, 0);
-        if (i % 5 == 0) h.erase(rng() % 300);
-      }
-      (which == 0 ? final_a : final_b) = save_bytes(h);
-    }
-    EXPECT_EQ(final_a, final_b) << "cross-tier continuation diverged";
-  }
-}
-
-TEST(FlatHashSimd, PrehashedPathsMatchAcrossTiers) {
-  // The prehashed entry points (token-based) under each tier against plain
-  // find/emplace under scalar - same table, same bytes.
-  std::vector<std::uint8_t> reference;
-  {
-    simd::scoped_tier guard(simd::tier::scalar);
-    flat_hash<std::uint64_t> h(128);
-    for (std::uint64_t i = 0; i < 90; ++i) h.emplace(i * 17, static_cast<std::uint32_t>(i));
-    reference = save_bytes(h);
-  }
-  for (const simd::tier t : host_tiers()) {
-    simd::scoped_tier guard(t);
-    flat_hash<std::uint64_t> h(128);
-    for (std::uint64_t i = 0; i < 90; ++i) {
-      h.emplace_prehashed(h.bucket(i * 17), i * 17, static_cast<std::uint32_t>(i));
-    }
-    EXPECT_EQ(save_bytes(h), reference) << simd::tier_name(t);
-    for (std::uint64_t i = 0; i < 90; ++i) {
-      ASSERT_NE(h.find_prehashed(h.bucket(i * 17), i * 17), nullptr);
-      EXPECT_EQ(*h.find_prehashed(h.bucket(i * 17), i * 17), i);
-    }
-    EXPECT_EQ(h.find_prehashed(h.bucket(5555), 5555), nullptr);
-  }
 }
 
 }  // namespace

@@ -292,12 +292,11 @@ TEST(PipelineBackpressure, OccupancyHighWaterMarkIsMonotone) {
   EXPECT_EQ(stats.occupancy_hwm, 9u);
 }
 
-// --- threaded sharded ingest: the pool contract ------------------------------
+// --- threaded sharded ingest: the push front door -----------------------------
 //
-// The standalone sharded_memento_pool (one worker + one SPSC ring per shard,
-// keys in, drain() before queries) is served by the pipeline's push mode.
-// These keep that contract pinned at the pool's own geometries: odd shard
-// counts, the sampled kernel, bursts much larger than the rings.
+// A started pipeline (one worker + one SPSC ring per shard, packets pushed
+// in, drain() before queries) at the geometries that stress its rings: odd
+// shard counts, the sampled kernel, bursts much larger than the rings.
 
 std::vector<packet> skewed_packets(std::size_t n, double alpha, std::uint64_t seed,
                                    std::size_t universe) {
@@ -307,7 +306,7 @@ std::vector<packet> skewed_packets(std::size_t n, double alpha, std::uint64_t se
   return pkts;
 }
 
-pipeline_config pool_config(std::size_t shards, std::size_t ring_capacity,
+pipeline_config push_config(std::size_t shards, std::size_t ring_capacity,
                             backpressure_policy policy) {
   pipeline_config cfg;
   cfg.sharding.window_size = 8000;
@@ -318,8 +317,8 @@ pipeline_config pool_config(std::size_t shards, std::size_t ring_capacity,
   return cfg;
 }
 
-TEST(ShardedPool, DrainedPoolMatchesDeterministicFrontend) {
-  auto cfg = pool_config(3, 1u << 12, backpressure_policy::block);
+TEST(PipelinePushFrontDoor, DrainedShardsMatchDeterministicFrontend) {
+  auto cfg = push_config(3, 1u << 12, backpressure_policy::block);
   cfg.sharding.window_size = 30000;
   cfg.sharding.counters = 64;
   cfg.sharding.tau = 1.0 / 8;
@@ -328,72 +327,72 @@ TEST(ShardedPool, DrainedPoolMatchesDeterministicFrontend) {
   const auto ids = keys_of(pkts);
 
   sharded_memento<std::uint64_t> reference(cfg.sharding);
-  pipeline<> pool(cfg);
-  pool.start();
+  pipeline<> pipe(cfg);
+  pipe.start();
   for (std::size_t i = 0; i < ids.size(); i += 700) {
     const std::size_t n = std::min<std::size_t>(700, ids.size() - i);
     reference.update_batch(ids.data() + i, n);
-    pool.process(pkts.data() + i, n);
+    pipe.process(pkts.data() + i, n);
   }
-  pool.drain();
+  pipe.drain();
 
-  ASSERT_EQ(pool.frontend().stream_length(), reference.stream_length());
+  ASSERT_EQ(pipe.frontend().stream_length(), reference.stream_length());
   for (std::size_t s = 0; s < cfg.sharding.shards; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
-    EXPECT_EQ(snapshot::save(pool.frontend().shard(s)), snapshot::save(reference.shard(s)));
+    EXPECT_EQ(snapshot::save(pipe.frontend().shard(s)), snapshot::save(reference.shard(s)));
   }
-  const auto hh = pool.heavy_hitters(0.01);
+  const auto hh = pipe.heavy_hitters(0.01);
   EXPECT_FALSE(hh.empty());
   expect_same_heavy_hitters(hh, reference.heavy_hitters(0.01));
-  pool.stop();
+  pipe.stop();
 }
 
-TEST(ShardedPool, BlockPolicyIsLosslessAndAccountsOccupancy) {
-  const auto cfg = pool_config(2, /*ring_capacity=*/256, backpressure_policy::block);
+TEST(PipelinePushFrontDoor, BlockPolicyIsLosslessAndAccountsOccupancy) {
+  const auto cfg = push_config(2, /*ring_capacity=*/256, backpressure_policy::block);
   const auto pkts = skewed_packets(40000, 1.0, 71, 1u << 12);
 
-  pipeline<> pool(cfg);
-  pool.start();
+  pipeline<> pipe(cfg);
+  pipe.start();
   for (std::size_t i = 0; i < pkts.size(); i += 2048) {
     const std::size_t n = std::min<std::size_t>(2048, pkts.size() - i);
-    pool.process(pkts.data() + i, n);  // bursts far exceed the rings: must wait
+    pipe.process(pkts.data() + i, n);  // bursts far exceed the rings: must wait
   }
-  pool.drain();
-  EXPECT_EQ(pool.report().drops, 0u);
+  pipe.drain();
+  EXPECT_EQ(pipe.report().drops, 0u);
   std::uint64_t enqueued = 0;
-  for (std::size_t s = 0; s < pool.cores(); ++s) {
-    const auto& st = pool.ingest_stats(s);
+  for (std::size_t s = 0; s < pipe.cores(); ++s) {
+    const auto& st = pipe.ingest_stats(s);
     EXPECT_EQ(st.drops, 0u);
     EXPECT_LE(st.occupancy_hwm, 256u);
     EXPECT_GT(st.occupancy_hwm, 0u);
     enqueued += st.enqueued;
   }
   EXPECT_EQ(enqueued, pkts.size());
-  EXPECT_EQ(pool.frontend().stream_length(), pkts.size());
-  pool.stop();
+  EXPECT_EQ(pipe.frontend().stream_length(), pkts.size());
+  pipe.stop();
 }
 
-TEST(ShardedPool, DropPolicyCountsEveryKeyExactlyOnce) {
-  const auto cfg = pool_config(2, /*ring_capacity=*/64, backpressure_policy::drop);
+TEST(PipelinePushFrontDoor, DropPolicyCountsEveryKeyExactlyOnce) {
+  const auto cfg = push_config(2, /*ring_capacity=*/64, backpressure_policy::drop);
   const auto pkts = skewed_packets(200000, 1.0, 73, 1u << 12);
 
-  pipeline<> pool(cfg);
-  pool.start();
+  pipeline<> pipe(cfg);
+  pipe.start();
   // One huge burst per shard guarantees overflow regardless of scheduling:
   // a 64-slot ring cannot absorb ~100k packets in one offer.
-  pool.process(pkts.data(), pkts.size());
-  pool.drain();
+  pipe.process(pkts.data(), pkts.size());
+  pipe.drain();
   std::uint64_t enqueued = 0, drops = 0;
-  for (std::size_t s = 0; s < pool.cores(); ++s) {
-    enqueued += pool.ingest_stats(s).enqueued;
-    drops += pool.ingest_stats(s).drops;
+  for (std::size_t s = 0; s < pipe.cores(); ++s) {
+    enqueued += pipe.ingest_stats(s).enqueued;
+    drops += pipe.ingest_stats(s).drops;
   }
   EXPECT_EQ(enqueued + drops, pkts.size());  // exactly once: enqueued xor dropped
   EXPECT_GT(drops, 0u);
-  EXPECT_EQ(pool.report().drops, drops);
+  EXPECT_EQ(pipe.report().drops, drops);
   // The sketch saw precisely the accepted prefix - drops never half-applied.
-  EXPECT_EQ(pool.frontend().stream_length(), enqueued);
-  pool.stop();
+  EXPECT_EQ(pipe.frontend().stream_length(), enqueued);
+  pipe.stop();
 }
 
 // --- detect -> mitigate ------------------------------------------------------

@@ -65,21 +65,6 @@ TEST(SimdDispatch, TierNamesAreStable) {
   EXPECT_STREQ(simd::tier_name(simd::tier::avx2), "avx2");
 }
 
-#if MEMENTO_SIMD_X86
-TEST(SimdGroup, Group16MatchBitsFollowByteOrder) {
-  std::uint8_t ctrl[16 + 16] = {};  // padded so loads stay in bounds
-  for (std::size_t i = 0; i < 16; ++i) ctrl[i] = simd::kCtrlEmpty;
-  ctrl[3] = 0x5A;
-  ctrl[7] = 0x5A;
-  ctrl[9] = 0x11;
-  const auto g = simd::group16::load(ctrl);
-  EXPECT_EQ(g.match(0x5A), (1u << 3) | (1u << 7));
-  EXPECT_EQ(g.match(0x11), 1u << 9);
-  EXPECT_EQ(g.match(0x22), 0u);
-  EXPECT_EQ(g.match_empty(), 0xFFFFu & ~((1u << 3) | (1u << 7) | (1u << 9)));
-}
-#endif
-
 // --- prefix masking kernels: the HHH batch hot path ---------------------------
 
 TEST(SimdPrefix, DepthMaskMatchesPrefix1dIncludingFullGeneralization) {
