@@ -80,7 +80,7 @@ void hhh_memento_speed_sharded(benchmark::State& state) {
   const double tau = 1.0 / static_cast<double>(state.range(1));
   const auto shards = static_cast<std::size_t>(state.range(2));
   const h_memento_config cfg{kWindow, counters_per_h * H::hierarchy_size, tau, 1e-3, /*seed=*/1};
-  sharded_h_memento<H> alg(cfg, shards);
+  sharded_h_memento<H> alg(hhh_shard_config{cfg, shards});
   const auto& trace = bench_trace();
   for (auto _ : state) {
     for (std::size_t i = 0; i < trace.size(); i += kBurst) {

@@ -6,8 +6,9 @@
 //      write to disk for failover or ship to a new owner for migration;
 //   3. RESTORE it into a fresh instance and show both answer and continue
 //      the stream identically;
-//   4. RESHARD the checkpoint 4 -> 2 shards (snapshot_builder::reshard) and
-//      show the heavy hitters survive the topology change;
+//   4. RESHARD the restored checkpoint 4 -> 2 shards
+//      (snapshot_builder::reshard) and show the heavy hitters survive the
+//      topology change;
 //   5. STREAM the checkpoint through a chunked wire::sink / wire::source:
 //      the same compressed, CRC-protected bytes as the buffer, produced in
 //      bounded memory - the sink never buffers more than about one chunk,
@@ -86,8 +87,9 @@ int main() {
   // Act 4: reshard the checkpoint onto a 2-shard deployment (scale-in).
   shard_config smaller = cfg;
   smaller.shards = 2;
-  auto resharded = snapshot_builder::reshard<std::uint64_t>(
-      std::span<const std::uint8_t>(checkpoint), smaller);
+  auto from_checkpoint = snapshot::restore<sharded_memento<>>(checkpoint);
+  auto resharded =
+      from_checkpoint ? snapshot_builder::reshard(*from_checkpoint, smaller) : std::nullopt;
   if (!resharded) {
     std::puts("FAIL: reshard rejected a compatible geometry");
     return 1;

@@ -19,10 +19,10 @@
 //
 //   front_host     a bare sharded_memento / sharded_h_memento on the calling
 //                  thread - the deterministic harness tests script, and the
-//                  single-threaded embedding. rescale() uses the snapshot
-//                  reshard for the flat frontend and reports unsupported for
-//                  the hierarchical one (HHH N -> M is future work;
-//                  the brain logs scale_rejected and carries on).
+//                  single-threaded embedding. rescale() runs the snapshot
+//                  reshard for either frontend; it refuses hierarchical
+//                  N -> M (future work; the brain logs scale_rejected and
+//                  carries on).
 //   pipeline_host  pipeline<Traits> - the threaded binding (the appliance's
 //                  memento_appliance --controller, the fault-injection soak):
 //                  full lifecycle behind the pipeline's drain barrier -
@@ -41,7 +41,6 @@
 #include "control/controller.hpp"
 #include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "snapshot/reshard.hpp"
 
@@ -68,7 +67,16 @@ class front_host {
   }
 
   bool rebalance() { return front_->rebalance(balancer_); }
-  bool rescale(std::size_t target) { return rescale_impl(*front_, target); }
+  /// Elastic N -> M through the snapshot reshard; false (and no change)
+  /// when the transport refuses, which it always does for the hierarchical
+  /// frontend (its wildcard prefixes have no owner to re-route).
+  bool rescale(std::size_t target) {
+    if (target == front_->num_shards()) return false;
+    auto next = reshard_to(*front_, target);
+    if (!next) return false;
+    *front_ = std::move(*next);
+    return true;
+  }
   std::size_t checkpoint() { return store_->capture(*front_); }
 
   /// Replaces the frontend from the latest checkpoint; the restored global
@@ -84,19 +92,6 @@ class front_host {
   [[nodiscard]] checkpoint_store& store() noexcept { return *store_; }
 
  private:
-  template <typename Key>
-  static bool rescale_impl(sharded_memento<Key>& front, std::size_t target) {
-    if (target == front.num_shards()) return false;
-    auto next = reshard_to(front, target);
-    if (!next) return false;
-    front = std::move(*next);
-    return true;
-  }
-  template <typename H>
-  static bool rescale_impl(sharded_h_memento<H>&, std::size_t) {
-    return false;  // HHH elastic scaling is future work (reshard.hpp)
-  }
-
   Front* front_;
   checkpoint_store* store_;
   coverage_rebalancer balancer_;

@@ -17,12 +17,13 @@
 // + 2 Z_{1-delta} sqrt(V W) (line 8). Correct for any
 // tau >= Z_{1-delta/2} H W^-1 eps_s^-2 (Theorem 5.3).
 //
-// Sampling: the tau decision comes from H-Memento's own random_table_sampler
-// (util/random.hpp, seeded apart from the inner sketch's), whose table holds
-// only the positions of its sampled draws. At every tau the batch path takes
-// a chunk's sampled offsets straight from it and hands the compacted prefix
-// keys to the inner sketch's gap walk (memento_sketch::update_batch_sampled),
-// so per-chunk cost tracks tau * chunk rather than the chunk length.
+// Sampling: the tau decision comes from the inner sketch's
+// random_table_sampler (util/random.hpp), whose table holds only the
+// positions of its sampled draws - H-Memento owns no sampler of its own. At
+// every tau the batch path takes a chunk's sampled offsets straight from it
+// and hands the compacted prefix keys to the inner sketch's gap walk
+// (memento_sketch::update_batch_sampled), so per-chunk cost tracks
+// tau * chunk rather than the chunk length.
 //
 // Template parameter H supplies the hierarchy (source_hierarchy with H = 5,
 // two_dim_hierarchy with H = 25, or any user-defined traits with the same
@@ -63,8 +64,8 @@ class h_memento {
   using hhh_result = std::vector<hhh_entry<key_type>>;
 
   explicit h_memento(const h_memento_config& config)
-      : inner_(memento_config{config.window_size, config.counters, config.tau, config.seed}),
-        sampler_(config.tau, 1u << 16, config.seed ^ 0x9e3779b97f4a7c15ULL),
+      : inner_(memento_config{config.window_size, config.counters, config.tau,
+                              sampler_seed(config.seed)}),
         rng_(config.seed + 1),
         delta_(config.delta),
         seed_(config.seed) {
@@ -80,7 +81,7 @@ class h_memento {
   /// Algorithm 2 UPDATE: with probability tau, Full-update one uniformly
   /// random generalization of the packet; otherwise a Window update. O(1).
   void update(const packet& p) {
-    if (sampler_.sample()) {
+    if (inner_.sampler_.sample()) {
       full_update(p);
     } else {
       inner_.window_update();
@@ -110,7 +111,7 @@ class h_memento {
     key_type packed[kChunk];
     for (std::size_t i = 0; i < n; i += kChunk) {
       const std::size_t m = std::min(kChunk, n - i);
-      const std::size_t sampled = sampler_.take(idx, m);
+      const std::size_t sampled = inner_.sampler_.take(idx, m);
       rng_.fill_bounded_u8(levels, sampled, H::hierarchy_size);
       if constexpr (requires {
                       H::materialize_keys(ps, idx, levels, packed, sampled);
@@ -231,15 +232,15 @@ class h_memento {
   [[nodiscard]] const memento_sketch<key_type>& inner() const noexcept { return inner_; }
 
   // --- snapshot support ------------------------------------------------------
-  // On top of the inner Memento's snapshot, H-Memento only adds its own
-  // sampler cursor and the generalization-choice PRNG state; both are
-  // restored exactly, so a restored instance samples the same packets AND
-  // picks the same prefixes - continuation is bit-identical.
+  // On top of the inner Memento's snapshot (which carries the sampler
+  // cursor), H-Memento only adds the generalization-choice PRNG state; both
+  // are restored exactly, so a restored instance samples the same packets
+  // AND picks the same prefixes - continuation is bit-identical.
 
   static constexpr std::uint16_t kWireTag = 0x484d;  ///< "HM"
   /// HM adds no columns of its own, so no codec-flags byte here - the inner
   /// section carries one.
-  static constexpr std::uint16_t kWireVersion = 2;
+  static constexpr std::uint16_t kWireVersion = 3;
 
   /// Serializes the algorithm as one section: a handful of scalars, then
   /// the inner Memento's section, which does the heavy lifting.
@@ -247,7 +248,6 @@ class h_memento {
     s.begin_section(kWireTag, kWireVersion);
     s.f64(delta_);
     s.u64(seed_);
-    s.varint(sampler_.cursor());
     for (const std::uint64_t word : rng_.state()) s.u64(word);
     inner_.save(s);
     s.end_section();
@@ -259,9 +259,9 @@ class h_memento {
     std::uint16_t version = 0;
     if (!s.open_section(kWireTag, version) || version != kWireVersion) return std::nullopt;
     double delta = 0.0;
-    std::uint64_t seed = 0, cursor = 0;
+    std::uint64_t seed = 0;
     xoshiro256::state_type state{};
-    if (!s.f64(delta) || !s.u64(seed) || !s.varint(cursor)) return std::nullopt;
+    if (!s.f64(delta) || !s.u64(seed)) return std::nullopt;
     for (auto& word : state) {
       if (!s.u64(word)) return std::nullopt;
     }
@@ -269,8 +269,8 @@ class h_memento {
 
     auto inner = memento_sketch<key_type>::restore(s);
     if (!inner || !s.close_section()) return std::nullopt;
+    if (inner->config_snapshot().seed != sampler_seed(seed)) return std::nullopt;
     h_memento out(std::move(*inner), delta, seed);
-    if (!out.sampler_.set_cursor(static_cast<std::size_t>(cursor))) return std::nullopt;
     if (!out.rng_.set_state(state)) return std::nullopt;
     return out;
   }
@@ -278,21 +278,26 @@ class h_memento {
  private:
   friend class snapshot_builder;  ///< reshard's bulk state transport (snapshot/reshard.hpp)
 
+  /// The inner sketch's seed: it feeds only the sketch's sampler, which
+  /// is H-Memento's packet sampler.
+  [[nodiscard]] static constexpr std::uint64_t sampler_seed(std::uint64_t seed) noexcept {
+    return seed ^ 0x9e3779b97f4a7c15ULL;
+  }
+
   /// Restore's constructor: adopts the already restored inner sketch
-  /// instead of building a fresh one only to overwrite it. The sampler and
-  /// rng are derived exactly as the public constructor derives them.
+  /// (sampler cursor included) instead of building a fresh one only to
+  /// overwrite it. The rng is derived exactly as the public constructor
+  /// derives it.
   h_memento(memento_sketch<key_type>&& inner, double delta, std::uint64_t seed)
       : inner_(std::move(inner)),
-        sampler_(inner_.tau(), 1u << 16, seed ^ 0x9e3779b97f4a7c15ULL),
         rng_(seed + 1),
         delta_(delta),
         seed_(seed) {}
 
-  memento_sketch<key_type> inner_;
-  random_table_sampler sampler_;
+  memento_sketch<key_type> inner_;  ///< also owns the packet sampler (sampler_seed(seed_))
   xoshiro256 rng_;
   double delta_;
-  std::uint64_t seed_ = 1;  ///< construction seed (snapshots rebuild the sampler from it)
+  std::uint64_t seed_ = 1;  ///< construction seed (snapshots rebuild the rng from it)
 };
 
 }  // namespace memento

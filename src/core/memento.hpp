@@ -53,8 +53,9 @@
 // random_table_sampler::take hands over just the chunk's sampled offsets and
 // update_batch_sampled walks the gaps between them, advancing the window in
 // bulk, so a chunk costs its sampled count plus retirements and never touches
-// an unsampled packet. Composite samplers (H-Memento) draw their own
-// decisions and drive that same gap walk through update_batch_sampled.
+// an unsampled packet. H-Memento draws its decisions from this same
+// sampler, picks what each sampled packet inserts, and drives the same gap
+// walk through update_batch_sampled.
 #pragma once
 
 #include <algorithm>
@@ -73,6 +74,9 @@
 #include "util/wire.hpp"
 
 namespace memento {
+
+template <typename H>
+class h_memento;
 
 /// Construction parameters for `memento_sketch`.
 struct memento_config {
@@ -190,8 +194,8 @@ class memento_sketch {
   /// count plus retirements, not with n: unsampled gaps advance the window
   /// in bulk (advance_window), so a sparse-tau burst never walks per-packet
   /// scratch at all. This is the sampled-regime kernel of update_batch and
-  /// of the hierarchical frontend (h_memento::update_batch), which samples
-  /// prefixes with its own sampler and rng.
+  /// of H-Memento (h_memento::update_batch), which draws the decisions
+  /// from this sketch's sampler and picks the prefixes with its own rng.
   void update_batch_sampled(const Key* keys, const std::uint32_t* idx, std::size_t sampled,
                             std::size_t n) {
     std::size_t buckets[kBatchChunk];
@@ -352,6 +356,11 @@ class memento_sketch {
   [[nodiscard]] std::uint64_t overflow_threshold() const noexcept { return threshold_; }
   [[nodiscard]] std::size_t counters() const noexcept { return k_; }
   [[nodiscard]] double tau() const noexcept { return tau_; }
+  /// The construction config recovered from live state; feeding it back
+  /// through the ctor reproduces the exact geometry and sampler.
+  [[nodiscard]] memento_config config_snapshot() const noexcept {
+    return memento_config{frame_len_, k_, tau_, seed_};
+  }
   /// Packets processed (window + full updates both advance the stream).
   [[nodiscard]] std::uint64_t stream_length() const noexcept { return stream_length_; }
   /// Live entries in the overflow table B.
@@ -480,6 +489,8 @@ class memento_sketch {
 
  private:
   friend class snapshot_builder;  ///< reshard's bulk state loader (snapshot/reshard.hpp)
+  template <typename H>
+  friend class h_memento;  ///< samples packets through sampler_, then inserts prefixes
 
   /// Packets per batch-kernel chunk: bounds the offset/key/bucket scratch
   /// (256 entries each, a few KB of stack) and the prefetch window.

@@ -47,14 +47,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "util/compress.hpp"
 #include "util/random.hpp"
-#include "util/wire.hpp"
 
 namespace memento {
 
@@ -75,11 +72,11 @@ namespace memento {
   return share > 0 ? share : 1;
 }
 
-/// The burst partition pass shared by every sharded frontend: reset the
+/// The burst partition pass of the sharded frontend and the pipeline: reset the
 /// per-shard scratch buffers (capacity retained) and append each item to its
 /// owner's buffer, preserving arrival order within each shard. shard_of is
-/// any item -> shard index function (a shard_partitioner, or a routing-key
-/// composition as in the hierarchical frontend).
+/// any item -> shard index function (the frontend's routing, the pipeline's
+/// core_of).
 template <typename Item, typename ShardOf>
 void partition_into(std::vector<std::vector<Item>>& scratch, const ShardOf& shard_of,
                     const Item* items, std::size_t n) {
@@ -197,65 +194,5 @@ class shard_partitioner {
   std::uint64_t buckets_;
   shard_table table_;  ///< empty => HASH mode
 };
-
-// --- routing snapshot --------------------------------------------------------
-// Both sharded frontends (sharded_memento, sharded_h_memento) open their
-// snapshot section with the same routing block: codec flags, shard count,
-// base seed, bucket count (0 == HASH mode) and the bucket -> shard table as
-// one FoR column. The shards' own sections follow it.
-
-/// The routing block as restored: enough to rebuild the frontend's
-/// partitioner and per-shard seeds.
-struct routing_state {
-  std::size_t shards = 0;
-  std::uint64_t base_seed = 0;
-  shard_table table;  ///< empty => HASH mode
-
-  /// The partitioner this block describes (HASH mode for an empty table).
-  template <typename Key>
-  [[nodiscard]] shard_partitioner<Key> partitioner() && {
-    if (table.to_shard.empty()) return shard_partitioner<Key>(shards);
-    return shard_partitioner<Key>(shards, std::move(table));
-  }
-};
-
-/// Restore-side guards: nobody runs thousands of shards on one box, and a
-/// table bigger than 2^20 buckets is a corrupt length, not a deployment.
-inline constexpr std::uint64_t kMaxRestoreShards = 4096;
-inline constexpr std::uint64_t kMaxRestoreBuckets = 1u << 20;
-
-/// Writes the routing block of a frontend with `shards` shards, seeded from
-/// `base_seed` and routing through `table` (empty in HASH mode).
-inline void save_routing(wire::sink& s, std::size_t shards, std::uint64_t base_seed,
-                         const shard_table& table) {
-  s.u8(wire::kCodecPacked);
-  s.varint(shards);
-  s.u64(base_seed);
-  s.varint(table.buckets());
-  std::size_t i = 0;
-  wire::put_u64_array(s, table.to_shard.size(), [&] { return table.to_shard[i++]; });
-}
-
-/// Reads a save_routing() block; nullopt on unknown codec flags, a shard
-/// count of 0 or above kMaxRestoreShards, a bucket count above
-/// kMaxRestoreBuckets, or a table that is not valid_for the shard count.
-[[nodiscard]] inline std::optional<routing_state> restore_routing(wire::source& s) {
-  if (!wire::get_codec_flags(s)) return std::nullopt;
-  std::uint64_t n = 0, seed = 0, buckets = 0;
-  if (!s.varint(n) || n == 0 || n > kMaxRestoreShards) return std::nullopt;
-  if (!s.u64(seed) || !s.varint(buckets)) return std::nullopt;
-  if (buckets > kMaxRestoreBuckets) return std::nullopt;
-  routing_state r{static_cast<std::size_t>(n), seed, {}};
-  r.table.to_shard.reserve(static_cast<std::size_t>(buckets));
-  if (!wire::get_u64_array(s, static_cast<std::size_t>(buckets), [&](std::uint64_t v) {
-        if (v >= n) return false;
-        r.table.to_shard.push_back(static_cast<std::uint32_t>(v));
-        return true;
-      })) {
-    return std::nullopt;
-  }
-  if (buckets != 0 && !r.table.valid_for(r.shards)) return std::nullopt;
-  return r;
-}
 
 }  // namespace memento

@@ -35,7 +35,10 @@
 // per-shard overflow threshold between the old and new geometry - i.e. the
 // same GLOBAL window/counter/tau budget, with only the shard count
 // changing. Heterogeneous or incompatible inputs are rejected, never
-// mis-merged.
+// mis-merged. One path serves both frontends (flat and hierarchical, see
+// shard/sharded_memento.hpp); where the routing leaves keys without a
+// single owner (the hierarchical wildcard prefixes), those keys stay on
+// their old shard index and the shard count may not change.
 //
 // The weighted overload takes a bucket -> shard table (partitioner TABLE
 // mode) for the replacement frontend: same transport, different routing
@@ -47,8 +50,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -57,21 +58,24 @@
 #include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "sketch/space_saving.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace memento {
 
 /// Privileged assembler of sketch state for the snapshot layer: the one
-/// friend of space_saving / memento_sketch / sharded_memento that may build
-/// instances from parts instead of from a stream.
+/// friend of space_saving / memento_sketch / h_memento / sharded that may
+/// build instances from parts instead of from a stream.
 class snapshot_builder {
  public:
-  /// Re-partitions a live N-shard frontend into config.shards shards.
-  /// nullopt when the geometries are incompatible (different tau or
-  /// per-shard overflow threshold, heterogeneous source shards).
-  template <typename Key>
-  [[nodiscard]] static std::optional<sharded_memento<Key>> reshard(
-      const sharded_memento<Key>& old, const shard_config& config) {
+  /// Re-partitions a live frontend onto config.shards shards. nullopt when
+  /// the geometries are incompatible (different tau or per-shard overflow
+  /// threshold, heterogeneous source shards), or when the frontend's
+  /// routing leaves some keys unroutable and the shard count changes:
+  /// those keys keep their old shard index, which is only meaningful while
+  /// the shard set is stable (elastic N -> M scaling of the hierarchical
+  /// frontend is future work).
+  template <typename Sketch>
+  [[nodiscard]] static std::optional<sharded<Sketch>> reshard(
+      const sharded<Sketch>& old, const typename sharded<Sketch>::config_type& config) {
     return reshard_impl(old, config, /*table=*/nullptr);
   }
 
@@ -80,146 +84,82 @@ class snapshot_builder {
   /// rebalancer's migration primitive (shard/rebalance.hpp plans the table,
   /// this call moves the window state onto it). Same geometry contract as
   /// the plain overload, plus the table must fit config.shards.
-  template <typename Key>
-  [[nodiscard]] static std::optional<sharded_memento<Key>> reshard(
-      const sharded_memento<Key>& old, const shard_config& config, const shard_table& table) {
+  template <typename Sketch>
+  [[nodiscard]] static std::optional<sharded<Sketch>> reshard(
+      const sharded<Sketch>& old, const typename sharded<Sketch>::config_type& config,
+      const shard_table& table) {
     return reshard_impl(old, config, &table);
   }
 
-  /// Snapshot-bytes overload: restore the old frontend, then reshard it.
-  template <typename Key>
-  [[nodiscard]] static std::optional<sharded_memento<Key>> reshard(
-      std::span<const std::uint8_t> snapshot_bytes, const shard_config& config) {
-    auto old = snapshot::restore<sharded_memento<Key>>(snapshot_bytes);
-    if (!old) return std::nullopt;
-    return reshard_impl(*old, config, /*table=*/nullptr);
-  }
-
-  /// Streamed-snapshot overload: the old frontend arrives through a
-  /// wire::source (a controller pulling a checkpoint off the network or
-  /// disk in chunks) instead of a materialized buffer - the only O(state)
-  /// memory is the restored frontend itself, never a byte image of it.
-  template <typename Key>
-  [[nodiscard]] static std::optional<sharded_memento<Key>> reshard(wire::source& snapshot_stream,
-                                                                  const shard_config& config) {
-    auto old = snapshot::stream_restore<sharded_memento<Key>>(snapshot_stream);
-    if (!old) return std::nullopt;
-    return reshard_impl(*old, config, /*table=*/nullptr);
-  }
-
-  /// Hierarchical overload: migrate a sharded_h_memento onto a planned
-  /// bucket table - the HHH rebalancer's primitive. The shard COUNT must be
-  /// unchanged (config.shards == old.num_shards()): HHH routing sends
-  /// non-routable (wildcard-dimension) prefixes back to their original
-  /// shard index, which is only meaningful while the shard set is stable;
-  /// elastic N -> M scaling of the hierarchical frontend is future work.
-  /// Same transport bounds as the flat path; the per-shard sampler/PRNG
-  /// timelines restart (deterministic continuation, as always for reshard).
-  template <typename H>
-  [[nodiscard]] static std::optional<sharded_h_memento<H>> reshard(
-      const sharded_h_memento<H>& old, const hhh_shard_config& config,
-      const shard_table& table) {
-    if (config.shards == 0 || config.shards != old.num_shards()) return std::nullopt;
-    if (config.base.window_size == 0 || config.base.counters == 0) return std::nullopt;
-    if (!table.valid_for(config.shards)) return std::nullopt;
-    const h_memento_config target =
-        sharded_h_memento<H>::shard_config_for(config.base, config.shards, /*shard=*/0);
-    if (!compatible(
-            old.num_shards(), [&](std::size_t o) -> const auto& { return old.shard(o).inner(); },
-            memento_config{target.window_size, target.counters, target.tau, target.seed})) {
-      return std::nullopt;
-    }
-    auto fresh = sharded_h_memento<H>(config.base, config.shards, table);
-    if (!transport_hhh(old, fresh)) return std::nullopt;
-    return fresh;
-  }
-
  private:
-  /// The single guard + construct + transport path every public overload
-  /// lands on; `table` selects TABLE-mode routing when non-null.
-  template <typename Key>
-  [[nodiscard]] static std::optional<sharded_memento<Key>> reshard_impl(
-      const sharded_memento<Key>& old, const shard_config& config, const shard_table* table) {
-    if (config.shards == 0 || config.window_size == 0 || config.counters == 0) {
+  /// The single guard + construct + transport path both public overloads
+  /// land on; `table` selects TABLE-mode routing when non-null.
+  template <typename Sketch>
+  [[nodiscard]] static std::optional<sharded<Sketch>> reshard_impl(
+      const sharded<Sketch>& old, const typename sharded<Sketch>::config_type& config,
+      const shard_table* table) {
+    using front_t = sharded<Sketch>;
+    using routing = typename front_t::routing_type;
+    const auto& budget = routing::budget(config);
+    if (config.shards == 0 || budget.window_size == 0 || budget.counters == 0) {
       return std::nullopt;
     }
+    if (!routing::every_key_routable && config.shards != old.num_shards()) return std::nullopt;
     if (table != nullptr && !table->valid_for(config.shards)) return std::nullopt;
-    if (!compatible(
-            old.num_shards(), [&](std::size_t o) -> const auto& { return old.shard(o); },
-            sharded_memento<Key>::shard_config_for(config, /*shard=*/0))) {
-      return std::nullopt;
-    }
-    auto fresh = table != nullptr ? sharded_memento<Key>(config, *table)
-                                  : sharded_memento<Key>(config);
-    if (!transport(old, fresh)) return std::nullopt;
+    auto fresh = table != nullptr ? front_t(config, *table) : front_t(config);
+    if (!compatible(old, fresh) || !transport(old, fresh)) return std::nullopt;
     return fresh;
   }
+
+  /// A shard's memento_sketch: the shard itself, or a hierarchical shard's
+  /// inner sketch (the wrapper adds no window geometry of its own, and its
+  /// generalization PRNG restarts on migration by design).
+  template <typename Sketch>
+  [[nodiscard]] static auto& core_of(Sketch& shard) noexcept {
+    if constexpr (requires { shard.inner_; }) {
+      return shard.inner_;
+    } else {
+      return shard;
+    }
+  }
+
   /// Source shards must be one geometry (restore() accepts any sequence of
   /// individually valid shards; reshard does not), and the target must keep
   /// tau and the per-shard overflow threshold - i.e. the same GLOBAL
-  /// window/counter/tau budget with only the routing changing. sketch_of(o)
-  /// is source shard o's memento_sketch (a hierarchical shard's inner
-  /// sketch: the wrapper adds no window geometry of its own, and its
-  /// sampler/PRNG state restarts on migration by design); `target` is the
-  /// config of the target's shard 0.
-  template <typename SketchOf>
-  [[nodiscard]] static bool compatible(std::size_t shards, const SketchOf& sketch_of,
-                                       const memento_config& target) {
-    const auto& ref = sketch_of(std::size_t{0});
-    for (std::size_t o = 1; o < shards; ++o) {
-      const auto& s = sketch_of(o);
+  /// window/counter/tau budget with only the routing changing.
+  template <typename Sketch>
+  [[nodiscard]] static bool compatible(const sharded<Sketch>& old, const sharded<Sketch>& fresh) {
+    const auto& ref = core_of(old.shard(0));
+    for (std::size_t o = 1; o < old.num_shards(); ++o) {
+      const auto& s = core_of(old.shard(o));
       if (s.counters() != ref.counters() || s.window_size() != ref.window_size() ||
           s.tau() != ref.tau()) {
         return false;
       }
     }
-    const std::remove_cvref_t<decltype(ref)> probe(target);
-    return probe.tau() == ref.tau() &&
-           probe.overflow_threshold() == ref.overflow_threshold();
+    const auto& target = core_of(fresh.shard(0));
+    return target.tau() == ref.tau() && target.overflow_threshold() == ref.overflow_threshold();
   }
 
-  /// The state move, flat frontend: every key's new owner is fresh's
-  /// partition function - which is what lets the same code serve plain
-  /// N -> M reshard (hash routing) and weighted rebalance (table routing).
-  template <typename Key>
-  [[nodiscard]] static bool transport(const sharded_memento<Key>& old,
-                                      sharded_memento<Key>& fresh) {
-    const shard_partitioner<Key>& owner = fresh.partitioner();
-    return transport_state<Key>(
-        old.num_shards(), fresh.num_shards(),
-        [&](std::size_t o) -> const memento_sketch<Key>& { return old.shard(o); },
-        [&](std::size_t s) -> memento_sketch<Key>& { return fresh.shards_[s]; },
-        [&](const Key& key, std::size_t) { return owner(key); });
-  }
-
-  /// The state move, hierarchical frontend: routable prefixes follow
-  /// fresh's prefix routing; wildcard-pattern keys keep their old shard
-  /// index (M == N, enforced by the public overload), so the disjointness
-  /// invariant - no key contributed twice to one new shard - is preserved.
-  template <typename H>
-  [[nodiscard]] static bool transport_hhh(const sharded_h_memento<H>& old,
-                                          sharded_h_memento<H>& fresh) {
-    using Key = typename H::key_type;
-    return transport_state<Key>(
-        old.num_shards(), fresh.num_shards(),
-        [&](std::size_t o) -> const memento_sketch<Key>& { return old.shard(o).inner(); },
-        [&](std::size_t s) -> memento_sketch<Key>& { return fresh.shards_[s].inner_; },
-        [&](const Key& key, std::size_t o) {
-          return sharded_h_memento<H>::routable(key) ? fresh.shard_of_key(key) : o;
-        });
-  }
-
-  /// The shared re-bucketing engine behind both transports: walks the old
-  /// sketches' counters / overflow tables / block rings, assigns each piece
-  /// of state through `owner_of(key, old_shard)`, and loads the new
-  /// sketches in canonical form. False when the source is not a valid
-  /// disjoint partition.
-  template <typename Key, typename OldSketchAt, typename NewSketchAt, typename OwnerFn>
-  [[nodiscard]] static bool transport_state(std::size_t n_old, std::size_t m,
-                                            OldSketchAt&& old_at, NewSketchAt&& new_at,
-                                            OwnerFn&& owner_of) {
-    const std::size_t k_old = old_at(0).counters();
-    const std::size_t k_new = new_at(0).counters();
+  /// The state move: walks the old sketches' counters / overflow tables /
+  /// block rings, assigns each piece of state to its new owner, and loads
+  /// the new sketches in canonical form. A routable key's owner is fresh's
+  /// routing - which is what lets one transport serve plain N -> M reshard
+  /// (hash routing) and weighted rebalance (table routing); an unroutable
+  /// key keeps its old shard index (the guard pins M == N for those), so
+  /// the disjointness invariant - no key contributed twice to one new
+  /// shard - is preserved. False when the source is not a valid disjoint
+  /// partition.
+  template <typename Sketch>
+  [[nodiscard]] static bool transport(const sharded<Sketch>& old, sharded<Sketch>& fresh) {
+    using Key = typename sharded<Sketch>::key_type;
+    using routing = typename sharded<Sketch>::routing_type;
+    const std::size_t m = fresh.num_shards();
+    const auto owner_of = [&](const Key& key, std::size_t o) {
+      return routing::routable(key) ? fresh.shard_of_key(key) : o;
+    };
+    const std::size_t k_old = core_of(old.shard(0)).counters();
+    const std::size_t k_new = core_of(fresh.shard(0)).counters();
 
     struct carried {
       Key key{};
@@ -231,8 +171,8 @@ class snapshot_builder {
     std::vector<std::vector<std::pair<std::uint32_t, Key>>> queued(m);  // (new age, key)
 
     std::uint64_t sum_clock = 0, sum_frame = 0, sum_stream = 0;
-    for (std::size_t o = 0; o < n_old; ++o) {
-      const auto& src = old_at(o);
+    for (std::size_t o = 0; o < old.num_shards(); ++o) {
+      const auto& src = core_of(old.shard(o));
       sum_clock += src.window_phase();
       sum_frame += src.window_size();
       sum_stream += src.stream_length();
@@ -257,7 +197,7 @@ class snapshot_builder {
     }
 
     // All new shards restart at the old deployment's average window phase.
-    const std::uint64_t frame = new_at(0).window_size();
+    const std::uint64_t frame = core_of(fresh.shard(0)).window_size();
     std::uint64_t clock = sum_frame == 0 ? 0
                                          : static_cast<std::uint64_t>(
                                                static_cast<double>(sum_clock) /
@@ -266,7 +206,7 @@ class snapshot_builder {
     if (clock >= frame) clock = frame - 1;
 
     for (std::size_t s = 0; s < m; ++s) {
-      auto& dst = new_at(s);
+      auto& dst = core_of(fresh.shards_[s]);
       if (!load_space_saving(dst.y_, counters[s], k_new)) return false;
       for (const auto& [key, b] : overflow[s]) {
         // Disjoint old shards can never contribute the same key twice; a
@@ -353,11 +293,12 @@ class snapshot_builder {
 /// of its global geometry (window, counters, tau, seed) unchanged - the
 /// one sequence every rescale hook runs (front_host, pipeline::rescale).
 /// Routing restarts on plain hashing, so a weighted table does not survive.
-/// nullopt when the transport refuses the geometry (e.g. shards == 0).
-template <typename Key>
-[[nodiscard]] std::optional<sharded_memento<Key>> reshard_to(const sharded_memento<Key>& old,
-                                                             std::size_t shards) {
-  shard_config config = old.config_snapshot();
+/// nullopt when the transport refuses the geometry (e.g. shards == 0, or
+/// any change of shard count for the hierarchical frontend).
+template <typename Sketch>
+[[nodiscard]] std::optional<sharded<Sketch>> reshard_to(const sharded<Sketch>& old,
+                                                        std::size_t shards) {
+  auto config = old.config_snapshot();
   config.shards = shards;
   return snapshot_builder::reshard(old, config);
 }

@@ -3,10 +3,11 @@
 // Everything vectorized in this repository funnels through this header so
 // that exactly one mechanism decides which instruction set runs:
 //
-//   * `detect()` probes the host once (SSE2 is the x86-64 baseline, AVX2 via
-//     cpuid) and can be *clamped down* with the MEMENTO_ISA environment
-//     variable (scalar|sse2|avx2) - the CI scalar-dispatch leg runs the full
-//     differential suites with MEMENTO_ISA=scalar and zero rebuilds;
+//   * `detect()` probes the host once (AVX2 via cpuid; every other host runs
+//     the scalar kernels) and can be *clamped down* with the MEMENTO_ISA
+//     environment variable (scalar|avx2; any other value is ignored) - the
+//     CI scalar-dispatch leg runs the full differential suites with
+//     MEMENTO_ISA=scalar and zero rebuilds;
 //   * `force()` / `scoped_tier` override the dispatch programmatically (never
 //     above what the host supports) so differential tests can drive the SAME
 //     binary through every kernel family and compare save() bytes;
@@ -26,7 +27,7 @@
 // byte identity.
 //
 // AVX2 bodies carry __attribute__((target("avx2"))) so this header compiles
-// - and the scalar/SSE2 tiers keep working - on baseline x86-64 builds; the
+// - and the scalar tier keeps working - on baseline x86-64 builds; the
 // attribute is dropped when the TU is already compiled with AVX2 enabled so
 // the kernels can inline into MEMENTO_NATIVE builds.
 #pragma once
@@ -53,13 +54,13 @@
 namespace memento::simd {
 
 /// Kernel families, widest last. A tier implies every tier below it, so
-/// comparisons read naturally: `active() >= tier::sse2`.
-enum class tier : int { scalar = 0, sse2 = 1, avx2 = 2 };
+/// comparisons read naturally: `active() >= tier::avx2`. (No kernel has an
+/// SSE2 body, so an x86-64 host without AVX2 runs - and reports - scalar.)
+enum class tier : int { scalar = 0, avx2 = 2 };
 
 [[nodiscard]] constexpr const char* tier_name(tier t) noexcept {
   switch (t) {
     case tier::scalar: return "scalar";
-    case tier::sse2: return "sse2";
     case tier::avx2: return "avx2";
   }
   return "scalar";
@@ -75,7 +76,7 @@ inline std::atomic<int> g_forced{-1};    ///< -1: no override
 #if defined(__AVX2__)
   tier host = tier::avx2;  // the build already requires it (MEMENTO_NATIVE)
 #else
-  tier host = __builtin_cpu_supports("avx2") ? tier::avx2 : tier::sse2;
+  tier host = __builtin_cpu_supports("avx2") ? tier::avx2 : tier::scalar;
 #endif
 #else
   tier host = tier::scalar;
@@ -85,7 +86,6 @@ inline std::atomic<int> g_forced{-1};    ///< -1: no override
   if (const char* env = std::getenv("MEMENTO_ISA")) {
     tier cap = host;
     if (std::strcmp(env, "scalar") == 0) cap = tier::scalar;
-    if (std::strcmp(env, "sse2") == 0) cap = tier::sse2;
     if (std::strcmp(env, "avx2") == 0) cap = tier::avx2;
     if (cap < host) host = cap;
   }

@@ -317,7 +317,6 @@ TEST(BatchEquivalence, EmptyAndSingleElementBatches) {
 
 std::vector<simd::tier> host_tiers() {
   std::vector<simd::tier> out{simd::tier::scalar};
-  if (simd::detect() >= simd::tier::sse2) out.push_back(simd::tier::sse2);
   if (simd::detect() >= simd::tier::avx2) out.push_back(simd::tier::avx2);
   return out;
 }

@@ -599,7 +599,7 @@ TEST(Controller, HierarchicalFrontHostRebalancesButCannotRescale) {
   // and the brain logs scale_rejected instead of wedging.
   using front_t = sharded_h_memento<source_hierarchy>;
   const h_memento_config cfg{40000, 512, 1.0, 0.05, 21};
-  front_t front(cfg, 2);
+  front_t front(hhh_shard_config{cfg, 2});
   checkpoint_store store;
   front_host<front_t> host(front, store);
 

@@ -598,7 +598,7 @@ TEST(RebalanceHHH, TwoDimElephantPrefixMixRebalancesWithRecallNoWorse) {
   constexpr std::uint64_t kWindow = 400000;  // 100000 per shard
   constexpr double kTheta = 0.085;
   const h_memento_config cfg{kWindow, 2048, 1.0, /*delta=*/0.05, 21};
-  front_t front(cfg, 4);
+  front_t front(hhh_shard_config{cfg, 4});
 
   // Deterministic elephants: distinct route pairs, distinct buckets, all on
   // shard 0 - each a separately movable unit, exactly like the flat suite's

@@ -18,9 +18,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/h_memento.hpp"
 #include "core/memento.hpp"
 #include "hierarchy/prefix1d.hpp"
 #include "hierarchy/prefix2d.hpp"
@@ -29,6 +31,7 @@
 #include "shard/sharded_memento.hpp"
 #include "shard/spsc_queue.hpp"
 #include "sketch/exact_window.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/trace_generator.hpp"
 
 namespace memento {
@@ -266,6 +269,55 @@ TEST_P(ShardedDifferential, MatchesPerShardReferencesAndMergesExactly) {
   for (const auto& hh : t) ASSERT_DOUBLE_EQ(hh.estimate, refs[part(hh.key)].query(hh.key));
 }
 
+/// The hierarchical leg of the differential: each shard of a batch-fed
+/// sharded_h_memento must serialize to exactly the bytes of a standalone
+/// h_memento built from shard_config_for(cfg, s) and fed, packet by packet,
+/// the subsequence the prefix routing assigns to shard s - sampler cursor,
+/// generalization PRNG and window state included.
+template <typename H>
+void expect_hierarchical_shards_match(std::size_t shards, double tau) {
+  using front_t = sharded_h_memento<H>;
+  const hhh_shard_config cfg{h_memento_config{6000, 40 * H::hierarchy_size, tau, 1e-3, 11},
+                             shards};
+  const auto packets = make_trace(trace_kind::datacenter, 20000, 99 + shards);
+
+  front_t front(cfg);
+  for (std::size_t i = 0; i < packets.size(); i += 257) {
+    front.update_batch(packets.data() + i, std::min<std::size_t>(257, packets.size() - i));
+  }
+
+  shard_partitioner<typename H::key_type> part(shards);
+  std::vector<h_memento<H>> refs;
+  for (std::size_t s = 0; s < shards; ++s) refs.emplace_back(front_t::shard_config_for(cfg, s));
+  for (const auto& p : packets) refs[part(front_t::routing_type::route_key_of(p))].update(p);
+
+  ASSERT_EQ(front.stream_length(), packets.size());
+  for (std::size_t s = 0; s < shards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ASSERT_EQ(snapshot::save(front.shard(s)), snapshot::save(refs[s]));
+  }
+
+  // Point queries: routed prefixes answer from the owning reference, the
+  // wildcard ones sum every reference.
+  for (const std::size_t level : {std::size_t{0}, H::hierarchy_size - 1}) {
+    const auto key = H::key_at(packets[0], level);
+    double sum = 0.0;
+    for (const auto& ref : refs) sum += ref.query(key);
+    const double expect = front_t::routing_type::routable(key)
+                              ? refs[part(front_t::routing_type::route_key_of_key(key))].query(key)
+                              : sum;
+    ASSERT_DOUBLE_EQ(front.query(key), expect) << "level " << level;
+  }
+}
+
+TEST_P(ShardedDifferential, HierarchicalShardsMatchStandaloneReferences) {
+  const auto [num_shards, inv_tau] = GetParam();
+  const auto shards = static_cast<std::size_t>(num_shards);
+  const double tau = 1.0 / inv_tau;
+  ASSERT_NO_FATAL_FAILURE(expect_hierarchical_shards_match<source_hierarchy>(shards, tau));
+  ASSERT_NO_FATAL_FAILURE(expect_hierarchical_shards_match<two_dim_hierarchy>(shards, tau));
+}
+
 INSTANTIATE_TEST_SUITE_P(Geometries, ShardedDifferential,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5),
                                             ::testing::Values(1, 16)));
@@ -322,7 +374,7 @@ TEST(ShardedMemento, RejectsDegenerateGlobalBudgets) {
   cfg.window_size = 100;
   cfg.counters = 0;
   EXPECT_THROW(sharded{cfg}, std::invalid_argument);
-  EXPECT_THROW((sharded_h_memento<source_hierarchy>(h_memento_config{0, 10, 1.0, 1e-3, 1}, 2)),
+  EXPECT_THROW((sharded_h_memento<source_hierarchy>(hhh_shard_config{{0, 10, 1.0, 1e-3, 1}, 2})),
                std::invalid_argument);
 }
 
@@ -484,7 +536,7 @@ INSTANTIATE_TEST_SUITE_P(ZipfAlphas, ShardedSkew,
 // --- hierarchical smoke path -----------------------------------------------
 
 TEST(ShardedHMemento, RoutingKeepsNonRootPrefixesTogether) {
-  sharded_h_memento<source_hierarchy> front(h_memento_config{4000, 40, 1.0, 1e-3, 3}, 4);
+  sharded_h_memento<source_hierarchy> front(hhh_shard_config{{4000, 40, 1.0, 1e-3, 3}, 4});
   trace_generator gen(trace_kind::datacenter, 9);
   for (int i = 0; i < 1000; ++i) {
     const packet p = gen.next();
@@ -500,8 +552,8 @@ TEST(ShardedHMemento, ScalarAndBatchIngestAgreeAndRootSums) {
   const auto packets = make_trace(trace_kind::datacenter, 30000, 27);
   const h_memento_config cfg{10000, 160, 1.0 / 4, 1e-3, 8};
 
-  sharded_h_memento<source_hierarchy> one_by_one(cfg, 3);
-  sharded_h_memento<source_hierarchy> batched(cfg, 3);
+  sharded_h_memento<source_hierarchy> one_by_one(hhh_shard_config{cfg, 3});
+  sharded_h_memento<source_hierarchy> batched(hhh_shard_config{cfg, 3});
   for (const auto& p : packets) one_by_one.update(p);
   for (std::size_t i = 0; i < packets.size(); i += 777) {
     batched.update_batch(packets.data() + i, std::min<std::size_t>(777, packets.size() - i));
@@ -536,8 +588,8 @@ TEST(ShardedHMemento, UniformTableRoutesIdenticallyToHashMode) {
   // same HHH output after the same stream - the no-op guarantee the
   // rebalancer's stickiness band relies on.
   const h_memento_config cfg{8000, 120, 0.5, 1e-3, 31};
-  sharded_h_memento<source_hierarchy> hash_mode(cfg, 3);
-  sharded_h_memento<source_hierarchy> table_mode(cfg, 3, shard_table::uniform(3));
+  sharded_h_memento<source_hierarchy> hash_mode(hhh_shard_config{cfg, 3});
+  sharded_h_memento<source_hierarchy> table_mode(hhh_shard_config{cfg, 3}, shard_table::uniform(3));
 
   const auto packets = make_trace(trace_kind::backbone, 30000, 33);
   for (const auto& p : packets) {
@@ -557,7 +609,7 @@ TEST(ShardedHMemento, UniformTableRoutesIdenticallyToHashMode) {
   // must follow it, with shard_of_key tracking shard_of throughout.
   shard_table skewed = shard_table::uniform(3);
   skewed.to_shard[0] = 2;
-  sharded_h_memento<source_hierarchy> weighted(cfg, 3, skewed);
+  sharded_h_memento<source_hierarchy> weighted(hhh_shard_config{cfg, 3}, skewed);
   bool moved = false;
   for (const auto& p : packets) {
     const std::size_t owner = weighted.shard_of(p);
@@ -571,7 +623,7 @@ TEST(ShardedHMemento, UniformTableRoutesIdenticallyToHashMode) {
 
 TEST(ShardedHMemento2D, RoutablePatternsStayWithTheirPacket) {
   using front_t = sharded_h_memento<two_dim_hierarchy>;
-  front_t front(h_memento_config{4000, 100, 1.0, 1e-3, 3}, 4);
+  front_t front(hhh_shard_config{{4000, 100, 1.0, 1e-3, 3}, 4});
   trace_generator gen(trace_kind::datacenter, 9);
   for (int i = 0; i < 1000; ++i) {
     const packet p = gen.next();
@@ -581,7 +633,7 @@ TEST(ShardedHMemento2D, RoutablePatternsStayWithTheirPacket) {
       // Routable iff BOTH dimensions are at least as specific as the /8
       // routing pair; those prefixes must land on their packet's shard.
       const bool expect_routable = k.src_depth <= 3 && k.dst_depth <= 3;
-      ASSERT_EQ(front_t::routable(k), expect_routable);
+      ASSERT_EQ(front_t::routing_type::routable(k), expect_routable);
       if (expect_routable) {
         ASSERT_EQ(front.shard_of_key(k), owner) << "pattern " << i2;
         ASSERT_EQ(front.bucket_of(k),
@@ -597,8 +649,8 @@ TEST(ShardedHMemento2D, ScalarAndBatchIngestAgreeAndWildcardsSum) {
   const auto packets = make_trace(trace_kind::datacenter, 30000, 27);
   const h_memento_config cfg{10000, 400, 1.0 / 4, 1e-3, 8};
 
-  sharded_h_memento<two_dim_hierarchy> one_by_one(cfg, 3);
-  sharded_h_memento<two_dim_hierarchy> batched(cfg, 3);
+  sharded_h_memento<two_dim_hierarchy> one_by_one(hhh_shard_config{cfg, 3});
+  sharded_h_memento<two_dim_hierarchy> batched(hhh_shard_config{cfg, 3});
   for (const auto& p : packets) one_by_one.update(p);
   for (std::size_t i = 0; i < packets.size(); i += 777) {
     batched.update_batch(packets.data() + i, std::min<std::size_t>(777, packets.size() - i));
@@ -703,7 +755,7 @@ TEST(CoverageScaledDetection, OverloadedShardStopsFlickeringHHHFrontend) {
   using front_t = sharded_h_memento<source_hierarchy>;
   constexpr std::uint64_t kWindow = 200000;  // 50000 per shard
   const h_memento_config cfg{kWindow, 2048, 1.0, 1e-3, 11};
-  front_t front(cfg, 4);
+  front_t front(hhh_shard_config{cfg, 4});
 
   // A hot /8 block and the borderline address inside it: same route key,
   // same shard. Mice vary the low 24 bits, so only the shared /8 ancestor
@@ -772,7 +824,7 @@ TEST(ShardedHMemento, FindsTheHeavyPrefixesASingleInstanceFinds) {
 
   const h_memento_config cfg{20000, 200, 1.0, 1e-3, 19};
   h_memento<source_hierarchy> single(cfg);
-  sharded_h_memento<source_hierarchy> front(cfg, 4);
+  sharded_h_memento<source_hierarchy> front(hhh_shard_config{cfg, 4});
   for (const auto& p : packets) {
     single.update(p);
     front.update(p);

@@ -21,7 +21,6 @@ namespace {
 /// Every tier this host can actually run (ascending, scalar first).
 std::vector<simd::tier> host_tiers() {
   std::vector<simd::tier> out{simd::tier::scalar};
-  if (simd::detect() >= simd::tier::sse2) out.push_back(simd::tier::sse2);
   if (simd::detect() >= simd::tier::avx2) out.push_back(simd::tier::avx2);
   return out;
 }
@@ -30,11 +29,11 @@ TEST(SimdDispatch, DetectIsStableAndAtLeastScalar) {
   const simd::tier a = simd::detect();
   EXPECT_GE(a, simd::tier::scalar);
   EXPECT_EQ(simd::detect(), a) << "detect() must be idempotent";
-#if MEMENTO_SIMD_X86
-  // SSE2 is part of the x86-64 baseline; detection can only report less
+#if defined(__AVX2__)
+  // An AVX2 build only runs on AVX2 hosts; detection can report less only
   // when the MEMENTO_ISA environment clamp asked for it.
   if (std::getenv("MEMENTO_ISA") == nullptr) {
-    EXPECT_GE(a, simd::tier::sse2);
+    EXPECT_EQ(a, simd::tier::avx2);
   }
 #endif
 }
@@ -61,7 +60,6 @@ TEST(SimdDispatch, ScopedTierRestoresThePreviousOverride) {
 
 TEST(SimdDispatch, TierNamesAreStable) {
   EXPECT_STREQ(simd::tier_name(simd::tier::scalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(simd::tier::sse2), "sse2");
   EXPECT_STREQ(simd::tier_name(simd::tier::avx2), "avx2");
 }
 

@@ -358,7 +358,7 @@ TEST(SnapshotShardedHMemento, RestoreThenContinueIsBitIdentical) {
   shard_table table = shard_table::uniform(3);
   table.to_shard[0] = 2;
   table.to_shard[77] = 0;
-  sharded_h_memento<source_hierarchy> a(cfg, 3, table);
+  sharded_h_memento<source_hierarchy> a(hhh_shard_config{cfg, 3}, table);
   const auto ps = trace_packets(60000, 11);
   a.update_batch(ps.data(), 40000);
 
@@ -406,7 +406,7 @@ TEST(SnapshotShardedHMemento, RestoreThenContinueIsBitIdentical) {
 TEST(SnapshotShardedHMemento, TwoDimFrontendRoundTrips) {
   // The 2-D lattice exercises the two-word prefix2d key codec through every
   // key column of the section stack (counters, overflow table, block ring).
-  sharded_h_memento<two_dim_hierarchy> a(h_memento_config{8000, 300, 0.5, 1e-3, 29}, 3);
+  sharded_h_memento<two_dim_hierarchy> a(hhh_shard_config{{8000, 300, 0.5, 1e-3, 29}, 3});
   const auto ps = trace_packets(30000, 17);
   a.update_batch(ps.data(), 20000);
   ASSERT_GT(a.shard(0).inner().overflow_entries(), 0u);
@@ -551,9 +551,9 @@ TEST_P(Reshard, PreservesRecallAndOneSidednessOnZipfTraffic) {
 
   shard_config nc = cfg;
   nc.shards = n_new;
-  const auto buf = snapshot::save(front);
-  auto resharded = snapshot_builder::reshard<std::uint64_t>(
-      std::span<const std::uint8_t>(buf), nc);
+  auto restored = snapshot::restore<sharded>(snapshot::save(front));
+  ASSERT_TRUE(restored.has_value());
+  auto resharded = snapshot_builder::reshard(*restored, nc);
   ASSERT_TRUE(resharded.has_value());
   ASSERT_EQ(resharded->num_shards(), n_new);
   ASSERT_DOUBLE_EQ(resharded->estimate_width(), front.estimate_width());
@@ -648,12 +648,9 @@ TEST(Reshard, RejectsDuplicatedShardSections) {
   front.shard(0).save(w);  // same shard twice: same keys twice
   w.end_section();
   ASSERT_TRUE(w.finish());
-  ASSERT_TRUE(snapshot::restore<sharded>(buf).has_value());  // individually valid shards
-
-  shard_config nc = cfg;
-  EXPECT_FALSE(
-      snapshot_builder::reshard<std::uint64_t>(std::span<const std::uint8_t>(buf), nc)
-          .has_value());
+  auto restored = snapshot::restore<sharded>(buf);
+  ASSERT_TRUE(restored.has_value());  // individually valid shards
+  EXPECT_FALSE(snapshot_builder::reshard(*restored, cfg).has_value());
 }
 
 TEST(Reshard, RejectsIncompatibleGeometries) {
@@ -675,6 +672,33 @@ TEST(Reshard, RejectsIncompatibleGeometries) {
   bad = cfg;
   bad.shards = 0;
   EXPECT_FALSE(snapshot_builder::reshard(front, bad).has_value());
+
+  // The hierarchical frontend runs the same reshard path. Its wildcard
+  // prefixes have no single owner and stay on their old shard index, so
+  // on top of the geometry checks the shard count may not change.
+  const hhh_shard_config hcfg{h_memento_config{40000, 400, 1.0, 1e-3, 7}, 4};
+  sharded_h_memento<source_hierarchy> hfront(hcfg);
+  const auto packets = make_trace(trace_kind::datacenter, 30000, 12);
+  hfront.update_batch(packets.data(), packets.size());
+  const shard_table skewed = [] {
+    shard_table t = shard_table::uniform(4);
+    t.to_shard[0] = 3;
+    return t;
+  }();
+  ASSERT_TRUE(snapshot_builder::reshard(hfront, hcfg, skewed).has_value());
+
+  hhh_shard_config hbad = hcfg;
+  hbad.shards = 2;  // N -> M
+  EXPECT_FALSE(snapshot_builder::reshard(hfront, hbad).has_value());
+  EXPECT_FALSE(snapshot_builder::reshard(hfront, hbad, shard_table::uniform(2)).has_value());
+  EXPECT_FALSE(reshard_to(hfront, 8).has_value());
+
+  hbad = hcfg;
+  hbad.base.tau = 0.5;
+  EXPECT_FALSE(snapshot_builder::reshard(hfront, hbad, skewed).has_value());
+
+  // A table that routes to shards the target does not have does not fit.
+  EXPECT_FALSE(snapshot_builder::reshard(hfront, hcfg, shard_table::uniform(8)).has_value());
 }
 
 // --- malformed-input hardening ---------------------------------------------
@@ -819,14 +843,14 @@ TEST(SnapshotFuzz, ShardedHMementoSurvivesTruncationAndCorruption) {
   // tractable under ASan.
   shard_table table = shard_table::uniform(3);
   table.to_shard[5] = 1;
-  sharded_h_memento<source_hierarchy> s(h_memento_config{2000, 48, 0.5, 1e-3, 7}, 3, table);
+  sharded_h_memento<source_hierarchy> s(hhh_shard_config{{2000, 48, 0.5, 1e-3, 7}, 3}, table);
   const auto ps = trace_packets(8000, 63);
   s.update_batch(ps.data(), ps.size());
   fuzz_snapshot<sharded_h_memento<source_hierarchy>>(snapshot::save(s));
 }
 
 TEST(SnapshotFuzz, TwoDimShardedHMementoSurvivesTruncationAndCorruption) {
-  sharded_h_memento<two_dim_hierarchy> s(h_memento_config{1500, 60, 0.5, 1e-3, 9}, 2);
+  sharded_h_memento<two_dim_hierarchy> s(hhh_shard_config{{1500, 60, 0.5, 1e-3, 9}, 2});
   const auto ps = trace_packets(6000, 65);
   s.update_batch(ps.data(), ps.size());
   fuzz_snapshot<sharded_h_memento<two_dim_hierarchy>>(snapshot::save(s));

@@ -372,11 +372,11 @@ TEST(StreamFraming, TinyChunkSourceRestoresIdentically) {
   sh.update_batch(ids.data(), ids.size());
   expect_chunked_restores(sh);
 
-  sharded_h_memento<source_hierarchy> shm(h_memento_config{8'000, 120, 0.5, 1e-3, 23}, 3);
+  sharded_h_memento<source_hierarchy> shm(hhh_shard_config{{8'000, 120, 0.5, 1e-3, 23}, 3});
   shm.update_batch(ps.data(), ps.size());
   expect_chunked_restores(shm);
 
-  sharded_h_memento<two_dim_hierarchy> two_dim(h_memento_config{8'000, 300, 0.5, 1e-3, 29}, 2);
+  sharded_h_memento<two_dim_hierarchy> two_dim(hhh_shard_config{{8'000, 300, 0.5, 1e-3, 29}, 2});
   two_dim.update_batch(ps.data(), ps.size());
   expect_chunked_restores(two_dim);
 
@@ -644,7 +644,7 @@ TEST(StreamFuzz, RejectsUnknownCodecFlags) {
   for (const auto id : ids) ss.add(id);
   sharded sh(shard_config{4'000, 32, 1.0, 3, 2});
   sh.update_batch(ids.data(), ids.size());
-  sharded_h_memento<source_hierarchy> shm(h_memento_config{2'000, 48, 0.5, 1e-3, 7}, 2);
+  sharded_h_memento<source_hierarchy> shm(hhh_shard_config{{2'000, 48, 0.5, 1e-3, 7}, 2});
   const auto ps = trace_packets(4'000, 69);
   shm.update_batch(ps.data(), ps.size());
   for (const bytes_t& image : {snapshot::save(m), snapshot::save(ss), snapshot::save(sh),
