@@ -7,7 +7,9 @@
 // accuracy better" at each budget B. The harness routes by client hash,
 // m = 10 vantages, and RMSE is measured fig9-style: on-arrival midpoint
 // estimates of every probed packet's 5 source generalizations against an
-// exact global window.
+// exact global window. Both channels hold the same memory: the controller's
+// 4,096 counters for Sample, 410 per vantage for Summary. On this trace
+// summaries win at B <= 1 and samples at B = 4 (BENCH_fig5.json).
 //
 // Metrics per (method, B): rmse, bytes/packet actually used, and
 // err_per_byte = rmse / bytes_used - the RMSE carried per control byte
@@ -44,9 +46,9 @@ struct run_result {
   std::uint64_t reports = 0;
 };
 
-/// Steady-state bytes of the delta summary channel vs a cadence-matched
-/// full-summary baseline, at equal recall. Both sides run the SAME
-/// delta-channel machinery at the same fixed report cadence; the baseline
+/// Steady-state bytes of delta summaries vs a cadence-matched full-summary
+/// baseline, at equal recall. Both sides run the SAME summary channel at
+/// the same fixed report cadence; the baseline
 /// sets resync_every = 1 (every report a full summary), the delta side
 /// resyncs every 16 with a 2-overflow-unit change bar. Recall is scored
 /// against an exact oracle at the detection threshold, so the byte ratio is
@@ -67,16 +69,16 @@ delta_result run_delta_vs_full() {
   constexpr double kTheta = 0.005;
 
   harness_config base;
-  base.method = comm_method::summary_delta;
+  base.method = comm_method::summary;
   base.num_points = 4;
   base.window = kDeltaWindow;
   base.counters = 1024;
-  base.delta_summary.cadence_packets = 4'000;
+  base.summary.cadence_packets = 4'000;
   harness_config full_cfg = base;
-  full_cfg.delta_summary.resync_every = 1;  // every report ships the full summary
+  full_cfg.summary.resync_every = 1;  // every report ships the full summary
   harness_config delta_cfg = base;
-  delta_cfg.delta_summary.resync_every = 16;
-  delta_cfg.delta_summary.change_bar_units = 2.0;
+  delta_cfg.summary.resync_every = 16;
+  delta_cfg.summary.change_bar_units = 2.0;
 
   netwide_harness<source_hierarchy> hfull(full_cfg), hdelta(delta_cfg);
   exact_hhh<source_hierarchy> exact(kDeltaWindow);
@@ -166,7 +168,7 @@ int main(int argc, char** argv) {
 
   if (!json) {
     std::puts("=== error-per-byte: sample vs summary channel ===");
-    std::printf("m=10 vantages, W=%llu, O=64, E=4, S=16, %zu packets, backbone+churn\n",
+    std::printf("m=10 vantages, W=%llu, O=64, E=4, %zu packets, backbone+churn\n",
                 static_cast<unsigned long long>(kWindow), kPackets);
   }
 

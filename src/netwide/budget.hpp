@@ -1,18 +1,15 @@
-// The Section 5.2 bandwidth-budget model, extended to both channel types.
+// The Section 5.2 bandwidth-budget model.
 //
-// Measurement points talk to the controller over ordinary packets. The model
-// covers the two kinds of message a vantage can send:
+// Measurement points talk to the controller over ordinary packets. A
+// SAMPLE/BATCH report (the paper's channels) costs O header bytes (e.g. 64
+// for TCP) plus E bytes per sampled packet. A vantage gathering batches of
+// b samples at sampling rate tau sends one (O + E b)-byte report per b/tau
+// packets, and the budget constraint (O + E b) / (b / tau) <= B pins the
+// maximum usable sampling rate tau = B b / (O + E b).
 //
-//   * SAMPLE/BATCH reports (the paper's channels): O header bytes (e.g. 64
-//     for TCP) plus E bytes per sampled packet. A vantage gathering batches
-//     of b samples at sampling rate tau sends one (O + E b)-byte report per
-//     b/tau packets, and the budget constraint (O + E b) / (b / tau) <= B
-//     pins the maximum usable sampling rate tau = B b / (O + E b).
-//   * SUMMARY reports (the snapshot layer's channel): O header bytes plus
-//     S bytes per summarized candidate entry (key + estimate; see
-//     netwide/summary_channel.hpp). Summaries are not rate-limited by a
-//     sampling probability but by cadence: a vantage may ship one
-//     e-entry summary every (O + S e) / B ingress packets.
+// SUMMARY reports (netwide/summary_channel.hpp) are not rate-limited by a
+// sampling probability but by cadence: they pay O plus their actual encoded
+// size out of the same B bytes per ingress packet.
 //
 // The operator grants the same B bytes of control traffic per ingress
 // packet to either channel, which is what makes the error-per-byte
@@ -30,7 +27,6 @@ struct budget_model {
   double bytes_per_packet = 1.0;  ///< B: control bytes allowed per ingress packet
   double overhead_bytes = 64.0;   ///< O: per-report header cost (64 = TCP)
   double entry_bytes = 4.0;       ///< E: bytes to encode one sampled packet
-  double summary_entry_bytes = 16.0;  ///< S: bytes per summary entry (8B key + 8B estimate)
 
   /// Size in bytes of a report carrying `samples` entries.
   [[nodiscard]] double report_bytes(std::size_t samples) const noexcept {
@@ -51,40 +47,6 @@ struct budget_model {
   /// tau: b / tau = (O + E b) / B.
   [[nodiscard]] double packets_per_report(std::size_t batch_size) const {
     return report_bytes(batch_size) / bytes_per_packet;
-  }
-
-  /// Size in bytes of a summary report carrying `entries` candidates.
-  [[nodiscard]] double summary_report_bytes(std::size_t entries) const noexcept {
-    return overhead_bytes + summary_entry_bytes * static_cast<double>(entries);
-  }
-
-  /// Ingress packets a vantage must observe between two e-entry summaries
-  /// to stay within budget: (O + S e) / B.
-  [[nodiscard]] double packets_per_summary(std::size_t entries) const {
-    return summary_report_bytes(entries) / bytes_per_packet;
-  }
-
-  // --- delta summary pricing -------------------------------------------------
-  // A DELTA summary report (netwide/summary_channel.hpp) ships only the
-  // candidates whose estimate moved past the change bar since the last
-  // shipped summary, plus the keys that left the candidate set. Changed
-  // entries cost the full S (key + estimate); removals cost only a key.
-
-  double delta_entry_bytes = 16.0;  ///< bytes per changed entry (8B key + 8B estimate)
-  double removal_entry_bytes = 8.0;  ///< bytes per dropped-candidate key
-
-  /// Size in bytes of a delta report: O overhead + changed entries +
-  /// removal keys (the epoch/kind preamble rides inside O's slack).
-  [[nodiscard]] double summary_delta_report_bytes(std::size_t changed,
-                                                  std::size_t removed) const noexcept {
-    return overhead_bytes + delta_entry_bytes * static_cast<double>(changed) +
-           removal_entry_bytes * static_cast<double>(removed);
-  }
-
-  /// Ingress packets between two delta reports of the given shape: the
-  /// steady-state cadence bound mirroring packets_per_summary.
-  [[nodiscard]] double packets_per_delta(std::size_t changed, std::size_t removed) const {
-    return summary_delta_report_bytes(changed, removed) / bytes_per_packet;
   }
 };
 

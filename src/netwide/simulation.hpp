@@ -1,5 +1,5 @@
 // End-to-end network-wide measurement harness: m vantages, one controller,
-// one of the three communication methods, byte-accurate budget accounting.
+// one of the four communication methods, byte-accurate budget accounting.
 //
 // This is the engine behind Fig. 9 (network-wide accuracy at a 1 byte/packet
 // budget), Fig. 10 (HTTP-flood detection), the ddos_mitigation example and
@@ -25,9 +25,8 @@ namespace memento::netwide {
 
 /// sample/batch/aggregation are the paper's Section 4.3 methods; summary is
 /// the snapshot layer's channel (vantages ship compressed sketch summaries,
-/// netwide/summary_channel.hpp); summary_delta ships epoch-tagged deltas
-/// against the last shipped summary with periodic full resyncs.
-enum class comm_method { sample, batch, aggregation, summary, summary_delta };
+/// full or as epoch-tagged deltas, netwide/summary_channel.hpp).
+enum class comm_method { sample, batch, aggregation, summary };
 
 [[nodiscard]] constexpr const char* method_name(comm_method m) noexcept {
   switch (m) {
@@ -35,7 +34,6 @@ enum class comm_method { sample, batch, aggregation, summary, summary_delta };
     case comm_method::batch: return "batch";
     case comm_method::aggregation: return "aggregation";
     case comm_method::summary: return "summary";
-    case comm_method::summary_delta: return "summary_delta";
   }
   return "unknown";
 }
@@ -49,7 +47,7 @@ struct harness_config {
   std::size_t counters = 4096;      ///< controller algorithm counters
   double delta = 1e-3;
   std::uint64_t seed = 1;
-  delta_summary_config delta_summary{};  ///< summary_delta pacing/resync knobs
+  summary_config summary{};         ///< summary pacing/resync knobs
 };
 
 /// One network-wide HHH deployment under a byte budget.
@@ -82,19 +80,17 @@ class netwide_harness {
       }
       agg_controller_ = std::make_unique<ideal_aggregation_controller<H>>();
     } else if (config_.method == comm_method::summary) {
+      // Each vantage holds its share of the controller's counters, so the m
+      // vantages together hold the controller's memory and a vantage's frame
+      // rounds its local window up by at most counters / m packets.
       const std::uint64_t local = config_.window / config_.num_points + 1;
+      const std::size_t counters =
+          (config_.counters + config_.num_points - 1) / config_.num_points;
       for (std::size_t i = 0; i < config_.num_points; ++i) {
-        sum_points_.emplace_back(static_cast<std::uint32_t>(i), local, config_.counters,
-                                 config_.budget, config_.seed + i);
+        sum_points_.emplace_back(static_cast<std::uint32_t>(i), local, counters,
+                                 config_.budget, config_.summary, config_.seed + i);
       }
       sum_controller_ = std::make_unique<summary_controller<H>>();
-    } else if (config_.method == comm_method::summary_delta) {
-      const std::uint64_t local = config_.window / config_.num_points + 1;
-      for (std::size_t i = 0; i < config_.num_points; ++i) {
-        delta_points_.emplace_back(static_cast<std::uint32_t>(i), local, config_.counters,
-                                   config_.budget, config_.delta_summary, config_.seed + i);
-      }
-      delta_controller_ = std::make_unique<delta_summary_controller<H>>();
     } else {
       const double tau = config_.budget.max_tau(config_.batch_size);
       for (std::size_t i = 0; i < config_.num_points; ++i) {
@@ -122,11 +118,6 @@ class netwide_harness {
         auto report = decode_summary_report<key_type>(*payload);
         if (report) sum_controller_->on_report(std::move(*report));
       }
-    } else if (config_.method == comm_method::summary_delta) {
-      if (auto payload = delta_points_[v].observe(p)) {
-        auto report = decode_delta_summary_report<key_type>(*payload);
-        if (report) delta_controller_->on_report(std::move(*report));
-      }
     } else {
       if (auto report = points_[v].observe(p)) {
         controller_->on_report(*report);
@@ -139,7 +130,6 @@ class netwide_harness {
   [[nodiscard]] double estimate(const key_type& prefix) const {
     if (config_.method == comm_method::aggregation) return agg_controller_->query(prefix);
     if (config_.method == comm_method::summary) return sum_controller_->query(prefix);
-    if (config_.method == comm_method::summary_delta) return delta_controller_->query(prefix);
     return controller_->query(prefix);
   }
 
@@ -149,9 +139,6 @@ class netwide_harness {
   [[nodiscard]] double estimate_midpoint(const key_type& prefix) const {
     if (config_.method == comm_method::aggregation) return agg_controller_->query(prefix);
     if (config_.method == comm_method::summary) return sum_controller_->query_point(prefix);
-    if (config_.method == comm_method::summary_delta) {
-      return delta_controller_->query_point(prefix);
-    }
     return controller_->query_midpoint(prefix);
   }
 
@@ -164,9 +151,6 @@ class netwide_harness {
     if (config_.method == comm_method::summary) {
       return sum_controller_->output(theta, config_.window);
     }
-    if (config_.method == comm_method::summary_delta) {
-      return delta_controller_->output(theta, config_.window);
-    }
     return controller_->output(theta, /*compensation=*/0.0);
   }
 
@@ -176,7 +160,6 @@ class netwide_harness {
     for (const auto& mp : points_) total += mp.bytes_sent(config_.budget);
     for (const auto& ap : agg_points_) total += ap.bytes_sent();
     for (const auto& sp : sum_points_) total += sp.bytes_sent();
-    for (const auto& dp : delta_points_) total += dp.bytes_sent();
     return total;
   }
 
@@ -190,7 +173,6 @@ class netwide_harness {
     for (const auto& mp : points_) total += mp.reports_sent();
     for (const auto& ap : agg_points_) total += ap.reports_sent();
     for (const auto& sp : sum_points_) total += sp.reports_sent();
-    for (const auto& dp : delta_points_) total += dp.reports_sent();
     return total;
   }
 
@@ -211,11 +193,9 @@ class netwide_harness {
   std::vector<measurement_point> points_;
   std::vector<aggregating_point<H>> agg_points_;
   std::vector<summary_point<H>> sum_points_;
-  std::vector<delta_summary_point<H>> delta_points_;
   std::unique_ptr<d_h_memento_controller<H>> controller_;
   std::unique_ptr<ideal_aggregation_controller<H>> agg_controller_;
   std::unique_ptr<summary_controller<H>> sum_controller_;
-  std::unique_ptr<delta_summary_controller<H>> delta_controller_;
   std::uint64_t packets_ = 0;
 };
 

@@ -6,222 +6,18 @@
 // channel moves the algorithm to the VANTAGE: each measurement point runs a
 // local H-Memento over its share of the traffic at full rate (tau = 1,
 // on-box updates cost no control bytes) and periodically serializes its
-// candidate set - a window_summary - onto the wire. The controller merges
-// the latest summary from each vantage.
+// candidate set - a window_summary - onto the wire. The controller keeps
+// one baseline per vantage and answers over their union.
 //
-// Cost model (budget_model): a summary costs O transport bytes plus the
-// encoded payload; the vantage accrues B bytes of allowance per observed
-// packet and ships whenever the allowance covers the CURRENT summary size,
-// so the channel self-paces - fatter candidate sets ship less often. Byte
-// accounting charges the actual encoded size, so it is exact for what
-// crosses the wire.
+// Reports come in two kinds. A FULL report re-ships every candidate. A
+// DELTA report ships only the candidates whose estimate moved past a change
+// bar since the last shipped report, plus the keys that left the candidate
+// set; the controller patches its per-origin baseline in place. In steady
+// state most heavy hitters' estimates barely move between reports, so
+// deltas carry the same information in far fewer bytes. The default,
+// resync_every = 1, makes every report full.
 //
-// Accuracy trade (measured by bench/netwide_bytes.cpp): summaries carry
-// full per-vantage estimates (no sampling error) but are STALE between
-// reports, and a prefix whose mass is spread thinly across vantages can sit
-// below every local candidate bar. Sample/Batch pay per-packet sampling
-// error but are always fresh. The controller's one-sided query() charges
-// every vantage without an entry its miss bound, preserving the
-// never-undercount contract; query_point() sums entries alone and is the
-// near-unbiased input for RMSE comparisons.
-//
-// Decoding is bounds-checked end to end (util/wire.hpp): any truncated or
-// corrupt summary report decodes to nullopt, never a crash.
-#pragma once
-
-#include <cmath>
-#include <cstdint>
-#include <optional>
-#include <span>
-#include <stdexcept>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "core/h_memento.hpp"
-#include "util/compress.hpp"
-#include "hierarchy/hhh_solver.hpp"
-#include "netwide/budget.hpp"
-#include "snapshot/summary.hpp"
-#include "trace/packet.hpp"
-#include "util/wire.hpp"
-
-namespace memento::netwide {
-
-/// One summary report from a vantage: who, how much traffic it covers, and
-/// the summarized candidate estimates.
-template <typename Key>
-struct summary_report {
-  std::uint32_t origin = 0;
-  std::uint64_t covered_packets = 0;  ///< packets observed since the last report
-  window_summary<Key> summary;
-};
-
-/// Serializes a summary report payload (the O-byte transport header is
-/// external): u32 origin | u64 covered | window_summary section.
-template <typename Key>
-[[nodiscard]] std::vector<std::uint8_t> encode_summary_report(const summary_report<Key>& report) {
-  std::vector<std::uint8_t> out;
-  wire::sink s(out);
-  s.u32(report.origin);
-  s.u64(report.covered_packets);
-  report.summary.save(s);
-  if (!s.finish()) return {};
-  return out;
-}
-
-/// Parses a summary report payload; nullopt on any truncation, corruption,
-/// CRC mismatch, or trailing garbage.
-template <typename Key>
-[[nodiscard]] std::optional<summary_report<Key>> decode_summary_report(
-    std::span<const std::uint8_t> bytes) {
-  wire::source s(bytes);
-  summary_report<Key> report;
-  if (!s.u32(report.origin) || !s.u64(report.covered_packets)) return std::nullopt;
-  auto summary = window_summary<Key>::restore(s);
-  if (!summary || !s.done()) return std::nullopt;
-  report.summary = std::move(*summary);
-  return report;
-}
-
-/// Vantage side: a full-rate local H-Memento plus budget-gated summary
-/// emission. observe() returns the ENCODED payload when one ships - the
-/// channel's unit really is bytes, and the harness decodes them back.
-template <typename H>
-class summary_point {
- public:
-  using key_type = typename H::key_type;
-
-  /// @param id           vantage identifier stamped on reports.
-  /// @param local_window the vantage's share of the global window (W / m).
-  /// @param counters     local H-Memento counter budget.
-  summary_point(std::uint32_t id, std::uint64_t local_window, std::size_t counters,
-                const budget_model& budget, std::uint64_t seed = 1)
-      : algo_(h_memento_config{local_window, counters, /*tau=*/1.0, /*delta=*/1e-3,
-                               seed ^ (0x726d75530ULL * (id + 1))}),
-        budget_(budget),
-        id_(id) {}
-
-  /// Observes one ingress packet; returns an encoded summary report when
-  /// enough byte allowance has accrued to pay for the current summary.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> observe(const packet& p) {
-    algo_.update(p);
-    ++covered_;
-    ++observed_total_;
-    accrued_ += budget_.bytes_per_packet;
-    // An empty candidate set carries no information: keep accruing instead
-    // of wasting a header on the wire.
-    if (algo_.inner().candidate_count() == 0) return std::nullopt;
-    // Gate on the model estimate first (cheap) so the encode below runs
-    // once per report, not once per packet. The estimate must cover the
-    // payload's fixed preamble (origin + covered + section header + the
-    // summary's scalar fields) or the re-check against the actual size
-    // would fail for the next preamble/B packets, re-encoding the full
-    // summary on every one of them.
-    const double estimated = kPayloadPreambleBytes +
-                             budget_.summary_report_bytes(algo_.inner().candidate_count());
-    if (accrued_ < estimated) return std::nullopt;
-
-    summary_report<key_type> report{id_, covered_, window_summary<key_type>::from_hhh(algo_)};
-    auto payload = encode_summary_report(report);
-    const double actual =
-        budget_.overhead_bytes + static_cast<double>(payload.size());
-    if (accrued_ < actual) return std::nullopt;  // varint slack put it just over
-    accrued_ -= actual;
-    bytes_sent_ += actual;
-    covered_ = 0;
-    ++reports_sent_;
-    return payload;
-  }
-
-  [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
-  [[nodiscard]] std::uint64_t observed_total() const noexcept { return observed_total_; }
-  [[nodiscard]] std::uint64_t reports_sent() const noexcept { return reports_sent_; }
-  /// Actual control bytes spent (O + encoded payload, per report).
-  [[nodiscard]] double bytes_sent() const noexcept { return bytes_sent_; }
-  [[nodiscard]] const h_memento<H>& algorithm() const noexcept { return algo_; }
-
- private:
-  /// Upper bound on the encoded payload's fixed (non-entry) bytes: u32
-  /// origin + u64 covered + 8B section header + codec-flags byte +
-  /// window/stream varints (<= 10B each) + two f64 scalars + the
-  /// entry-count varint + the 4B section CRC.
-  static constexpr double kPayloadPreambleBytes = 71.0;
-
-  h_memento<H> algo_;
-  budget_model budget_;
-  std::uint32_t id_;
-  double accrued_ = 0.0;
-  double bytes_sent_ = 0.0;
-  std::uint64_t covered_ = 0;
-  std::uint64_t observed_total_ = 0;
-  std::uint64_t reports_sent_ = 0;
-};
-
-/// Controller side: keeps the latest summary per vantage and answers over
-/// their merge-on-read union.
-template <typename H>
-class summary_controller {
- public:
-  using key_type = typename H::key_type;
-
-  void on_report(summary_report<key_type> report) {
-    snapshots_[report.origin] = std::move(report.summary);
-    ++reports_;
-  }
-
-  /// One-sided global estimate: per vantage, the entry when the prefix was
-  /// summarized, otherwise that vantage's miss bound (client-hash routing
-  /// spreads a prefix's mass across vantages, so a vantage without an entry
-  /// may still hold up to its miss bound of it).
-  [[nodiscard]] double query(const key_type& prefix) const {
-    double total = 0.0;
-    for (const auto& [origin, summary] : snapshots_) total += summary.query(prefix);
-    return total;
-  }
-
-  /// Entry-sum estimate (near-unbiased; no miss-bound padding) - the right
-  /// input for RMSE comparisons and threshold triggers.
-  [[nodiscard]] double query_point(const key_type& prefix) const {
-    double total = 0.0;
-    for (const auto& [origin, summary] : snapshots_) total += summary.query_entry(prefix);
-    return total;
-  }
-
-  /// HHH over the merged candidate union at threshold theta (fraction of
-  /// `window`). Compensation-free, like the other methods' harness output.
-  [[nodiscard]] std::vector<hhh_entry<key_type>> output(double theta,
-                                                       std::uint64_t window) const {
-    std::vector<key_type> candidates;
-    for (const auto& [origin, summary] : snapshots_) {
-      summary.for_each([&](const key_type& key, double) { candidates.push_back(key); });
-    }
-    return solve_hhh<H>(
-        std::move(candidates),
-        [this](const key_type& k) {
-          const double point = query_point(k);
-          return freq_bounds{point, point};
-        },
-        theta * static_cast<double>(window), /*compensation=*/0.0);
-  }
-
-  [[nodiscard]] std::size_t vantages_heard() const noexcept { return snapshots_.size(); }
-  [[nodiscard]] std::uint64_t reports_received() const noexcept { return reports_; }
-
- private:
-  std::unordered_map<std::uint32_t, window_summary<key_type>> snapshots_;
-  std::uint64_t reports_ = 0;
-};
-
-// --- delta summary channel ---------------------------------------------------
-// The full-summary channel re-ships every candidate on every report, but in
-// steady state most heavy hitters' estimates barely move between reports:
-// the information per report is the CHANGES. The delta channel ships, per
-// report, only the candidates whose estimate moved past a change bar since
-// the last shipped summary, plus the keys that left the candidate set; the
-// controller patches its per-origin baseline in place.
-//
-// Three things make this safe against loss and corruption:
+// Three things make deltas safe against loss and corruption:
 //   * every report carries a per-origin EPOCH; a delta only applies to the
 //     exact baseline it was computed against (epoch == last + 1), anything
 //     else is rejected and the controller waits for the next full report;
@@ -238,21 +34,58 @@ class summary_controller {
 // estimate's +-2T slack - so recall at any detection bar the channel is
 // honest for is unchanged, which is what makes the bytes comparison in
 // bench/netwide_bytes.cpp an equal-recall one.
+//
+// Pacing: the vantage accrues B bytes of allowance per observed packet and
+// ships when the allowance covers the report, priced at the last encoded
+// report's bytes per candidate (fatter candidate sets ship less often).
+// Byte accounting charges the actual encoded size, so it is exact for what
+// crosses the wire. A fixed cadence (cadence_packets) replaces the budget
+// gate for cadence-matched comparisons.
+//
+// Accuracy trade (measured by bench/netwide_bytes.cpp): summaries carry
+// full per-vantage estimates (no sampling error) but are STALE between
+// reports, and a prefix whose mass is spread thinly across vantages can sit
+// below every local candidate bar. Sample/Batch pay per-packet sampling
+// error but are always fresh. The controller's one-sided query() charges
+// every vantage without an entry its miss bound, preserving the
+// never-undercount contract; query_point() sums entries alone and is the
+// near-unbiased input for RMSE comparisons.
+//
+// Decoding is bounds-checked end to end (util/wire.hpp): any truncated or
+// corrupt report decodes to nullopt, never a crash.
+#pragma once
+
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "core/h_memento.hpp"
+#include "hierarchy/hhh_solver.hpp"
+#include "netwide/budget.hpp"
+#include "snapshot/summary.hpp"
+#include "trace/packet.hpp"
+#include "util/wire.hpp"
+
+namespace memento::netwide {
 
 /// Wire tag of the delta payload section ("WD"); version 1.
 inline constexpr std::uint16_t kDeltaWireTag = 0x5744;
 inline constexpr std::uint16_t kDeltaWireVersion = 1;
 
-/// What a delta report carries: the report kind discriminates the payload.
+/// What a report carries: the report kind discriminates the payload.
 enum class summary_kind : std::uint8_t { full = 0, delta = 1 };
 
-/// One report on the delta channel. `summary` is populated for full
+/// One summary report from a vantage. `summary` is populated for full
 /// reports; `changed`/`removed` plus the scalar header for delta reports.
 template <typename Key>
-struct delta_summary_report {
+struct summary_report {
   std::uint32_t origin = 0;
-  std::uint64_t covered_packets = 0;
-  std::uint64_t epoch = 0;  ///< per-origin, starts at 1, +1 per sent report
+  std::uint64_t covered_packets = 0;  ///< packets observed since the last report
+  std::uint64_t epoch = 0;            ///< per-origin, starts at 1, +1 per sent report
   summary_kind kind = summary_kind::full;
   window_summary<Key> summary;  ///< full payload
 
@@ -263,12 +96,11 @@ struct delta_summary_report {
   std::vector<Key> removed;
 };
 
-/// Serializes a delta-channel report: u32 origin | u64 covered | u64 epoch |
-/// u8 kind | payload (a WS section for full, a CRC'd WD section for
-/// delta, both FoR-packed).
+/// Serializes a report payload (the O-byte transport header is external):
+/// u32 origin | u64 covered | u64 epoch | u8 kind | payload (a WS section
+/// for full, a CRC'd WD section for delta, both FoR-packed).
 template <typename Key>
-[[nodiscard]] std::vector<std::uint8_t> encode_delta_summary_report(
-    const delta_summary_report<Key>& report) {
+[[nodiscard]] std::vector<std::uint8_t> encode_summary_report(const summary_report<Key>& report) {
   std::vector<std::uint8_t> out;
   wire::sink s(out);
   s.u32(report.origin);
@@ -299,13 +131,13 @@ template <typename Key>
   return out;
 }
 
-/// Parses a delta-channel report; nullopt on truncation, an unknown kind,
-/// a CRC mismatch, or trailing garbage.
+/// Parses a report payload; nullopt on truncation, an unknown kind, a CRC
+/// mismatch, or trailing garbage.
 template <typename Key>
-[[nodiscard]] std::optional<delta_summary_report<Key>> decode_delta_summary_report(
+[[nodiscard]] std::optional<summary_report<Key>> decode_summary_report(
     std::span<const std::uint8_t> bytes) {
   wire::source s(bytes);
-  delta_summary_report<Key> report;
+  summary_report<Key> report;
   std::uint8_t kind = 0;
   if (!s.u32(report.origin) || !s.u64(report.covered_packets) || !s.u64(report.epoch) ||
       !s.u8(kind) || kind > static_cast<std::uint8_t>(summary_kind::delta)) {
@@ -353,11 +185,11 @@ template <typename Key>
   return report;
 }
 
-/// Knobs of the delta channel's vantage side.
-struct delta_summary_config {
+/// Knobs of the summary channel's vantage side.
+struct summary_config {
   /// Every Nth report is a full baseline (the first always is). 1 = every
-  /// report full: the cadence-matched baseline the benches compare against.
-  std::uint64_t resync_every = 16;
+  /// report full.
+  std::uint64_t resync_every = 1;
   /// Change bar in overflow units (T * H / tau packets): an entry ships
   /// when its estimate moved at least this much since last shipped. 0
   /// ships every entry every report (naive; for measurement only).
@@ -367,20 +199,25 @@ struct delta_summary_config {
   std::uint64_t cadence_packets = 0;
 };
 
-/// Vantage side of the delta channel: a full-rate local H-Memento plus
-/// epoch-tagged full/delta emission against the last SHIPPED estimates.
+/// Vantage side: a full-rate local H-Memento plus epoch-tagged full/delta
+/// emission against the last SHIPPED estimates. observe() returns the
+/// ENCODED payload when one ships - the channel's unit really is bytes, and
+/// the harness decodes them back.
 template <typename H>
-class delta_summary_point {
+class summary_point {
  public:
   using key_type = typename H::key_type;
 
-  delta_summary_point(std::uint32_t id, std::uint64_t local_window, std::size_t counters,
-                      const budget_model& budget, const delta_summary_config& delta_config = {},
-                      std::uint64_t seed = 1)
+  /// @param id           vantage identifier stamped on reports.
+  /// @param local_window the vantage's share of the global window (W / m).
+  /// @param counters     local H-Memento counter budget.
+  summary_point(std::uint32_t id, std::uint64_t local_window, std::size_t counters,
+                const budget_model& budget, const summary_config& config = {},
+                std::uint64_t seed = 1)
       : algo_(h_memento_config{local_window, counters, /*tau=*/1.0, /*delta=*/1e-3,
                                seed ^ (0x726d75530ULL * (id + 1))}),
         budget_(budget),
-        config_(delta_config),
+        config_(config),
         id_(id) {
     if (config_.resync_every == 0) config_.resync_every = 1;
   }
@@ -391,34 +228,28 @@ class delta_summary_point {
     ++covered_;
     ++observed_total_;
     accrued_ += budget_.bytes_per_packet;
-    if (algo_.inner().candidate_count() == 0) return std::nullopt;
-
-    const bool full_due = epoch_ % config_.resync_every == 0;  // epoch_ counts SENT reports
-    if (config_.cadence_packets != 0) {
-      if (covered_ < config_.cadence_packets) return std::nullopt;
-    } else {
-      // Budget pacing: gate on a cheap estimate first (like summary_point),
-      // assuming the worst case - all candidates changed - for a delta.
-      const std::size_t entries = algo_.inner().candidate_count();
-      const double estimated =
-          kPayloadPreambleBytes + (full_due ? budget_.summary_report_bytes(entries)
-                                            : budget_.summary_delta_report_bytes(entries, 0));
-      if (accrued_ < estimated && !full_due) {
-        // A delta can be far cheaper than the all-changed bound; only the
-        // encode can tell, so fall through when even the lower removal-only
-        // floor is covered.
-        if (accrued_ < kPayloadPreambleBytes + budget_.summary_delta_report_bytes(0, 0)) {
-          return std::nullopt;
-        }
-      } else if (accrued_ < estimated && full_due) {
-        return std::nullopt;
-      }
+    // An empty candidate set carries no information: keep accruing instead
+    // of wasting a header on the wire.
+    const std::size_t candidates = algo_.inner().candidate_count();
+    if (candidates == 0) return std::nullopt;
+    // Gate before encoding, so the encode runs about once per report, not
+    // once per packet.
+    if (config_.cadence_packets != 0
+            ? covered_ < config_.cadence_packets
+            : accrued_ < bytes_per_candidate_ * static_cast<double>(candidates)) {
+      return std::nullopt;
     }
 
-    auto payload = full_due ? encode_full() : encode_delta();
-    if (!payload) return std::nullopt;  // delta had nothing to say; keep accruing
-    const double actual = budget_.overhead_bytes + static_cast<double>(payload->size());
+    const bool full_due = epoch_ % config_.resync_every == 0;  // epoch_ counts SENT reports
+    auto report = full_due ? make_full() : make_delta();
+    if (!full_due && report.changed.empty() && report.removed.empty()) {
+      return std::nullopt;  // nothing moved past the bar; keep accruing
+    }
+    auto payload = encode_summary_report(report);
+    const double actual = budget_.overhead_bytes + static_cast<double>(payload.size());
+    bytes_per_candidate_ = actual / static_cast<double>(candidates);
     if (config_.cadence_packets == 0 && accrued_ < actual) return std::nullopt;
+
     accrued_ -= actual;
     if (accrued_ < 0.0) accrued_ = 0.0;
     bytes_sent_ += actual;
@@ -426,6 +257,7 @@ class delta_summary_point {
     ++epoch_;
     ++reports_sent_;
     full_due ? ++full_reports_ : ++delta_reports_;
+    commit(report);
     return payload;
   }
 
@@ -434,12 +266,11 @@ class delta_summary_point {
   [[nodiscard]] std::uint64_t reports_sent() const noexcept { return reports_sent_; }
   [[nodiscard]] std::uint64_t full_reports() const noexcept { return full_reports_; }
   [[nodiscard]] std::uint64_t delta_reports() const noexcept { return delta_reports_; }
+  /// Actual control bytes spent (O + encoded payload, per report).
   [[nodiscard]] double bytes_sent() const noexcept { return bytes_sent_; }
   [[nodiscard]] const h_memento<H>& algorithm() const noexcept { return algo_; }
 
  private:
-  static constexpr double kPayloadPreambleBytes = 83.0;  ///< summary preamble + epoch + kind
-
   /// The change bar in packets: estimates quantize at the sketch's overflow
   /// granularity T * H / tau, so anything below `units` of that is residue
   /// noise, not information.
@@ -448,21 +279,19 @@ class delta_summary_point {
            static_cast<double>(H::hierarchy_size) / algo_.tau();
   }
 
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> encode_full() {
-    delta_summary_report<key_type> report;
+  [[nodiscard]] summary_report<key_type> make_full() const {
+    summary_report<key_type> report;
     report.origin = id_;
     report.covered_packets = covered_;
     report.epoch = epoch_ + 1;
     report.kind = summary_kind::full;
     report.summary = window_summary<key_type>::from_hhh(algo_);
-    shipped_.clear();
-    report.summary.for_each([&](const key_type& key, double est) { shipped_[key] = est; });
-    return encode_delta_summary_report(report);
+    return report;
   }
 
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> encode_delta() {
+  [[nodiscard]] summary_report<key_type> make_delta() const {
     const auto current = window_summary<key_type>::from_hhh(algo_);
-    delta_summary_report<key_type> report;
+    summary_report<key_type> report;
     report.origin = id_;
     report.covered_packets = covered_;
     report.epoch = epoch_ + 1;
@@ -481,19 +310,30 @@ class delta_summary_point {
     for (const auto& [key, est] : shipped_) {
       if (!current.contains(key)) report.removed.push_back(key);
     }
-    if (report.changed.empty() && report.removed.empty()) return std::nullopt;
+    return report;
+  }
+
+  /// Records what the controller now holds, once the report has shipped.
+  void commit(const summary_report<key_type>& report) {
+    if (report.kind == summary_kind::full) {
+      shipped_.clear();
+      report.summary.for_each([&](const key_type& key, double est) { shipped_[key] = est; });
+      return;
+    }
     for (const auto& [key, est] : report.changed) shipped_[key] = est;
     for (const key_type& key : report.removed) shipped_.erase(key);
-    return encode_delta_summary_report(report);
   }
 
   h_memento<H> algo_;
   budget_model budget_;
-  delta_summary_config config_;
+  summary_config config_;
   std::uint32_t id_;
   std::unordered_map<key_type, double> shipped_;  ///< last shipped estimate per key
   double accrued_ = 0.0;
   double bytes_sent_ = 0.0;
+  /// The gate's price: the last encoded report's bytes (O included) per
+  /// candidate, 16 (8B key + 8B estimate) until the first encode.
+  double bytes_per_candidate_ = 16.0;
   std::uint64_t covered_ = 0;
   std::uint64_t observed_total_ = 0;
   std::uint64_t epoch_ = 0;  ///< == reports actually sent
@@ -502,18 +342,18 @@ class delta_summary_point {
   std::uint64_t delta_reports_ = 0;
 };
 
-/// Controller side of the delta channel: per-origin baseline patched by
-/// deltas, with strict epoch sequencing - a delta applies only to the exact
-/// baseline it was computed against; gaps or reordering desync the origin
-/// until its next full report.
+/// Controller side: per-origin baseline replaced by full reports and patched
+/// by deltas, with strict epoch sequencing - a delta applies only to the
+/// exact baseline it was computed against; gaps or reordering desync the
+/// origin until its next full report.
 template <typename H>
-class delta_summary_controller {
+class summary_controller {
  public:
   using key_type = typename H::key_type;
 
   /// Applies one report; false when it was rejected (stale epoch, or a
   /// delta against a baseline this controller does not hold).
-  bool on_report(delta_summary_report<key_type> report) {
+  bool on_report(summary_report<key_type> report) {
     auto& st = origins_[report.origin];
     ++reports_;
     if (report.epoch <= st.epoch && st.epoch != 0) {
@@ -539,21 +379,26 @@ class delta_summary_controller {
     return true;
   }
 
-  /// One-sided global estimate (see summary_controller::query).
+  /// One-sided global estimate: per vantage, the entry when the prefix was
+  /// summarized, otherwise that vantage's miss bound (client-hash routing
+  /// spreads a prefix's mass across vantages, so a vantage without an entry
+  /// may still hold up to its miss bound of it).
   [[nodiscard]] double query(const key_type& prefix) const {
     double total = 0.0;
     for (const auto& [origin, st] : origins_) total += st.baseline.query(prefix);
     return total;
   }
 
-  /// Entry-sum estimate (near-unbiased; no miss-bound padding).
+  /// Entry-sum estimate (near-unbiased; no miss-bound padding) - the right
+  /// input for RMSE comparisons and threshold triggers.
   [[nodiscard]] double query_point(const key_type& prefix) const {
     double total = 0.0;
     for (const auto& [origin, st] : origins_) total += st.baseline.query_entry(prefix);
     return total;
   }
 
-  /// HHH over the merged candidate union (see summary_controller::output).
+  /// HHH over the merged candidate union at threshold theta (fraction of
+  /// `window`). Compensation-free, like the other methods' harness output.
   [[nodiscard]] std::vector<hhh_entry<key_type>> output(double theta,
                                                        std::uint64_t window) const {
     std::vector<key_type> candidates;

@@ -88,17 +88,13 @@ class window_summary {
     static_assert(std::is_same_v<typename H::key_type, Key>,
                   "window_summary key type must match the hierarchy key type");
     const double h = static_cast<double>(H::hierarchy_size);
-    window_summary s;
-    s.window_ = algo.window_size();
-    s.stream_ = algo.stream_length();
     const auto& inner = algo.inner();
-    s.width_ = h * inner.estimate_width();
+    window_summary s = from(inner);
+    s.width_ *= h;
+    // H * (3T - 1) / tau, not from()'s bound times H: the two round apart.
     s.miss_upper_ =
         h * (3.0 * static_cast<double>(inner.overflow_threshold()) - 1.0) / inner.tau();
-    s.entries_.reserve(inner.candidate_count());
-    inner.for_each_candidate(
-        [&](const Key& key, double est) { s.entries_.push_back({key, h * est}); });
-    s.rebuild_index();
+    for (heavy_hitter& e : s.entries_) e.estimate *= h;
     return s;
   }
 

@@ -1,5 +1,5 @@
 // Tests for the network-wide layer: budget model, Theorem 5.5 optimizer,
-// measurement points, controllers, and the three-method harness.
+// measurement points, controllers, and the four-method harness.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -333,63 +333,77 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, HarnessBudget,
 
 // --- the summary channel ------------------------------------------------------------
 
-TEST(BudgetModel, SummaryChannelAccounting) {
-  budget_model b{1.0, 64.0, 4.0, 16.0};
-  EXPECT_DOUBLE_EQ(b.summary_report_bytes(0), 64.0);
-  EXPECT_DOUBLE_EQ(b.summary_report_bytes(100), 64.0 + 1600.0);
-  EXPECT_DOUBLE_EQ(b.packets_per_summary(100), 1664.0);
-  b.bytes_per_packet = 0.5;
-  EXPECT_DOUBLE_EQ(b.packets_per_summary(100), 3328.0);
-}
-
-TEST(SummaryChannel, ReportCodecRoundTripsAndRejectsGarbage) {
-  summary_point<source_hierarchy> point(7, 20000, 256, budget_model{4.0, 64.0, 4.0}, 3);
-  trace_generator gen(trace_kind::backbone, 11);
-  std::vector<std::uint8_t> payload;
-  for (int i = 0; i < 200000 && payload.empty(); ++i) {
-    if (auto p = point.observe(gen.next())) payload = std::move(*p);
-  }
-  ASSERT_FALSE(payload.empty()) << "vantage never accrued a summary";
-
-  const auto report = decode_summary_report<std::uint64_t>(payload);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->origin, 7u);
-  EXPECT_GT(report->covered_packets, 0u);
-  EXPECT_FALSE(report->summary.empty());
-  // The vantage's own estimates survive the wire exactly.
-  report->summary.for_each([&](const std::uint64_t& key, double est) {
-    ASSERT_DOUBLE_EQ(est, point.algorithm().query(key));
-  });
-
+/// Every truncation, trailing byte, flip past the 21-byte origin/covered/
+/// epoch/kind header, and unknown kind of an encoded report is rejected.
+void expect_report_rejects_corruption(const std::vector<std::uint8_t>& payload) {
+  ASSERT_GT(payload.size(), 21u);
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     EXPECT_FALSE(decode_summary_report<std::uint64_t>(
                      std::span<const std::uint8_t>(payload.data(), cut))
                      .has_value())
         << "accepted truncation at " << cut;
   }
-  auto garbage = payload;
-  garbage.push_back(0x00);
-  EXPECT_FALSE(decode_summary_report<std::uint64_t>(garbage).has_value());
-  // Past the 12-byte origin/covered header the payload is one CRC'd
-  // section: every bit flip there is rejected.
-  auto flipped = payload;
-  for (std::size_t i = 12; i < payload.size(); ++i) {
-    flipped[i] ^= 0x01;
-    EXPECT_FALSE(decode_summary_report<std::uint64_t>(flipped).has_value())
+  auto mutated = payload;
+  mutated.push_back(0x00);
+  EXPECT_FALSE(decode_summary_report<std::uint64_t>(mutated).has_value());
+  mutated.pop_back();
+  // Past the header the payload is one CRC'd section (WS or WD).
+  for (std::size_t i = 21; i < mutated.size(); ++i) {
+    mutated[i] ^= 0x01;
+    EXPECT_FALSE(decode_summary_report<std::uint64_t>(mutated).has_value())
         << "accepted corruption at byte " << i;
-    flipped[i] = payload[i];
+    mutated[i] ^= 0x01;
   }
+  // Unknown kind byte (offset 20: u32 origin + u64 covered + u64 epoch).
+  mutated[20] = 2;
+  EXPECT_FALSE(decode_summary_report<std::uint64_t>(mutated).has_value());
+}
+
+TEST(SummaryChannel, ReportCodecRoundTripsAndRejectsGarbage) {
+  summary_config config;
+  config.resync_every = 2;  // a full report, then a delta
+  summary_point<source_hierarchy> point(7, 20000, 256, budget_model{4.0, 64.0, 4.0}, config, 3);
+  trace_generator gen(trace_kind::backbone, 11);
+  for (int i = 0; i < 200000 && point.reports_sent() < 2; ++i) {
+    const auto payload = point.observe(gen.next());
+    if (!payload) continue;
+    const auto report = decode_summary_report<std::uint64_t>(*payload);
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->origin, 7u);
+    EXPECT_EQ(report->epoch, point.reports_sent());
+    EXPECT_GT(report->covered_packets, 0u);
+    // The vantage's own estimates survive the wire exactly.
+    if (report->kind == summary_kind::full) {
+      EXPECT_EQ(point.reports_sent(), 1u);
+      EXPECT_FALSE(report->summary.empty());
+      report->summary.for_each([&](const std::uint64_t& key, double est) {
+        ASSERT_DOUBLE_EQ(est, point.algorithm().query(key));
+      });
+    } else {
+      EXPECT_EQ(point.reports_sent(), 2u);
+      EXPECT_FALSE(report->changed.empty() && report->removed.empty());
+      for (const auto& [key, est] : report->changed) {
+        ASSERT_DOUBLE_EQ(est, point.algorithm().query(key));
+      }
+    }
+    expect_report_rejects_corruption(*payload);
+  }
+  ASSERT_EQ(point.full_reports(), 1u) << "vantage never accrued a summary";
+  ASSERT_EQ(point.delta_reports(), 1u) << "vantage never shipped a delta";
 }
 
 TEST(SummaryChannel, BudgetGatesSummaryCadence) {
   const budget_model budget{1.0, 64.0, 4.0};
-  summary_point<source_hierarchy> point(0, 10000, 128, budget, 5);
+  summary_point<source_hierarchy> point(0, 10000, 128, budget, {}, 5);
   trace_generator gen(trace_kind::backbone, 13);
   for (int i = 0; i < 150000; ++i) (void)point.observe(gen.next());
   ASSERT_GT(point.reports_sent(), 0u);
-  // Byte accounting charges actual encoded sizes and must respect B.
-  EXPECT_LE(point.bytes_sent() / static_cast<double>(point.observed_total()),
-            budget.bytes_per_packet * 1.05);
+  EXPECT_EQ(point.delta_reports(), 0u);  // resync_every = 1: every report is full
+  // Byte accounting charges actual encoded sizes and must respect B; pricing
+  // the gate from the encoded size leaves little of B unspent.
+  const double spent = point.bytes_sent() / static_cast<double>(point.observed_total());
+  EXPECT_LE(spent, budget.bytes_per_packet);
+  EXPECT_GE(spent, 0.9 * budget.bytes_per_packet);
 }
 
 TEST(SummaryChannel, ControllerSumsVantagesOneSidedly) {
@@ -402,8 +416,12 @@ TEST(SummaryChannel, ControllerSumsVantagesOneSidedly) {
     for (int i = 0; i < 20000; ++i) {
       local.update(packet{0x0A000000u | static_cast<std::uint32_t>(i % 999), 1});
     }
-    controller.on_report(summary_report<std::uint64_t>{
-        origin, 20000, window_summary<std::uint64_t>::from_hhh(local)});
+    summary_report<std::uint64_t> report;
+    report.origin = origin;
+    report.covered_packets = 20000;
+    report.epoch = 1;
+    report.summary = window_summary<std::uint64_t>::from_hhh(local);
+    EXPECT_TRUE(controller.on_report(std::move(report)));
   }
   EXPECT_EQ(controller.vantages_heard(), 2u);
   EXPECT_EQ(controller.reports_received(), 2u);
@@ -415,7 +433,9 @@ TEST(SummaryChannel, ControllerSumsVantagesOneSidedly) {
   EXPECT_FALSE(hhh.empty());
 }
 
-TEST(Harness, SummaryMethodTracksAHotSubnet) {
+/// Harness.SummaryMethodTracksAHotSubnet's deployment: m = 10, W = 30,000,
+/// 2,000 controller counters, a /8 carrying ~40% of traffic.
+netwide_harness<source_hierarchy> hot_subnet_summary_harness() {
   harness_config cfg;
   cfg.method = comm_method::summary;
   cfg.num_points = 10;
@@ -433,15 +453,31 @@ TEST(Harness, SummaryMethodTracksAHotSubnet) {
                                      : gen.next();
     harness.ingest(p);
   }
+  return harness;
+}
+
+TEST(Harness, SummaryMethodTracksAHotSubnet) {
+  const auto harness = hot_subnet_summary_harness();
+  const double window = static_cast<double>(harness.config().window);
   ASSERT_GT(harness.reports_sent(), 0u);
   // The midpoint estimate (entry sums across vantages) tracks the subnet's
   // ~40% share; summaries are stale between reports, so the tolerance is
   // wider than the batch method's.
   const double est = harness.estimate_midpoint(prefix1d::make_key(0x0A000000u, 3));
-  EXPECT_NEAR(est, 0.4 * static_cast<double>(cfg.window),
-              0.35 * static_cast<double>(cfg.window));
+  EXPECT_NEAR(est, 0.4 * window, 0.35 * window);
   // One-sided estimate dominates the midpoint.
   EXPECT_GE(harness.estimate(prefix1d::make_key(0x0A000000u, 3)), est);
+}
+
+TEST(Harness, SummaryVantagesHoldTheirShareOfCounters) {
+  // Each vantage sees a local window of 3,001 packets. With all 2,000
+  // counters per vantage its frame rounds that up to 4,000 (+33%), and the
+  // /0 root, which every packet feeds, reads a third too high. With 200
+  // counters each the frame is 3,200 (+6.7%); the entries are upper
+  // estimates, which add up to 2T * H = 160 packets per vantage (+5.3%).
+  const auto harness = hot_subnet_summary_harness();
+  const double window = static_cast<double>(harness.config().window);
+  EXPECT_NEAR(harness.estimate_midpoint(prefix1d::make_key(0, 4)), window, 0.12 * window);
 }
 
 TEST(Harness, BatchDefaultsToTheorem55Optimum) {
@@ -492,11 +528,11 @@ TEST(Harness, RejectsZeroVantages) {
   EXPECT_THROW(netwide_harness<source_hierarchy>{cfg}, std::invalid_argument);
 }
 
-// --- delta summary channel ---------------------------------------------------
+// --- delta reports on the summary channel ------------------------------------
 
 TEST(DeltaChannel, ReportCodecRoundTripsFullAndDelta) {
   // Delta kind: changed + removed survive the wire exactly.
-  delta_summary_report<std::uint64_t> report;
+  summary_report<std::uint64_t> report;
   report.origin = 9;
   report.covered_packets = 4'321;
   report.epoch = 17;
@@ -507,10 +543,10 @@ TEST(DeltaChannel, ReportCodecRoundTripsFullAndDelta) {
   report.miss_upper = 7.5;
   for (std::uint64_t k = 0; k < 300; ++k) report.changed.push_back({k * 37, 100.0 + k});
   for (std::uint64_t k = 0; k < 40; ++k) report.removed.push_back(k * 101 + 7);
-  const auto payload = encode_delta_summary_report(report);
+  const auto payload = encode_summary_report(report);
   ASSERT_FALSE(payload.empty());
 
-  const auto got = decode_delta_summary_report<std::uint64_t>(payload);
+  const auto got = decode_summary_report<std::uint64_t>(payload);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->origin, report.origin);
   EXPECT_EQ(got->covered_packets, report.covered_packets);
@@ -524,14 +560,14 @@ TEST(DeltaChannel, ReportCodecRoundTripsFullAndDelta) {
   EXPECT_EQ(got->removed, report.removed);
 
   // Full kind: the embedded WS section round-trips its entries.
-  delta_summary_report<std::uint64_t> full;
+  summary_report<std::uint64_t> full;
   full.origin = 3;
   full.epoch = 1;
   full.kind = summary_kind::full;
   full.summary.set_scalars(50'000, 99'999, 10.0, 2.0);
   for (std::uint64_t k = 0; k < 100; ++k) full.summary.upsert(k * 13, 500.0 + k);
-  const auto full_payload = encode_delta_summary_report(full);
-  const auto full_got = decode_delta_summary_report<std::uint64_t>(full_payload);
+  const auto full_payload = encode_summary_report(full);
+  const auto full_got = decode_summary_report<std::uint64_t>(full_payload);
   ASSERT_TRUE(full_got.has_value());
   EXPECT_EQ(full_got->kind, summary_kind::full);
   EXPECT_EQ(full_got->summary.size(), full.summary.size());
@@ -539,32 +575,18 @@ TEST(DeltaChannel, ReportCodecRoundTripsFullAndDelta) {
     ASSERT_DOUBLE_EQ(full_got->summary.query_entry(key), est);
   });
 
-  // Hardening: every truncation and every single-byte corruption of the
-  // delta payload is rejected (preamble checks + the WD section's CRC).
-  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
-    EXPECT_FALSE(decode_delta_summary_report<std::uint64_t>(
-                     std::span<const std::uint8_t>(payload.data(), cut))
-                     .has_value())
-        << "accepted truncation at " << cut;
-  }
-  auto mutated = payload;
-  for (std::size_t i = 21; i < mutated.size(); ++i) {  // past the un-CRC'd preamble
-    mutated[i] ^= 0x01;
-    EXPECT_FALSE(decode_delta_summary_report<std::uint64_t>(mutated).has_value())
-        << "accepted corruption at byte " << i;
-    mutated[i] ^= 0x01;
-  }
-  // Unknown kind byte (offset 20: u32 origin + u64 covered + u64 epoch).
-  mutated[20] = 2;
-  EXPECT_FALSE(decode_delta_summary_report<std::uint64_t>(mutated).has_value());
+  // Hardening: truncation, trailing bytes, corruption and unknown kinds of
+  // both payloads are rejected (preamble checks + the WS/WD sections' CRCs).
+  expect_report_rejects_corruption(payload);
+  expect_report_rejects_corruption(full_payload);
 }
 
 TEST(DeltaChannel, ControllerEnforcesEpochSequencing) {
-  delta_summary_controller<source_hierarchy> ctrl;
+  summary_controller<source_hierarchy> ctrl;
   const std::uint64_t k1 = 11, k2 = 22;
 
   auto make_full = [&](std::uint64_t epoch, std::uint64_t key, double est) {
-    delta_summary_report<std::uint64_t> r;
+    summary_report<std::uint64_t> r;
     r.origin = 0;
     r.epoch = epoch;
     r.kind = summary_kind::full;
@@ -573,7 +595,7 @@ TEST(DeltaChannel, ControllerEnforcesEpochSequencing) {
     return r;
   };
   auto make_delta = [&](std::uint64_t epoch) {
-    delta_summary_report<std::uint64_t> r;
+    summary_report<std::uint64_t> r;
     r.origin = 0;
     r.epoch = epoch;
     r.kind = summary_kind::delta;
@@ -620,16 +642,16 @@ TEST(DeltaChannel, DeltaStreamTracksFullResyncBaselineAndRecoversFromLoss) {
   // desyncs the delta controller until the next full, after which agreement
   // returns - the recovery path the wire format exists for.
   const budget_model budget{4.0, 64.0, 4.0};
-  delta_summary_config full_cfg;
+  summary_config full_cfg;
   full_cfg.resync_every = 1;
   full_cfg.cadence_packets = 500;
-  delta_summary_config delta_cfg;
+  summary_config delta_cfg;
   delta_cfg.resync_every = 4;
   delta_cfg.cadence_packets = 500;
   delta_cfg.change_bar_units = 1.0;
-  delta_summary_point<source_hierarchy> pfull(0, 10'000, 256, budget, full_cfg, 5);
-  delta_summary_point<source_hierarchy> pdelta(0, 10'000, 256, budget, delta_cfg, 5);
-  delta_summary_controller<source_hierarchy> cfull, cdelta;
+  summary_point<source_hierarchy> pfull(0, 10'000, 256, budget, full_cfg, 5);
+  summary_point<source_hierarchy> pdelta(0, 10'000, 256, budget, delta_cfg, 5);
+  summary_controller<source_hierarchy> cfull, cdelta;
 
   std::uint64_t z = 99;
   std::uint64_t delta_payloads = 0;
@@ -641,12 +663,12 @@ TEST(DeltaChannel, DeltaStreamTracksFullResyncBaselineAndRecoversFromLoss) {
                                   : static_cast<std::uint32_t>(z >> 32);
     const packet p{src, 0};
     if (auto payload = pfull.observe(p)) {
-      auto r = decode_delta_summary_report<std::uint64_t>(*payload);
+      auto r = decode_summary_report<std::uint64_t>(*payload);
       ASSERT_TRUE(r.has_value());
       cfull.on_report(std::move(*r));
     }
     if (auto payload = pdelta.observe(p)) {
-      auto r = decode_delta_summary_report<std::uint64_t>(*payload);
+      auto r = decode_summary_report<std::uint64_t>(*payload);
       ASSERT_TRUE(r.has_value());
       // Drop the 6th report if it is a delta: simulated channel loss.
       if (++delta_payloads == 6 && r->kind == summary_kind::delta) continue;

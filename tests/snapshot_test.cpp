@@ -528,6 +528,45 @@ TEST(SnapshotSummary, WireRoundTripPreservesEverything) {
   ASSERT_EQ(ha.size(), hb.size());
 }
 
+/// from_hhh is the inner sketch's summary scaled by H, except the miss
+/// bound, which rounds as H * (3T - 1) / tau. Checked field by field and on
+/// the saved bytes, so a rounding drift would change WS images.
+template <typename H>
+void expect_hhh_summary_is_scaled_inner(double tau, std::uint64_t seed) {
+  using key_type = typename H::key_type;
+  h_memento<H> algo(20000, 300, tau, 1e-3, seed);
+  const auto ps = trace_packets(60000, seed + 1);
+  algo.update_batch(ps.data(), ps.size());
+  const auto& inner = algo.inner();
+  ASSERT_GT(inner.candidate_count(), 0u);
+
+  const double h = static_cast<double>(H::hierarchy_size);
+  const double miss = h * (3.0 * static_cast<double>(inner.overflow_threshold()) - 1.0) / tau;
+  window_summary<key_type> expected;
+  expected.set_scalars(inner.window_size(), inner.stream_length(), h * inner.estimate_width(),
+                       miss);
+  inner.for_each_candidate(
+      [&](const key_type& key, double est) { expected.upsert(key, h * est); });
+
+  const auto got = window_summary<key_type>::from_hhh(algo);
+  EXPECT_EQ(got.window_size(), expected.window_size());
+  EXPECT_EQ(got.stream_length(), expected.stream_length());
+  EXPECT_EQ(got.estimate_width(), expected.estimate_width());
+  EXPECT_EQ(got.miss_bound(), expected.miss_bound());
+  std::vector<std::pair<key_type, double>> got_entries, expected_entries;
+  got.for_each([&](const key_type& k, double e) { got_entries.push_back({k, e}); });
+  expected.for_each([&](const key_type& k, double e) { expected_entries.push_back({k, e}); });
+  EXPECT_EQ(got_entries, expected_entries);
+  EXPECT_EQ(snapshot::save(got), snapshot::save(expected));
+}
+
+TEST(SnapshotSummary, HierarchicalSummaryScalesTheInnerSketch) {
+  // tau = 0.3 and 0.7 are not powers of two, so both roundings of the miss
+  // bound are exercised.
+  expect_hhh_summary_is_scaled_inner<source_hierarchy>(0.3, 53);
+  expect_hhh_summary_is_scaled_inner<two_dim_hierarchy>(0.7, 59);
+}
+
 // --- elastic reshard --------------------------------------------------------
 
 /// (old_shards, new_shards): out AND in, including the N == M identity-ish
