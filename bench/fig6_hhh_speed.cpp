@@ -9,6 +9,11 @@
 // `fig6/h_memento_*_batch` replays the same stream through
 // h_memento::update_batch in NIC-burst spans; state is identical to the
 // scalar series, the delta is the batched ingest mechanics.
+//
+// `fig6/h_memento_(1d|2d)_output/<k>` times the operator's poll instead:
+// one output(theta) on a sketch of k counters filled with 2.5 windows of
+// the datacenter trace (W = 2^18, tau = 1/4, theta = 0.15), reported as
+// `output_ms`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -95,6 +100,32 @@ void hhh_memento_speed_sharded(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+/// Time per HHH output(theta), in the poll geometry of a 2-D operator loop.
+template <typename H>
+void hhh_memento_output(benchmark::State& state) {
+  constexpr double kTheta = 0.15;
+  // 2.5 windows: the poll lands mid-frame, where Space-Saving holds a
+  // frame's worth of candidates next to the overflow table (at a frame
+  // boundary the in-frame counters have just been flushed).
+  static const std::vector<packet> trace =
+      make_trace(trace_kind::datacenter, std::size_t{5} << 17, 1);
+  const auto counters = static_cast<std::size_t>(state.range(0));
+  h_memento<H> alg(std::uint64_t{1} << 18, counters, 0.25, 1e-3, /*seed=*/1);
+  alg.update_batch(trace.data(), trace.size());
+  std::size_t admitted = 0;
+  for (auto _ : state) {
+    const auto result = alg.output(kTheta);
+    admitted = result.size();
+    benchmark::DoNotOptimize(result.data());
+  }
+  // seconds / (iterations / 1e3) = milliseconds per output.
+  state.counters["output_ms"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) / 1e3,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["candidates"] = static_cast<double>(alg.inner().monitored_keys().size());
+  state.counters["admitted"] = static_cast<double>(admitted);
+}
+
 template <typename H>
 void hhh_baseline_speed(benchmark::State& state) {
   const auto counters_per_h = static_cast<std::size_t>(state.range(0));
@@ -112,6 +143,14 @@ void hhh_baseline_speed(benchmark::State& state) {
 }
 
 void register_all() {
+  benchmark::RegisterBenchmark("fig6/h_memento_1d_output", hhh_memento_output<source_hierarchy>)
+      ->Arg(4096)
+      ->MinTime(0.1)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("fig6/h_memento_2d_output", hhh_memento_output<two_dim_hierarchy>)
+      ->Arg(4096)
+      ->MinTime(0.1)
+      ->Unit(benchmark::kMillisecond);
   for (std::int64_t counters : {64, 512, 4096}) {
     for (std::int64_t inv_tau : {1, 8, 64, 512}) {
       benchmark::RegisterBenchmark("fig6/h_memento_1d", hhh_memento_speed<source_hierarchy>)

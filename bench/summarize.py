@@ -21,7 +21,9 @@ rejected.
 `--hhh` folds an HHH raw Google Benchmark JSON (fig6_hhh_speed or
 fig7_vs_rhhh) into the `hhh_speed` section - the same entries/pairs/scaling
 reduction as the main input, so the batched-over-scalar HHH speedup and the
-prefix-sharded scaling curve ride the artifact next to the flat numbers.
+prefix-sharded scaling curve ride the artifact next to the flat numbers;
+fig6's `_output` rows carry `output_ms` (time per HHH output) instead of a
+throughput.
 Folds MERGE by figure prefix (`family.split('/', 1)[0]`): folding a fig7
 run replaces prior fig7 rows but leaves the fig6 rows standing, so the two
 figures accumulate in one section across runs. `--hhh-error`
@@ -59,6 +61,10 @@ import sys
 # next to MB/s: MB/s divides by the image's own size, so it cannot compare
 # formats or images of different sizes.
 SNAPSHOT_SECONDS = ("v2_save_s", "v2_restore_s")
+
+# Counters of an HHH output-cost row: milliseconds per output(theta), and the
+# candidates it walked and prefixes it admitted.
+OUTPUT_COUNTERS = ("output_ms", "candidates", "admitted")
 
 
 def split_name(name: str) -> tuple[str, str]:
@@ -128,9 +134,12 @@ def reduce_benchmarks(raw: dict) -> dict:
         }
         # Probe-behavior introspection counters (flat_hash stats surfaced by
         # the bench): carried so SIMD-vs-scalar probing is observable in the
-        # committed trajectory, not inferred from Mpps alone.
+        # committed trajectory, not inferred from Mpps alone. Output-cost
+        # rows (fig6 `_output`) carry their time per poll and its workload.
         for key, value in sorted(b.items()):
-            if key.startswith(("index_", "overflow_")) and isinstance(value, (int, float)):
+            if not isinstance(value, (int, float)):
+                continue
+            if key.startswith(("index_", "overflow_")) or key in OUTPUT_COUNTERS:
                 entry[key] = round(value, 4)
         entries.append(entry)
     entries.sort(key=lambda e: (e["family"], e["args"]))

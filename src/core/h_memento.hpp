@@ -150,6 +150,14 @@ class h_memento {
     return static_cast<double>(H::hierarchy_size) * inner_.query_lower(prefix);
   }
 
+  /// {query, query_lower} from one inner lookup - the bound oracle of the
+  /// HHH output, bit-identical to calling the two separately.
+  [[nodiscard]] freq_bounds query_bounds(const key_type& prefix) const {
+    const double h = static_cast<double>(H::hierarchy_size);
+    const double u = inner_.query(prefix);
+    return freq_bounds{h * u, h * std::max(0.0, u - inner_.estimate_width())};
+  }
+
   /// Near-unbiased point estimate (see memento_sketch::query_midpoint).
   [[nodiscard]] double query_midpoint(const key_type& prefix) const {
     return static_cast<double>(H::hierarchy_size) * inner_.query_midpoint(prefix);
@@ -170,9 +178,7 @@ class h_memento {
     const double threshold = theta * static_cast<double>(inner_.window_size());
     return solve_hhh<H>(
         inner_.monitored_keys(),
-        [this](const key_type& k) {
-          return freq_bounds{query(k), query_lower(k)};
-        },
+        [this](const key_type& k) { return query_bounds(k); },
         threshold, compensation);
   }
 

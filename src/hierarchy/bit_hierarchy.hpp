@@ -65,6 +65,11 @@ struct bit_source_hierarchy {
     return prefixbit::make_key(p.src, 0);
   }
 
+  /// A packet the prefix covers (see source_hierarchy::representative).
+  [[nodiscard]] static constexpr packet representative(key_type k) noexcept {
+    return packet{prefixbit::key_addr(k), 0};
+  }
+
   [[nodiscard]] static constexpr std::size_t depth(key_type k) noexcept {
     return prefixbit::key_depth(k);
   }

@@ -11,15 +11,32 @@
 // Centralizing the walk here means the subtle parts - G(q|P) maximality and
 // the 2D inclusion-exclusion with glb guards - are implemented and tested
 // once.
+//
+// Pruning. A poll monitors thousands of prefixes and admits a few dozen, so
+// solve_hhh first bounds every candidate once and keeps only
+//   - the *survivors*, upper + compensation >= threshold, and
+//   - the candidates that strictly generalize a survivor,
+// then walks the lattice over what is kept. The admitted set, its order and
+// every double are those of the walk over all candidates:
+//   - By induction over levels, every admitted prefix is a survivor or an
+//     ancestor of one: with G(q|P) empty, admission is exactly the survivor
+//     test; otherwise q strictly generalizes an admitted prefix.
+//   - So a dropped candidate d has G(d|P) empty - any selected descendant
+//     would make d an ancestor of a survivor - and its conditioned frequency
+//     is upper + 0.0 + compensation, below the threshold: the full walk
+//     never admits it either, and P evolves identically in both walks.
+// This holds for any sign of the compensation and needs only that the bound
+// oracle is a pure function of the prefix.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "hierarchy/prefix1d.hpp"
 #include "hierarchy/prefix2d.hpp"
+#include "trace/packet.hpp"
+#include "util/flat_hash.hpp"
 
 namespace memento {
 
@@ -59,9 +76,9 @@ template <typename H>
 
 /// calcPred for one dimension (Algorithm 3): subtract the lower-bound
 /// frequency of every closest selected descendant.
-template <typename H>
+template <typename H, typename Bounds>
 [[nodiscard]] double calc_pred_1d(const std::vector<typename H::key_type>& g,
-                                  const std::function<freq_bounds(const typename H::key_type&)>& bounds) {
+                                  const Bounds& bounds) {
   double r = 0.0;
   for (const auto& h : g) r -= bounds(h).lower;
   return r;
@@ -70,9 +87,9 @@ template <typename H>
 /// calcPred for two dimensions (Algorithm 4): subtract descendants, then add
 /// back each pairwise glb (inclusion-exclusion) unless the glb generalizes a
 /// third member of G(q|P) - in which case that mass is already accounted for.
-template <typename H>
+template <typename H, typename Bounds>
 [[nodiscard]] double calc_pred_2d(const std::vector<typename H::key_type>& g,
-                                  const std::function<freq_bounds(const typename H::key_type&)>& bounds) {
+                                  const Bounds& bounds) {
   double r = 0.0;
   for (const auto& h : g) r -= bounds(h).lower;
   for (std::size_t i = 0; i < g.size(); ++i) {
@@ -89,55 +106,96 @@ template <typename H>
   return r;
 }
 
+namespace detail {
+
+/// The pruning step of solve_hhh (see the file comment): reorders
+/// `candidates` in place and erases every one the lattice walk cannot admit,
+/// keeping the survivors and the candidates that strictly generalize one.
+/// Calls `bounds` once per candidate. The kept order is unspecified.
+template <typename H, typename Bounds>
+void keep_admissible(std::vector<typename H::key_type>& candidates, const Bounds& bounds,
+                     double threshold, double compensation) {
+  using key_type = typename H::key_type;
+  const auto survivors_end =
+      std::partition(candidates.begin(), candidates.end(), [&](const key_type& k) {
+        return bounds(k).upper + compensation >= threshold;
+      });
+  // The survivors' strict ancestors, deduplicated in a set that is flushed
+  // - pulling the non-survivors it names forward into the kept prefix -
+  // whenever it fills to n/8 keys, so it stays smaller than the candidates.
+  // Survivors go most specific first: one already in the set is an
+  // ancestor of an earlier survivor, so all its ancestors are in there too.
+  std::sort(candidates.begin(), survivors_end, [](const key_type& a, const key_type& b) {
+    return H::depth(a) < H::depth(b);
+  });
+  auto kept_end = survivors_end;
+  const std::size_t cap = std::max(candidates.size() / 8, H::hierarchy_size);
+  flat_hash<key_type, std::uint8_t> ancestors;
+  const auto pull = [&] {
+    kept_end = std::partition(kept_end, candidates.end(),
+                              [&](const key_type& k) { return ancestors.contains(k); });
+    ancestors.clear();
+  };
+  for (auto it = candidates.begin(); it != survivors_end && kept_end != candidates.end(); ++it) {
+    if (ancestors.contains(*it)) continue;
+    if (ancestors.size() + H::hierarchy_size > cap) pull();
+    const packet member = H::representative(*it);
+    for (std::size_t i = 0; i < H::hierarchy_size; ++i) {
+      const key_type a = H::key_at(member, i);
+      if (H::strictly_generalizes(a, *it)) (void)ancestors.find_or_emplace(a, 0);
+    }
+  }
+  pull();
+  candidates.erase(kept_end, candidates.end());
+}
+
+}  // namespace detail
+
 /// Full HHH output walk (Algorithm 2 lines 3-10).
 ///
 /// @param candidates    all monitored prefixes (any order, duplicates allowed).
-/// @param bounds        frequency-bound oracle; also queried for glb prefixes
-///                      that may not be monitored (return {0, 0} slack there).
+/// @param bounds        frequency-bound oracle, freq_bounds(const key_type&);
+///                      also queried for glb prefixes that may not be
+///                      monitored (return {0, 0} slack there). Must be pure:
+///                      the pruning step bounds each candidate once more.
 /// @param threshold     admission threshold in packets (theta * W or theta * N).
 /// @param compensation  additive slack on the conditioned frequency
 ///                      (Alg. 2 line 8); zero for deterministic algorithms.
-template <typename H>
+template <typename H, typename Bounds>
 [[nodiscard]] std::vector<hhh_entry<typename H::key_type>> solve_hhh(
-    std::vector<typename H::key_type> candidates,
-    const std::function<freq_bounds(const typename H::key_type&)>& bounds,
-    double threshold, double compensation) {
+    std::vector<typename H::key_type> candidates, const Bounds& bounds, double threshold,
+    double compensation) {
   using key_type = typename H::key_type;
+  detail::keep_admissible<H>(candidates, bounds, threshold, compensation);
 
-  // Group by level; drop duplicates so a prefix is considered once.
-  std::vector<std::vector<key_type>> by_level(H::num_levels);
-  for (const auto& k : candidates) by_level[H::depth(k)].push_back(k);
+  // Bottom-up by level, key order within a level; drop duplicates so a
+  // prefix is considered once.
+  std::sort(candidates.begin(), candidates.end(), [](const key_type& a, const key_type& b) {
+    const std::size_t da = H::depth(a);
+    const std::size_t db = H::depth(b);
+    return da != db ? da < db : a < b;
+  });
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
   std::vector<key_type> selected;
   std::vector<hhh_entry<key_type>> result;
 
-  for (auto& level : by_level) {
-    std::sort(level.begin(), level.end(), [](const key_type& a, const key_type& b) {
-      if constexpr (std::is_same_v<key_type, prefix2d>) {
-        return std::tie(a.src, a.dst, a.src_depth, a.dst_depth) <
-               std::tie(b.src, b.dst, b.src_depth, b.dst_depth);
-      } else {
-        return a < b;
-      }
-    });
-    level.erase(std::unique(level.begin(), level.end()), level.end());
-
-    // Admissions within a level are relative to lower levels only: P is the
-    // set selected at strictly lower levels plus earlier same-level picks,
-    // exactly as the sequential loop of Algorithm 2 produces it.
-    for (const auto& q : level) {
-      const auto g = closest_descendants<H>(q, selected);
-      double conditioned = bounds(q).upper;
-      if constexpr (H::two_dimensional) {
-        conditioned += calc_pred_2d<H>(g, bounds);
-      } else {
-        conditioned += calc_pred_1d<H>(g, bounds);
-      }
-      conditioned += compensation;
-      if (conditioned >= threshold) {
-        selected.push_back(q);
-        result.push_back({q, conditioned, bounds(q).upper});
-      }
+  // Admissions within a level are relative to lower levels only: P is the
+  // set selected at strictly lower levels plus earlier same-level picks,
+  // exactly as the sequential loop of Algorithm 2 produces it.
+  for (const auto& q : candidates) {
+    const auto g = closest_descendants<H>(q, selected);
+    const double upper = bounds(q).upper;
+    double conditioned = upper;
+    if constexpr (H::two_dimensional) {
+      conditioned += calc_pred_2d<H>(g, bounds);
+    } else {
+      conditioned += calc_pred_1d<H>(g, bounds);
+    }
+    conditioned += compensation;
+    if (conditioned >= threshold) {
+      selected.push_back(q);
+      result.push_back({q, conditioned, upper});
     }
   }
   return result;

@@ -92,6 +92,12 @@ struct source_hierarchy {
     return prefix1d::make_key(p.src, 0);
   }
 
+  /// A packet the prefix covers: key_at over it enumerates every
+  /// generalization of k, k's strict ancestors among them.
+  [[nodiscard]] static constexpr packet representative(key_type k) noexcept {
+    return packet{prefix1d::key_addr(k), 0};
+  }
+
   [[nodiscard]] static constexpr std::size_t depth(key_type k) noexcept {
     return prefix1d::key_depth(k);
   }

@@ -112,6 +112,12 @@ struct two_dim_hierarchy {
     return prefix2::make(p.src, 0, p.dst, 0);
   }
 
+  /// A packet the prefix covers: key_at over it enumerates every
+  /// generalization of k, k's strict ancestors among them.
+  [[nodiscard]] static constexpr packet representative(const key_type& k) noexcept {
+    return packet{k.src, k.dst};
+  }
+
   [[nodiscard]] static constexpr std::size_t depth(const key_type& k) noexcept {
     return prefix2::depth(k);
   }

@@ -138,7 +138,7 @@ class netwide_harness {
   /// systematically fire early. Exact methods return their exact view.
   [[nodiscard]] double estimate_midpoint(const key_type& prefix) const {
     if (config_.method == comm_method::aggregation) return agg_controller_->query(prefix);
-    if (config_.method == comm_method::summary) return sum_controller_->query_point(prefix);
+    if (config_.method == comm_method::summary) return sum_controller_->query_midpoint(prefix);
     return controller_->query_midpoint(prefix);
   }
 

@@ -48,13 +48,15 @@
 // below every local candidate bar. Sample/Batch pay per-packet sampling
 // error but are always fresh. The controller's one-sided query() charges
 // every vantage without an entry its miss bound, preserving the
-// never-undercount contract; query_point() sums entries alone and is the
-// near-unbiased input for RMSE comparisons.
+// never-undercount contract; query_point() sums entries alone (the HHH
+// output's bound) and query_midpoint() sums each entry's interval midpoint,
+// the near-unbiased input for RMSE comparisons.
 //
 // Decoding is bounds-checked end to end (util/wire.hpp): any truncated or
 // corrupt report decodes to nullopt, never a crash.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -389,11 +391,24 @@ class summary_controller {
     return total;
   }
 
-  /// Entry-sum estimate (near-unbiased; no miss-bound padding) - the right
-  /// input for RMSE comparisons and threshold triggers.
+  /// Entry-sum estimate: the upper estimates of the vantages that
+  /// summarized the prefix, no miss-bound padding. The HHH output's bound.
   [[nodiscard]] double query_point(const key_type& prefix) const {
     double total = 0.0;
     for (const auto& [origin, st] : origins_) total += st.baseline.query_entry(prefix);
+    return total;
+  }
+
+  /// Near-unbiased point estimate - the right input for RMSE comparisons
+  /// and threshold triggers: per vantage with an entry, the midpoint of its
+  /// [entry - width, entry] interval (as memento_sketch::query_midpoint).
+  [[nodiscard]] double query_midpoint(const key_type& prefix) const {
+    double total = 0.0;
+    for (const auto& [origin, st] : origins_) {
+      if (!st.baseline.contains(prefix)) continue;
+      total += std::max(0.0, st.baseline.query_entry(prefix) -
+                                 0.5 * st.baseline.estimate_width());
+    }
     return total;
   }
 

@@ -180,14 +180,15 @@ template <typename H>
         if (!shard_routing<h_memento<H>>::routable(k)) {
           double hi = 0.0, lo = 0.0;
           for (std::size_t s = 0; s < front.num_shards(); ++s) {
-            hi += scale[s] * front.shard(s).query(k);
-            lo += scale[s] * front.shard(s).query_lower(k);
+            const freq_bounds b = front.shard(s).query_bounds(k);
+            hi += scale[s] * b.upper;
+            lo += scale[s] * b.lower;
           }
           return freq_bounds{hi, lo};
         }
         const std::size_t s = front.shard_of_key(k);
-        return freq_bounds{scale[s] * front.shard(s).query(k),
-                           scale[s] * front.shard(s).query_lower(k)};
+        const freq_bounds b = front.shard(s).query_bounds(k);
+        return freq_bounds{scale[s] * b.upper, scale[s] * b.lower};
       },
       threshold, front.shard(0).sampling_compensation());
 }

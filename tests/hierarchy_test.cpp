@@ -1,14 +1,24 @@
 // Tests for the prefix lattices (1D / 2D), glb, G(q|P), and the shared HHH
-// solver - the Algorithm 2/3/4 machinery, exercised on hand-computed cases.
+// solver - the Algorithm 2/3/4 machinery, exercised on hand-computed cases
+// and, for the solver's candidate pruning, against the unpruned walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "core/h_memento.hpp"
+#include "hierarchy/bit_hierarchy.hpp"
 #include "hierarchy/hhh_solver.hpp"
 #include "hierarchy/prefix1d.hpp"
 #include "hierarchy/prefix2d.hpp"
+#include "shard/sharded_h_memento.hpp"
+#include "trace/trace_generator.hpp"
+#include "util/random.hpp"
 
 namespace memento {
 namespace {
@@ -345,6 +355,225 @@ TEST(SolveHhh, EmptyCandidatesYieldEmptySet) {
   using H = source_hierarchy;
   std::unordered_map<std::uint64_t, double> counts;
   EXPECT_TRUE(solve_hhh<H>({}, exact_oracle(counts), 1.0, 0.0).empty());
+}
+
+// --- pruned walk vs the unpruned reference walk ---------------------------------
+
+/// Algorithm 2's lattice walk over EVERY candidate, with no pruning: group
+/// by level, sort and dedup each level, admit bottom-up. solve_hhh must
+/// reproduce it entry for entry and bit for bit.
+template <typename H>
+std::vector<hhh_entry<typename H::key_type>> reference_walk(
+    std::vector<typename H::key_type> candidates,
+    const std::function<freq_bounds(const typename H::key_type&)>& bounds, double threshold,
+    double compensation) {
+  using key_type = typename H::key_type;
+  std::vector<std::vector<key_type>> by_level(H::num_levels);
+  for (const auto& k : candidates) by_level[H::depth(k)].push_back(k);
+
+  std::vector<key_type> selected;
+  std::vector<hhh_entry<key_type>> result;
+  for (auto& level : by_level) {
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
+    for (const auto& q : level) {
+      const auto g = closest_descendants<H>(q, selected);
+      double conditioned = bounds(q).upper;
+      if constexpr (H::two_dimensional) {
+        conditioned += calc_pred_2d<H>(g, bounds);
+      } else {
+        conditioned += calc_pred_1d<H>(g, bounds);
+      }
+      conditioned += compensation;
+      if (conditioned >= threshold) {
+        selected.push_back(q);
+        result.push_back({q, conditioned, bounds(q).upper});
+      }
+    }
+  }
+  return result;
+}
+
+/// Same entries, same order, the same doubles bit for bit.
+template <typename Key>
+void expect_bitwise_equal(const std::vector<hhh_entry<Key>>& got,
+                          const std::vector<hhh_entry<Key>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].key == want[i].key) << "entry " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].conditioned_frequency),
+              std::bit_cast<std::uint64_t>(want[i].conditioned_frequency))
+        << "entry " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].upper_estimate),
+              std::bit_cast<std::uint64_t>(want[i].upper_estimate))
+        << "entry " << i;
+  }
+}
+
+/// A packet from a small address pool, so random prefixes share ancestors.
+packet clustered_packet(xoshiro256& rng) {
+  const auto pick = [&](std::uint32_t base) {
+    return base | static_cast<std::uint32_t>(rng.bounded(3)) << 16 |
+           static_cast<std::uint32_t>(rng.bounded(3)) << 8 |
+           static_cast<std::uint32_t>(rng.bounded(4));
+  };
+  return packet{pick(ip(10, 0, 0, 0)), pick(ip(20, 0, 0, 0))};
+}
+
+/// Randomized solve_hhh-vs-reference trials for one hierarchy. Each trial
+/// draws clustered candidates (with duplicates and full ancestor chains), a
+/// hash-seeded bound oracle, and a compensation below, at or above zero.
+/// On the integer grid, upper + compensation == threshold ties are common.
+/// calcPred can turn positive and admit a non-survivor - the walk must then
+/// still see that candidate - through 2-D glb add-backs that exceed the
+/// subtractions, or, unless `sound_lowers` keeps every lower bound in
+/// [0, upper], through lower bounds that are negative or above the upper.
+/// Returns how many admitted entries were not survivors.
+template <typename H>
+std::size_t run_pruned_walk_trials(std::uint64_t seed, bool sound_lowers) {
+  using key_type = typename H::key_type;
+  xoshiro256 rng(seed);
+  std::size_t non_survivors_admitted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool integer_grid = trial % 2 == 0;
+    const std::uint64_t salt = rng();
+    const double threshold = 30.0;
+    const double compensation = static_cast<double>(trial % 3) * 5.0 - 5.0;  // -5, 0, +5
+
+    std::vector<key_type> candidates;
+    const std::size_t n = 1 + rng.bounded(60);
+    for (std::size_t i = 0; i < n; ++i) {
+      const packet p = clustered_packet(rng);
+      const auto level = static_cast<std::size_t>(rng.bounded(H::hierarchy_size));
+      candidates.push_back(H::key_at(p, level));
+      if (rng.bounded(4) == 0) candidates.push_back(candidates.back());  // duplicate
+      if (rng.bounded(4) == 0) {  // the full chain, as a live sketch monitors it
+        for (std::size_t j = 0; j < H::hierarchy_size; ++j) {
+          candidates.push_back(H::key_at(p, j));
+        }
+      }
+    }
+
+    const std::function<freq_bounds(const key_type&)> bounds = [&](const key_type& k) {
+      xoshiro256 roll(std::hash<key_type>{}(k) ^ salt);
+      const double upper = integer_grid ? static_cast<double>(roll.bounded(45))
+                                        : roll.uniform01() * 45.0;
+      // Lower: in [0, upper], or 1 in 4 negative or above upper.
+      const auto share = static_cast<double>(roll.bounded(sound_lowers ? 6 : 8) +
+                                             (sound_lowers ? 2 : 0));
+      const auto offset = static_cast<double>(roll.bounded(10));
+      const double lower = share == 0.0   ? -offset
+                           : share == 1.0 ? upper + offset
+                                          : upper * (share - 2.0) / 5.0;
+      return freq_bounds{upper, lower};
+    };
+
+    const auto want = reference_walk<H>(candidates, bounds, threshold, compensation);
+    const auto got = solve_hhh<H>(candidates, bounds, threshold, compensation);
+    expect_bitwise_equal(got, want);
+    for (const auto& e : want) {
+      if (bounds(e.key).upper + compensation < threshold) ++non_survivors_admitted;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return non_survivors_admitted;
+}
+
+// Each hierarchy must also reach the case pruning can get wrong: an
+// admitted prefix below the survivor bar (positive calcPred).
+TEST(HhhSolver, PrunedWalkMatchesReferenceWalk) {
+  EXPECT_GT(run_pruned_walk_trials<source_hierarchy>(11, false), 0u);
+}
+
+TEST(HhhSolver, PrunedWalkMatchesReferenceWalkBitHierarchy) {
+  EXPECT_GT(run_pruned_walk_trials<bit_source_hierarchy>(12, false), 0u);
+}
+
+TEST(HhhSolver, PrunedWalkMatchesReferenceWalkTwoDim) {
+  EXPECT_GT(run_pruned_walk_trials<two_dim_hierarchy>(13, false), 0u);
+  // With sound lower bounds only the glb add-backs lift calcPred above 0.
+  EXPECT_GT(run_pruned_walk_trials<two_dim_hierarchy>(14, true), 0u);
+}
+
+TEST(HhhSolver, PrunedWalkMatchesReferenceOnTiesAndEmptySets) {
+  using H = source_hierarchy;
+  const auto host = prefix1d::make_key(ip(1, 2, 3, 4), 0);
+  const auto net24 = prefix1d::make_key(ip(1, 2, 3, 0), 1);
+  const auto root = prefix1d::make_key(0, 4);
+  std::unordered_map<std::uint64_t, double> counts = {{host, 25}, {net24, 26}, {root, 40}};
+  const auto oracle = exact_oracle(counts);
+  // 25 + 5 == 30 ties exactly: admitted by both walks.
+  for (const double comp : {-15.0, 0.0, 5.0}) {
+    SCOPED_TRACE("compensation=" + std::to_string(comp));
+    const std::vector<std::uint64_t> cands = {root, net24, host, host};
+    expect_bitwise_equal(solve_hhh<H>(cands, oracle, 30.0, comp),
+                         reference_walk<H>(cands, oracle, 30.0, comp));
+  }
+  EXPECT_TRUE(solve_hhh<H>({root, net24, host}, oracle, 1000.0, 0.0).empty());
+}
+
+/// The reference walk over a sketch's candidates with its bounds computed
+/// the two-call way (query, then query_lower).
+template <typename H>
+std::vector<hhh_entry<typename H::key_type>> reference_output(const h_memento<H>& h,
+                                                              double theta) {
+  return reference_walk<H>(
+      h.inner().monitored_keys(),
+      [&](const typename H::key_type& k) { return freq_bounds{h.query(k), h.query_lower(k)}; },
+      theta * static_cast<double>(h.window_size()), h.sampling_compensation());
+}
+
+TEST(HhhSolver, TwoDimPollSequenceMatchesReferenceWalk) {
+  // The 2-D operator-poll geometry (W = 2^18, k = 4096, tau = 1/4, theta =
+  // 0.15, a poll every 16384 packets) on a shortened datacenter trace.
+  h_memento<two_dim_hierarchy> h(h_memento_config{std::uint64_t{1} << 18, 4096, 0.25, 1e-3, 1});
+  const auto trace = make_trace(trace_kind::datacenter, std::size_t{1} << 19, 1);
+  constexpr std::size_t kStride = std::size_t{1} << 14;
+  std::size_t polls = 0;
+  for (std::size_t at = 0; at < trace.size(); at += kStride) {
+    h.update_batch(trace.data() + at, std::min(kStride, trace.size() - at));
+    SCOPED_TRACE("poll " + std::to_string(polls));
+    const auto got = h.output(0.15);
+    ASSERT_FALSE(got.empty());
+    expect_bitwise_equal(got, reference_output(h, 0.15));
+    ++polls;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(polls, trace.size() / kStride);
+}
+
+TEST(HhhSolver, ShardedOutputMatchesReferenceWalk) {
+  using H = two_dim_hierarchy;
+  using key_type = H::key_type;
+  const h_memento_config cfg{std::uint64_t{1} << 16, 2048, 0.25, 1e-3, 3};
+  sharded_h_memento<H> front(hhh_shard_config{cfg, 2});
+  const auto trace = make_trace(trace_kind::datacenter, std::size_t{1} << 18, 2);
+  front.update_batch(trace.data(), trace.size());
+
+  std::vector<key_type> candidates;
+  for (std::size_t s = 0; s < front.num_shards(); ++s) {
+    const auto keys = front.shard(s).inner().monitored_keys();
+    candidates.insert(candidates.end(), keys.begin(), keys.end());
+  }
+  const auto bounds = [&](const key_type& k) {
+    if (!shard_routing<h_memento<H>>::routable(k)) {
+      double hi = 0.0, lo = 0.0;
+      for (std::size_t s = 0; s < front.num_shards(); ++s) {
+        hi += 1.0 * front.shard(s).query(k);
+        lo += 1.0 * front.shard(s).query_lower(k);
+      }
+      return freq_bounds{hi, lo};
+    }
+    const auto& shard = front.shard(front.shard_of_key(k));
+    return freq_bounds{1.0 * shard.query(k), 1.0 * shard.query_lower(k)};
+  };
+  const double theta = 0.1;
+  const auto got = front.output(theta);
+  ASSERT_FALSE(got.empty());
+  expect_bitwise_equal(got, reference_walk<H>(candidates, bounds,
+                                              theta * static_cast<double>(front.window_size()),
+                                              front.shard(0).sampling_compensation()));
 }
 
 }  // namespace
