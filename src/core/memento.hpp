@@ -44,18 +44,18 @@
 // processes n packets with *identical observable state* to n scalar update()
 // calls - the sampler is consumed in the same order, so the sampled sequence
 // is the same for the same seed, and every queue/table mutation happens in
-// the same order. There is one kernel per regime. At tau = 1 every packet is
-// a Full update: the chunk's keys are hashed in one vectorizable pass with
-// their counter-index slots prefetched, the per-packet frame/block boundary
-// checks are hoisted into a packets-until-boundary countdown per run, and
-// the per-packet overflow division becomes a multiply-based divisibility
-// test. Below tau = 1 only the sampled packets matter (Section 4.1):
-// random_table_sampler::take hands over just the chunk's sampled offsets and
-// update_batch_sampled walks the gaps between them, advancing the window in
-// bulk, so a chunk costs its sampled count plus retirements and never touches
-// an unsampled packet. H-Memento draws its decisions from this same
-// sampler, picks what each sampled packet inserts, and drives the same gap
-// walk through update_batch_sampled.
+// the same order. There is one kernel at every tau. Per chunk,
+// random_table_sampler::take hands over just the sampled offsets and
+// update_batch_sampled hashes their keys in one pass, prefetching the
+// counter-index slots, then walks the gaps between them, advancing the
+// window in bulk - below tau = 1 a chunk costs its sampled count plus
+// retirements and never touches an unsampled packet (Section 4.1). Where
+// the rest of the chunk has no gap (all of it at tau = 1, where Memento is
+// WCSS) the walk hands it to a run loop that hoists the per-packet
+// block-boundary checks into a packets-until-boundary countdown. The
+// per-packet overflow division is a multiply-based divisibility test
+// throughout. H-Memento draws its decisions from this same sampler, picks
+// what each sampled packet inserts, and drives the same kernel.
 #pragma once
 
 #include <algorithm>
@@ -166,19 +166,15 @@ class memento_sketch {
   /// amortizes sampling, hashing, and window bookkeeping over the batch (see
   /// file comment). This is the intended per-burst ingest call.
   void update_batch(const Key* xs, std::size_t n) {
-    if (tau_ >= 1.0) {
-      // WCSS regime: every packet is sampled, so there is nothing to draw
-      // (the scalar sampler does not consume the table when tau == 1 either).
-      for (std::size_t i = 0; i < n; i += kBatchChunk) {
-        process_chunk(xs + i, std::min(kBatchChunk, n - i));
-      }
-      return;
-    }
     std::uint32_t idx[kBatchChunk];
     Key packed[kBatchChunk];
     for (std::size_t i = 0; i < n; i += kBatchChunk) {
       const std::size_t m = std::min(kBatchChunk, n - i);
       const std::size_t sampled = sampler_.take(idx, m);
+      if (sampled == m) {  // every packet sampled (always at tau = 1): no copy
+        update_batch_sampled(xs + i, idx, m, m);
+        continue;
+      }
       for (std::size_t t = 0; t < sampled; ++t) packed[t] = xs[i + idx[t]];
       update_batch_sampled(packed, idx, sampled, m);
     }
@@ -193,25 +189,36 @@ class memento_sketch {
   /// window_update() everywhere else, but the cost scales with the SAMPLED
   /// count plus retirements, not with n: unsampled gaps advance the window
   /// in bulk (advance_window), so a sparse-tau burst never walks per-packet
-  /// scratch at all. This is the sampled-regime kernel of update_batch and
-  /// of H-Memento (h_memento::update_batch), which draws the decisions
-  /// from this sketch's sampler and picks the prefixes with its own rng.
+  /// scratch at all, and a gap-free tail (the whole chunk at tau = 1) runs
+  /// through full_run's boundary-hoisted loop. This is the one batch kernel
+  /// of update_batch and of H-Memento (h_memento::update_batch), which
+  /// draws the decisions from this sketch's sampler and picks the prefixes
+  /// with its own rng.
   void update_batch_sampled(const Key* keys, const std::uint32_t* idx, std::size_t sampled,
                             std::size_t n) {
     std::size_t buckets[kBatchChunk];
     std::size_t pos = 0;
     for (std::size_t t0 = 0; t0 < sampled; t0 += kBatchChunk) {
       const std::size_t c = std::min(kBatchChunk, sampled - t0);
+      const Key* ks = keys + t0;
+      const std::uint32_t* at = idx + t0;
       // Hash + prefetch the chunk's sampled slots up front (the hash is
       // pure); the counter-index misses then overlap the gap walks.
-      for (std::size_t u = 0; u < c; ++u) buckets[u] = y_.index_bucket(keys[t0 + u]);
+      for (std::size_t u = 0; u < c; ++u) buckets[u] = y_.index_bucket(ks[u]);
       for (std::size_t u = 0; u < c; ++u) y_.prefetch_bucket(buckets[u]);
+      const std::size_t last = c - 1;
       for (std::size_t u = 0; u < c; ++u) {
-        const std::size_t target = idx[t0 + u];
-        advance_window(static_cast<std::uint64_t>(target - pos));
+        advance_window(static_cast<std::uint64_t>(at[u] - pos));
+        // Offsets strictly increase, so they span exactly last - u packets
+        // from here on iff none is skipped: the rest is gap-free.
+        if (at[last] - at[u] == last - u) {
+          full_run(ks + u, buckets + u, c - u);
+          pos = at[last] + 1;
+          break;
+        }
         window_update();  // the sampled packet's own clock tick + retirement
-        full_add(keys[t0 + u], buckets[u]);
-        pos = target + 1;
+        full_add(ks[u], buckets[u]);
+        pos = at[u] + 1;
       }
     }
     advance_window(static_cast<std::uint64_t>(n - pos));
@@ -223,15 +230,11 @@ class memento_sketch {
   void window_update() {
     ++stream_length_;
     ++clock_;
-    if (clock_ == frame_len_) {  // new frame (M = 0)
-      clock_ = 0;
-      y_.flush();
-    }
     if (--until_block_end_ == 0) {
-      until_block_end_ = block_len_;
-      rotate_blocks();
+      end_block();
+    } else {
+      retire_one();
     }
-    retire_one();
   }
 
   /// Algorithm 1 FULLUPDATE: a Window update plus counting x in y and
@@ -510,19 +513,13 @@ class memento_sketch {
     return true;
   }
 
-  /// The tau = 1 batch kernel: one chunk (m <= kBatchChunk) of packets,
-  /// every one a Full update. Mutation order is exactly the scalar order -
-  /// per packet: boundary work, one retirement, then the Full-update add - so
-  /// batch and scalar runs are state-identical; only the bookkeeping around
-  /// the mutations is hoisted.
-  void process_chunk(const Key* xs, std::size_t m) {
-    // Pass 1: hash every key of the chunk - a pure, branch-free,
-    // vectorizable loop - and prefetch the home slots in the counter index.
-    std::size_t buckets[kBatchChunk];
-    for (std::size_t j = 0; j < m; ++j) buckets[j] = y_.index_bucket(xs[j]);
-    for (std::size_t j = 0; j < m; ++j) y_.prefetch_bucket(buckets[j]);
-    // Pass 2: replay the packets in runs that end at the next frame/block
-    // boundary, so the boundary test leaves the per-packet loop entirely.
+  /// m consecutive Full updates (m <= kBatchChunk, keys prehashed into
+  /// buckets): the gap-free case of the batch kernel. Mutation order is
+  /// exactly the scalar order - per packet: boundary work, one retirement,
+  /// then the Full-update add - so batch and scalar runs are state-
+  /// identical; the packets are replayed in runs that end at the next block
+  /// boundary, so the boundary test leaves the per-packet loop entirely.
+  void full_run(const Key* xs, const std::size_t* buckets, std::size_t m) {
     std::size_t j = 0;
     while (j < m) {
       const bool boundary = until_block_end_ <= static_cast<std::uint64_t>(m - j);
@@ -540,16 +537,7 @@ class memento_sketch {
       stream_length_ += run;
       clock_ += run;
       if (boundary) {
-        // The run's last packet closes a block: frame/block work happens
-        // after its clock tick, before its own retirement and add - the
-        // scalar window_update() order.
-        if (clock_ == frame_len_) {
-          clock_ = 0;
-          y_.flush();
-        }
-        rotate_blocks();
-        until_block_end_ = block_len_;
-        retire_one();
+        end_block();  // the run's last packet closes a block
         full_add(xs[j], buckets[j]);
         ++j;
       } else {
@@ -573,10 +561,7 @@ class memento_sketch {
   /// + retirements) instead of O(r). Within one block segment the oldest
   /// queue is fixed and each packet retires at most one of its overflows,
   /// so the segment's combined effect is min(length, queued) drops; a
-  /// boundary packet replays the scalar order exactly - flush at the frame
-  /// edge, rotate, then its own retirement from the NEW oldest queue.
-  /// Segment ends land on block boundaries, so `clock_ == frame_len_` is
-  /// hit exactly, never jumped over (frame ends are block ends).
+  /// boundary packet replays the scalar order through end_block().
   void advance_window(std::uint64_t r) {
     stream_length_ += r;
     while (r >= until_block_end_) {
@@ -584,13 +569,7 @@ class memento_sketch {
       retire_up_to(run - 1);
       clock_ += run;
       r -= run;
-      if (clock_ == frame_len_) {
-        clock_ = 0;
-        y_.flush();
-      }
-      rotate_blocks();
-      until_block_end_ = block_len_;
-      retire_one();
+      end_block();
     }
     if (r > 0) {
       retire_up_to(r);
@@ -606,17 +585,27 @@ class memento_sketch {
     for (std::uint64_t d = std::min(budget, avail); d > 0; --d) drop_oldest(tail);
   }
 
-  /// Ends the current block: the oldest queue leaves the window and a fresh
-  /// one becomes current (Algorithm 1 lines 5-7).
-  void rotate_blocks() {
+  /// The block-boundary step, run by the packet that closes a block after
+  /// its clock tick: flush y at the frame edge (frame ends are block ends,
+  /// so the clock hits frame_len_ exactly, never jumps over it), let the
+  /// oldest queue leave the window so its slot becomes the current block
+  /// (Algorithm 1 lines 5-7), restart the countdown, then the packet's own
+  /// retirement from the NEW oldest queue - the scalar window_update() order.
+  void end_block() {
+    if (clock_ == frame_len_) {  // new frame (M = 0)
+      clock_ = 0;
+      y_.flush();
+    }
     head_ = head_ + 1 == live_.size() ? 0 : head_ + 1;
-    // The slot we are claiming held the expired oldest queue. De-amortized
-    // retirement guarantees it is already empty; drain defensively if not so
-    // the overflow table can never leak (counted for the tests).
+    // The claimed slot held the expired oldest queue. De-amortized
+    // retirement guarantees it is already empty; drain defensively if not
+    // so the overflow table can never leak (counted for the tests).
     while (live_[head_] > 0) {
       ++forced_drains_;
       drop_oldest(head_);
     }
+    until_block_end_ = block_len_;
+    retire_one();
   }
 
   /// Retires at most one overflow of the oldest block (lines 8-11).

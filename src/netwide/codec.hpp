@@ -12,12 +12,13 @@
 // The layout is pinned by a golden-bytes test (tests/codec_test.cpp): it
 // predates the shared wire layer and must never drift, version by version.
 //
-// The little-endian primitives live in util/wire.hpp (shared with the
-// snapshot layer and the summary channel); this header only owns the
-// sample_report layout. Decoding is bounds-checked and returns nullopt on
-// any truncation or count mismatch - a malformed report must never crash a
-// controller (fuzzed across every truncation and bit flip by the codec
-// tests, under ASan in CI).
+// The payload is written through wire::sink and read through wire::source
+// (util/wire.hpp, shared with the snapshot layer and the summary channel),
+// outside any section; this header only owns the sample_report layout.
+// Decoding is bounds-checked and returns nullopt on any truncation or count
+// mismatch - a malformed report must never crash a controller (fuzzed
+// across every truncation and bit flip by the codec tests, under ASan in
+// CI).
 #pragma once
 
 #include <cstdint>
@@ -37,12 +38,21 @@ enum class sample_encoding : std::uint8_t {
   src_and_dst = 8,   ///< 8 bytes: (source, destination) pair (2D)
 };
 
-/// Serializes a report payload. Size is exactly 16 + E * samples bytes.
+/// Payload size the codec will produce (the "E*b" part of the cost model,
+/// plus the 16-byte report header that rides inside the O-byte transport).
+[[nodiscard]] constexpr std::size_t encoded_size(std::size_t samples,
+                                                 sample_encoding encoding) noexcept {
+  return 16 + static_cast<std::size_t>(encoding) * samples;
+}
+
+/// Serializes a report payload. Size is exactly 16 + E * samples bytes: the
+/// sink's chunk is sized to the payload, so it flushes once.
 [[nodiscard]] inline std::vector<std::uint8_t> encode_report(const sample_report& report,
                                                              sample_encoding encoding) {
-  wire::writer w;
-  const std::size_t entry = static_cast<std::size_t>(encoding);
-  w.reserve(16 + entry * report.samples.size());
+  const std::size_t size = encoded_size(report.samples.size(), encoding);
+  std::vector<std::uint8_t> out;
+  out.reserve(size);
+  wire::sink w(out, size);
   w.u32(report.origin);
   w.u64(report.covered_packets);
   w.u32(static_cast<std::uint32_t>(report.samples.size()));
@@ -50,22 +60,22 @@ enum class sample_encoding : std::uint8_t {
     w.u32(p.src);
     if (encoding == sample_encoding::src_and_dst) w.u32(p.dst);
   }
-  return w.take();
+  w.finish();
+  return out;
 }
 
 /// Parses a report payload; nullopt on truncation, trailing garbage, or an
 /// entry count that does not match the buffer.
 [[nodiscard]] inline std::optional<sample_report> decode_report(
     std::span<const std::uint8_t> bytes, sample_encoding encoding) {
-  wire::reader r(bytes);
+  wire::source r(bytes);
   sample_report report;
   std::uint32_t count = 0;
   if (!r.u32(report.origin)) return std::nullopt;
   if (!r.u64(report.covered_packets)) return std::nullopt;
   if (!r.u32(count)) return std::nullopt;
+  if (bytes.size() != encoded_size(count, encoding)) return std::nullopt;
 
-  const std::size_t entry = static_cast<std::size_t>(encoding);
-  if (r.remaining() != static_cast<std::size_t>(count) * entry) return std::nullopt;
   report.samples.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     packet p;
@@ -75,13 +85,6 @@ enum class sample_encoding : std::uint8_t {
   }
   if (report.covered_packets < report.samples.size()) return std::nullopt;
   return report;
-}
-
-/// Payload size the codec will produce (the "E*b" part of the cost model,
-/// plus the 16-byte report header that rides inside the O-byte transport).
-[[nodiscard]] constexpr std::size_t encoded_size(std::size_t samples,
-                                                 sample_encoding encoding) noexcept {
-  return 16 + static_cast<std::size_t>(encoding) * samples;
 }
 
 }  // namespace memento::netwide

@@ -28,7 +28,7 @@
 // drift, so the Zipf recall/precision bars of tests/shard_test.cpp hold
 // across an N -> M reshard. Queue retirement pacing restarts, so a burst of
 // carried overflows can momentarily exceed the one-retirement-per-packet
-// dent; the defensive drain in rotate_blocks() (counted, never unsafe)
+// dent; the defensive drain in end_block() (counted, never unsafe)
 // absorbs the difference.
 //
 // Requirements checked at runtime (nullopt otherwise): same tau and same

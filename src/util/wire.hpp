@@ -1,8 +1,8 @@
-// Shared wire primitives for everything this repository serializes: the
-// netwide sample-report codec (netwide/codec.hpp) on the fixed-layout
-// `writer`/`reader` pair, and the snapshot layer (snapshot/*.hpp, plus the
-// save()/restore() members on the sketches themselves) on the streamed
-// `sink`/`source` pair.
+// Shared wire primitives for everything this repository serializes, all on
+// one streamed `sink`/`source` pair: the snapshot layer (snapshot/*.hpp,
+// plus the save()/restore() members on the sketches themselves) in
+// sections, and the netwide sample-report codec (netwide/codec.hpp) as a
+// fixed-layout payload outside any section.
 //
 // Design rules, enforced here once so every consumer inherits them:
 //
@@ -11,12 +11,12 @@
 //   * varints are LEB128 (7 bits per byte, low group first), capped at 10
 //     bytes so a malformed stream cannot spin the decoder;
 //   * every read is bounds-checked and returns false instead of touching
-//     out-of-range memory - a decoder built on `reader` or `source` can be
-//     fed ANY byte garbage and must only ever answer "no" (the fuzz tests in
+//     out-of-range memory - a decoder built on `source` can be fed ANY
+//     byte garbage and must only ever answer "no" (the fuzz tests in
 //     tests/codec_test.cpp, tests/snapshot_test.cpp and tests/stream_test.cpp
 //     hold it to that).
 //
-// The reader never allocates; the writer only appends to one vector.
+// A source over a span reads it in place; a sink buffers at most one chunk.
 //
 // Sections: composite objects frame themselves through `sink`/`source` as
 // `u16 tag | u16 version | u32 kStreamLength`, a self-delimiting body, and a
@@ -124,78 +124,7 @@ class crc32 {
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 
-/// Append-only little-endian serializer for fixed-layout payloads;
-/// `take()` releases the buffer without a copy.
-class writer {
- public:
-  void reserve(std::size_t n) { out_.reserve(n); }
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-
-  void u16(std::uint16_t v) { put_le(v, 2); }
-  void u32(std::uint32_t v) { put_le(v, 4); }
-  void u64(std::uint64_t v) { put_le(v, 8); }
-
-  /// IEEE double by bit pattern (total order not needed; exactness is).
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return out_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(out_); }
-
- private:
-  void put_le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  std::vector<std::uint8_t> out_;
-};
-
-/// Bounds-checked little-endian deserializer over a borrowed span. Every
-/// getter returns false (and consumes nothing further) on truncation;
-/// callers chain `if (!r.u32(x)) return std::nullopt;` style checks.
-class reader {
- public:
-  reader() = default;
-  explicit reader(std::span<const std::uint8_t> in) noexcept : in_(in) {}
-
-  [[nodiscard]] bool u8(std::uint8_t& v) noexcept {
-    if (remaining() < 1) return false;
-    v = in_[pos_++];
-    return true;
-  }
-
-  [[nodiscard]] bool u16(std::uint16_t& v) noexcept { return get_le(v, 2); }
-  [[nodiscard]] bool u32(std::uint32_t& v) noexcept { return get_le(v, 4); }
-  [[nodiscard]] bool u64(std::uint64_t& v) noexcept { return get_le(v, 8); }
-
-  [[nodiscard]] bool f64(double& v) noexcept {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return in_.size() - pos_; }
-  [[nodiscard]] bool done() const noexcept { return pos_ == in_.size(); }
-
- private:
-  template <typename T>
-  [[nodiscard]] bool get_le(T& v, int n) noexcept {
-    if (remaining() < static_cast<std::size_t>(n)) return false;
-    std::uint64_t acc = 0;
-    for (int i = 0; i < n; ++i) acc |= static_cast<std::uint64_t>(in_[pos_ + i]) << (8 * i);
-    pos_ += static_cast<std::size_t>(n);
-    v = static_cast<T>(acc);
-    return true;
-  }
-
-  std::span<const std::uint8_t> in_;
-  std::size_t pos_ = 0;
-};
-
-/// Chunked serializer for sections (`writer` only appends fixed-width
-/// fields to one vector): bytes leave through a backend callback every
+/// Chunked serializer: bytes leave through a backend callback every
 /// `chunk_bytes`, so serializing any amount of state holds at most one
 /// chunk in memory. Sections (kStreamLength sentinel + trailing CRC32 of the
 /// body) nest LIFO, each byte feeding exactly one CRC: a section's body

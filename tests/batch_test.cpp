@@ -8,7 +8,10 @@
 // adds, hoisted boundary checks, the multiply-based overflow test).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
+#include <ostream>
 #include <vector>
 
 #include "core/h_memento.hpp"
@@ -74,7 +77,18 @@ void expect_identical(const sketch& a, const sketch& b) {
   }
 }
 
-class BatchEquivalence : public ::testing::TestWithParam<int> {};
+/// Full-update probability of one BatchEquivalence case. It prints as
+/// 1/tau to three digits, which keeps the inverse-power cases' test ids
+/// (/1, /2, ..., /256) and names tau = 0.9 /1.11.
+struct tau_case {
+  double tau;
+};
+
+void PrintTo(const tau_case& c, std::ostream* os) {
+  *os << std::setprecision(3) << 1.0 / c.tau;
+}
+
+class BatchEquivalence : public ::testing::TestWithParam<tau_case> {};
 
 TEST_P(BatchEquivalence, BatchEqualsScalarAcrossTauAndBatchSizes) {
   // W = 1000, k = 8 -> block 125, frame 1000: 5000 packets cross 5 frame and
@@ -82,9 +96,10 @@ TEST_P(BatchEquivalence, BatchEqualsScalarAcrossTauAndBatchSizes) {
   // boundaries many times. Batch sizes exercise: single packet, unaligned
   // small, exactly one block, one block + 1, prime, exactly one frame,
   // bigger than a frame, and everything at once.
-  const int inv_tau = GetParam();  // 1, 2, 4, 8, 16, 256
-  const double tau = 1.0 / inv_tau;
-  const auto ids = skewed_ids(5000, 42 + static_cast<std::uint64_t>(inv_tau));
+  // tau = 0.9 gives long gap-free runs cut by single gaps, so the batch
+  // kernel's gap-free tails start mid-chunk and straddle the blocks.
+  const double tau = GetParam().tau;
+  const auto ids = skewed_ids(5000, 42 + static_cast<std::uint64_t>(std::lround(1.0 / tau)));
 
   for (std::size_t batch :
        {std::size_t{1}, std::size_t{7}, std::size_t{125}, std::size_t{126},
@@ -95,12 +110,15 @@ TEST_P(BatchEquivalence, BatchEqualsScalarAcrossTauAndBatchSizes) {
     for (std::size_t i = 0; i < ids.size(); i += batch) {
       batched.update_batch(ids.data() + i, std::min(batch, ids.size() - i));
     }
-    SCOPED_TRACE("tau=1/" + std::to_string(inv_tau) + " batch=" + std::to_string(batch));
+    SCOPED_TRACE("tau=" + std::to_string(tau) + " batch=" + std::to_string(batch));
     expect_identical(scalar, batched);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TauRegimes, BatchEquivalence, ::testing::Values(1, 2, 4, 8, 16, 256));
+INSTANTIATE_TEST_SUITE_P(TauRegimes, BatchEquivalence,
+                         ::testing::Values(tau_case{1.0}, tau_case{0.9}, tau_case{1.0 / 2},
+                                           tau_case{1.0 / 4}, tau_case{1.0 / 8},
+                                           tau_case{1.0 / 16}, tau_case{1.0 / 256}));
 
 TEST(BatchEquivalence, SpanOverloadAndMixedScalarBatchInterleaving) {
   // Switching between scalar and batch ingestion mid-stream must be seamless
@@ -143,16 +161,16 @@ TEST(BatchEquivalence, HMementoBatchMatchesScalar) {
   std::vector<packet> packets;
   for (int i = 0; i < 4000; ++i) packets.push_back(gen.next());
 
-  for (int inv_tau : {1, 2, 4, 16}) {
+  for (double tau : {1.0, 0.9, 1.0 / 2, 1.0 / 4, 1.0 / 16}) {
     h_memento<source_hierarchy> scalar(1000, 8 * source_hierarchy::hierarchy_size,
-                                       1.0 / inv_tau, 1e-3, /*seed=*/4);
+                                       tau, 1e-3, /*seed=*/4);
     h_memento<source_hierarchy> batched(1000, 8 * source_hierarchy::hierarchy_size,
-                                        1.0 / inv_tau, 1e-3, /*seed=*/4);
+                                        tau, 1e-3, /*seed=*/4);
     for (const auto& p : packets) scalar.update(p);
     for (std::size_t i = 0; i < packets.size(); i += 300) {
       batched.update_batch(packets.data() + i, std::min<std::size_t>(300, packets.size() - i));
     }
-    SCOPED_TRACE("tau=1/" + std::to_string(inv_tau));
+    SCOPED_TRACE("tau=" + std::to_string(tau));
     ASSERT_EQ(scalar.stream_length(), batched.stream_length());
     ASSERT_EQ(snapshot::save(scalar), snapshot::save(batched));
     const auto out_a = scalar.output(0.05);
@@ -175,16 +193,16 @@ TEST(BatchEquivalence, TwoDimHMementoBatchMatchesScalar) {
   std::vector<packet> packets;
   for (int i = 0; i < 4000; ++i) packets.push_back(gen.next());
 
-  for (int inv_tau : {1, 2, 4, 16}) {
+  for (double tau : {1.0, 0.9, 1.0 / 2, 1.0 / 4, 1.0 / 16}) {
     h_memento<two_dim_hierarchy> scalar(1000, 8 * two_dim_hierarchy::hierarchy_size,
-                                        1.0 / inv_tau, 1e-3, /*seed=*/6);
+                                        tau, 1e-3, /*seed=*/6);
     h_memento<two_dim_hierarchy> batched(1000, 8 * two_dim_hierarchy::hierarchy_size,
-                                         1.0 / inv_tau, 1e-3, /*seed=*/6);
+                                         tau, 1e-3, /*seed=*/6);
     for (const auto& p : packets) scalar.update(p);
     for (std::size_t i = 0; i < packets.size(); i += 300) {
       batched.update_batch(packets.data() + i, std::min<std::size_t>(300, packets.size() - i));
     }
-    SCOPED_TRACE("tau=1/" + std::to_string(inv_tau));
+    SCOPED_TRACE("tau=" + std::to_string(tau));
     ASSERT_EQ(scalar.stream_length(), batched.stream_length());
     ASSERT_EQ(snapshot::save(scalar), snapshot::save(batched));
     const auto out_a = scalar.output(0.05);

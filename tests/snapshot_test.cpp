@@ -87,21 +87,23 @@ void expect_identical(const sketch& a, const sketch& b) {
 // --- wire primitives --------------------------------------------------------
 
 TEST(Wire, FixedWidthRoundTripsLittleEndian) {
-  wire::writer w;
+  bytes_t buf;
+  wire::sink w(buf);
   w.u8(0xAB);
   w.u16(0x1234);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
   w.f64(-1234.5e-3);
+  ASSERT_TRUE(w.finish());
   // Little-endian layout is the contract, byte for byte.
-  ASSERT_EQ(w.size(), 1u + 2 + 4 + 8 + 8);
-  EXPECT_EQ(w.data()[0], 0xAB);
-  EXPECT_EQ(w.data()[1], 0x34);
-  EXPECT_EQ(w.data()[2], 0x12);
-  EXPECT_EQ(w.data()[3], 0xEF);
-  EXPECT_EQ(w.data()[6], 0xDE);
+  ASSERT_EQ(buf.size(), 1u + 2 + 4 + 8 + 8);
+  EXPECT_EQ(buf[0], 0xAB);
+  EXPECT_EQ(buf[1], 0x34);
+  EXPECT_EQ(buf[2], 0x12);
+  EXPECT_EQ(buf[3], 0xEF);
+  EXPECT_EQ(buf[6], 0xDE);
 
-  wire::reader r(w.data());
+  wire::source r(buf);
   std::uint8_t a = 0;
   std::uint16_t b = 0;
   std::uint32_t c = 0;

@@ -2,12 +2,16 @@
 // trips, tolerance of malformed input, and the pcap reader's contract -
 // magic/endianness sniffing, IPv4 extraction from Ethernet/VLAN/raw-IP
 // frames, non-IPv4 records skipped, truncation always fatal with a clear
-// error.
+// error - swept over every truncation and every single-bit flip of a mixed
+// capture (the suite rides the `snapshot` label, so CI runs it under ASan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/trace_generator.hpp"
 #include "trace/trace_io.hpp"
@@ -272,6 +276,74 @@ TEST(Pcap, BadMagicLinktypeAndLengthAreRejected) {
   le32(bad_len, 0x40000000u);  // 1 GiB captured length: corrupt framing
   le32(bad_len, 0x40000000u);
   EXPECT_NE(read_pcap_bytes(bad_len).error.find("captured length"), std::string::npos);
+}
+
+/// A small Ethernet capture for the hardening sweeps: plain IPv4, ARP,
+/// VLAN-tagged IPv4, a runt frame and IPv4 again. `ends` holds each
+/// record's end offset and `yields` the packets read up to it.
+struct mixed_capture {
+  std::string bytes;
+  std::vector<std::size_t> ends;
+  std::vector<std::size_t> yields;
+};
+
+mixed_capture make_mixed_capture() {
+  std::string vlan_payload;
+  be16(vlan_payload, 0x0123);
+  be16(vlan_payload, 0x0800);
+  vlan_payload += ipv4_header(0x0A000003u, 0x0A000004u);
+  const std::pair<std::string, bool> records[] = {
+      {ether_frame(0x0800, ipv4_header(0x0A000001u, 0x0A000002u)), true},
+      {ether_frame(0x0806, std::string(28, '\0')), false},  // ARP
+      {ether_frame(0x8100, vlan_payload), true},
+      {std::string(6, '\0'), false},  // runt
+      {ether_frame(0x0800, ipv4_header(0x0A000005u, 0x0A000006u)), true},
+  };
+  mixed_capture c;
+  c.bytes = pcap_header_le(kPcapLinktypeEthernet);
+  std::size_t packets = 0;
+  for (const auto& [frame, ipv4] : records) {
+    append_record_le(c.bytes, frame);
+    packets += ipv4 ? 1 : 0;
+    c.ends.push_back(c.bytes.size());
+    c.yields.push_back(packets);
+  }
+  return c;
+}
+
+TEST(Pcap, EveryTruncationKeepsTheWholeRecordsBeforeTheCut) {
+  const mixed_capture c = make_mixed_capture();
+  const auto intact = read_pcap_bytes(c.bytes);
+  ASSERT_TRUE(intact.ok()) << intact.error;
+  ASSERT_EQ(intact.packets.size(), 3u);
+  EXPECT_EQ(intact.malformed_lines, 2u);
+
+  for (std::size_t cut = 0; cut < c.bytes.size(); ++cut) {
+    SCOPED_TRACE("cut=" + std::to_string(cut));
+    const auto r = read_pcap_bytes(c.bytes.substr(0, cut));
+    // Records wholly before the cut, and whether the cut lands on an edge.
+    std::size_t whole = 0;
+    while (whole < c.ends.size() && c.ends[whole] <= cut) ++whole;
+    const bool at_edge = cut == 24 || (whole > 0 && c.ends[whole - 1] == cut);
+    EXPECT_EQ(r.ok(), at_edge) << r.error;
+    const std::size_t kept = whole > 0 ? c.yields[whole - 1] : 0;
+    ASSERT_EQ(r.packets.size(), kept);
+    EXPECT_TRUE(std::equal(r.packets.begin(), r.packets.end(), intact.packets.begin()));
+  }
+}
+
+TEST(Pcap, EverySingleBitFlipIsReadWithoutCrashing) {
+  // Run under ASan by the `snapshot` label: a flip may re-frame every
+  // record after it, but each parsed record still consumes its 16-byte
+  // header, and nothing may be read out of range.
+  const mixed_capture c = make_mixed_capture();
+  for (std::size_t bit = 0; bit < 8 * c.bytes.size(); ++bit) {
+    std::string flipped = c.bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    const auto r = read_pcap_bytes(flipped);
+    EXPECT_LE(r.packets.size() + r.malformed_lines, (flipped.size() - 24) / 16)
+        << "bit " << bit;
+  }
 }
 
 }  // namespace
