@@ -33,7 +33,6 @@
 #include "shard/rebalance.hpp"
 #include "sketch/exact_window.hpp"
 #include "trace/trace_generator.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -59,8 +58,8 @@ const std::vector<std::uint64_t>& trace_ids(trace_kind kind) {
 constexpr std::size_t kBurst = 256;
 
 /// Probe-behavior counters: how the Space-Saving counter index and the
-/// overflow table actually probed during the run, so SIMD-vs-scalar probe
-/// behavior is observable in the artifact rather than inferred from Mpps.
+/// overflow table actually probed during the run, so probe behavior is
+/// observable in the artifact rather than inferred from Mpps.
 void attach_probe_stats(benchmark::State& state, const memento_sketch<std::uint64_t>& sketch) {
   const flat_hash_stats idx = sketch.counter_index_stats();
   state.counters["index_load"] = idx.load_factor;
@@ -363,15 +362,12 @@ int main(int argc, char** argv) {
   // Provenance context for summarize.py. `memento_build_type` reflects THIS
   // binary's codegen (bench targets pin -O3 -DNDEBUG regardless of the
   // CMake build type), unlike gbench's `library_build_type`, which reports
-  // how the distro built libbenchmark. `memento_simd_dispatch` records the
-  // kernel tier the run actually used (cpuid + MEMENTO_ISA clamp).
+  // how the distro built libbenchmark.
 #if defined(NDEBUG) && defined(__OPTIMIZE__)
   benchmark::AddCustomContext("memento_build_type", "release");
 #else
   benchmark::AddCustomContext("memento_build_type", "debug");
 #endif
-  benchmark::AddCustomContext("memento_simd_dispatch",
-                              memento::simd::tier_name(memento::simd::active()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

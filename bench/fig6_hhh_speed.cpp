@@ -24,7 +24,6 @@
 #include "core/h_memento.hpp"
 #include "shard/sharded_h_memento.hpp"
 #include "trace/trace_generator.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -203,14 +202,12 @@ int main(int argc, char** argv) {
   register_all();
   benchmark::Initialize(&argc, argv);
   // Provenance context for summarize.py --hhh (same convention as fig5):
-  // this binary's actual codegen and the kernel tier the run dispatched to.
+  // this binary's actual codegen.
 #if defined(NDEBUG) && defined(__OPTIMIZE__)
   benchmark::AddCustomContext("memento_build_type", "release");
 #else
   benchmark::AddCustomContext("memento_build_type", "debug");
 #endif
-  benchmark::AddCustomContext("memento_simd_dispatch",
-                              memento::simd::tier_name(memento::simd::active()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

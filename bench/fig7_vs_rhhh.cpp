@@ -15,7 +15,6 @@
 #include "core/h_memento.hpp"
 #include "core/rhhh.hpp"
 #include "trace/trace_generator.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -129,8 +128,6 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("memento_build_type", "debug");
 #endif
-  benchmark::AddCustomContext("memento_simd_dispatch",
-                              memento::simd::tier_name(memento::simd::active()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -133,8 +133,8 @@ def reduce_benchmarks(raw: dict) -> dict:
             "mpps": round(mpps, 3) if mpps is not None else None,
         }
         # Probe-behavior introspection counters (flat_hash stats surfaced by
-        # the bench): carried so SIMD-vs-scalar probing is observable in the
-        # committed trajectory, not inferred from Mpps alone. Output-cost
+        # the bench): carried so probing is observable in the committed
+        # trajectory, not inferred from Mpps alone. Output-cost
         # rows (fig6 `_output`) carry their time per poll and its workload.
         for key, value in sorted(b.items()):
             if not isinstance(value, (int, float)):
@@ -215,10 +215,8 @@ def reduce_benchmarks(raw: dict) -> dict:
             # Self-reported by the bench binary (AddCustomContext): the
             # authoritative codegen provenance (bench targets always pin
             # -O3 -DNDEBUG, so library_build_type describing the distro's
-            # libbenchmark says nothing about OUR code) and the SIMD kernel
-            # tier the run dispatched to.
+            # libbenchmark says nothing about OUR code).
             "memento_build_type": context.get("memento_build_type"),
-            "simd_dispatch": context.get("memento_simd_dispatch"),
         },
         "entries": entries,
         "pairs": pairs,

@@ -97,10 +97,9 @@ class h_memento {
   ///   2. bulk-draw one generalization level per sampled packet
   ///      (xoshiro256::fill_bounded_u8 - the rng is consumed exactly as the
   ///      scalar path's per-sample bounded() calls would);
-  ///   3. materialize the sampled prefix keys in 32-key blocks through the
-  ///      hierarchy's vectorized mask kernel (H::materialize_keys ->
-  ///      util/simd.hpp sllv prefix masking; a scalar-oracle loop for
-  ///      hierarchies without the hook);
+  ///   3. materialize the sampled prefix keys: a key_at loop, or the
+  ///      hierarchy's H::materialize_keys where it has one (the 2-D lattice
+  ///      writes each prefix2d's fields in place);
   ///   4. hand the compacted keys and offsets to the inner Memento's
   ///      update_batch_sampled, whose gap walk skips unsampled packets in
   ///      bulk, so chunk cost tracks the sampled count.

@@ -9,7 +9,6 @@
 // H = 25 and L = 9".
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -18,7 +17,6 @@
 
 #include "hierarchy/prefix1d.hpp"
 #include "trace/packet.hpp"
-#include "util/simd.hpp"
 #include "util/wire.hpp"
 
 namespace memento {
@@ -151,29 +149,19 @@ struct two_dim_hierarchy {
   }
 
   /// Batch key materialization, 2-D: out[t] = key_at(ps[idx[t]], levels[t]).
-  /// The lattice pattern i splits into per-dimension depths (i/5, i%5); the
-  /// src and dst columns are then masked independently through the same
-  /// vectorized kernel the 1-D path uses, and the prefix2d structs assembled
-  /// from the masked columns - per 32-key block, so everything stays in L1.
+  /// One pass that writes the four fields of out[t] in place. Assigning a
+  /// whole prefix2d instead makes GCC build it in a stack temporary and
+  /// reload it as 8 + 2 bytes, a store-forwarding stall per key.
   static void materialize_keys(const packet* ps, const std::uint32_t* idx,
                                const std::uint8_t* levels, key_type* out, std::size_t n) {
-    constexpr std::size_t kBlock = 32;
-    std::uint32_t src[kBlock], dst[kBlock], msrc[kBlock], mdst[kBlock];
-    std::uint8_t sd[kBlock], dd[kBlock];
-    for (std::size_t i = 0; i < n; i += kBlock) {
-      const std::size_t m = std::min(kBlock, n - i);
-      for (std::size_t j = 0; j < m; ++j) {
-        const packet& p = ps[idx[i + j]];
-        src[j] = p.src;
-        dst[j] = p.dst;
-        sd[j] = static_cast<std::uint8_t>(levels[i + j] / 5);
-        dd[j] = static_cast<std::uint8_t>(levels[i + j] % 5);
-      }
-      simd::mask_addr_by_depth(src, sd, msrc, m);
-      simd::mask_addr_by_depth(dst, dd, mdst, m);
-      for (std::size_t j = 0; j < m; ++j) {
-        out[i + j] = prefix2d{msrc[j], mdst[j], sd[j], dd[j]};
-      }
+    for (std::size_t t = 0; t < n; ++t) {
+      const packet& p = ps[idx[t]];
+      const std::size_t sd = levels[t] / 5;
+      const std::size_t dd = levels[t] % 5;
+      out[t].src = p.src & prefix1d::mask_for_depth(sd);
+      out[t].dst = p.dst & prefix1d::mask_for_depth(dd);
+      out[t].src_depth = static_cast<std::uint8_t>(sd);
+      out[t].dst_depth = static_cast<std::uint8_t>(dd);
     }
   }
 };

@@ -205,7 +205,7 @@ class space_saving {
   // bucket free list, and the index's slot layout - because behavior depends
   // on all of it: eviction takes the head of the minimum bucket's chain,
   // and chain order is operation-history. A restored instance therefore
-  // continues the stream bit-identically, across dispatch tiers.
+  // continues the stream bit-identically.
 
   static constexpr std::uint16_t kWireTag = 0x5353;  ///< "SS"
   static constexpr std::uint16_t kWireVersion = 2;

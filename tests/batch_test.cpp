@@ -21,7 +21,6 @@
 #include "hierarchy/prefix2d.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/random.hpp"
-#include "util/simd.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace memento {
@@ -186,9 +185,9 @@ TEST(BatchEquivalence, HMementoBatchMatchesScalar) {
 
 TEST(BatchEquivalence, TwoDimHMementoBatchMatchesScalar) {
   // The 2-D lattice through the same composite-sampler kernel: level choices
-  // split into (src_depth, dst_depth) = (i/5, i%5) and both address columns
-  // mask through the vectorized kernel, but the sampler and rng consumption
-  // order must still replay the scalar path exactly.
+  // split into (src_depth, dst_depth) = (i/5, i%5) and materialize_keys
+  // writes each key in place, but the sampler and rng consumption order must
+  // still replay the scalar path exactly.
   trace_generator gen(trace_kind::datacenter, 19);
   std::vector<packet> packets;
   for (int i = 0; i < 4000; ++i) packets.push_back(gen.next());
@@ -325,52 +324,6 @@ TEST(BatchEquivalence, EmptyAndSingleElementBatches) {
   batched.update_batch(ids.data(), 0);  // no-op
   for (const auto id : ids) batched.update_batch(&id, 1);
   expect_identical(scalar, batched);
-}
-
-// --- SIMD dispatch differentials ---------------------------------------------
-// The hierarchical batch path is the only sketch code with tier-dependent
-// kernels (prefix masking): the same trace under every dispatch tier must
-// produce identical save() bytes - the SIMD kernels may only change speed,
-// never state.
-
-std::vector<simd::tier> host_tiers() {
-  std::vector<simd::tier> out{simd::tier::scalar};
-  if (simd::detect() >= simd::tier::avx2) out.push_back(simd::tier::avx2);
-  return out;
-}
-
-TEST(BatchSimd, HMementoEveryTierIsByteIdenticalOnBothHierarchies) {
-  // The hierarchical batch kernel's tier differential: the vectorized prefix
-  // masking (mask_addr_by_depth / make_prefix_keys) behind materialize_keys
-  // may only change speed, never the sampled keys - pinned as save()-byte
-  // equality against the scalar tier for the 1-D hierarchy AND the 2-D
-  // lattice, across the full and sampled tau regimes.
-  trace_generator gen(trace_kind::backbone, 43);
-  std::vector<packet> packets;
-  for (int i = 0; i < 20000; ++i) packets.push_back(gen.next());
-
-  auto bytes_of = [](const auto& h) { return snapshot::save(h); };
-  auto run = [&](auto tag, simd::tier t, double tau) {
-    using hierarchy = decltype(tag);
-    simd::scoped_tier guard(t);
-    h_memento<hierarchy> h(4000, 16 * hierarchy::hierarchy_size, tau, 1e-3, /*seed=*/9);
-    for (std::size_t i = 0; i < packets.size(); i += 997) {
-      h.update_batch(packets.data() + i, std::min<std::size_t>(997, packets.size() - i));
-    }
-    return bytes_of(h);
-  };
-
-  for (const double tau : {1.0, 1.0 / 8}) {
-    const auto scalar_1d = run(source_hierarchy{}, simd::tier::scalar, tau);
-    const auto scalar_2d = run(two_dim_hierarchy{}, simd::tier::scalar, tau);
-    for (const simd::tier t : host_tiers()) {
-      if (t == simd::tier::scalar) continue;
-      EXPECT_EQ(run(source_hierarchy{}, t, tau), scalar_1d)
-          << "1-D tau=" << tau << " tier=" << simd::tier_name(t);
-      EXPECT_EQ(run(two_dim_hierarchy{}, t, tau), scalar_2d)
-          << "2-D tau=" << tau << " tier=" << simd::tier_name(t);
-    }
-  }
 }
 
 TEST(BatchSimd, OverflowPeakWindowTracksBursts) {

@@ -36,6 +36,21 @@ TEST(Prefix1d, MasksPerDepth) {
   EXPECT_EQ(prefix1d::mask_for_depth(2), 0xffff0000u);
   EXPECT_EQ(prefix1d::mask_for_depth(3), 0xff000000u);
   EXPECT_EQ(prefix1d::mask_for_depth(4), 0u);
+  // Total: every depth past the root masks every bit too.
+  for (const std::size_t d : {std::size_t{5}, std::size_t{8}, std::size_t{64}, SIZE_MAX}) {
+    EXPECT_EQ(prefix1d::mask_for_depth(d), 0u) << "depth " << d;
+  }
+}
+
+// The table-driven mask against the shift it replaced: /32 - 8*depth bits,
+// with depth 4 (the root) keeping no bit at all.
+TEST(SimdPrefix, DepthMaskMatchesPrefix1dIncludingFullGeneralization) {
+  for (std::size_t d = 0; d <= 4; ++d) {
+    const unsigned bits = prefix1d::prefix_bits(d);
+    const std::uint32_t shifted = bits == 0 ? 0u : ~0u << (32u - bits);
+    EXPECT_EQ(prefix1d::mask_for_depth(d), shifted) << "depth " << d;
+  }
+  EXPECT_EQ(prefix1d::mask_for_depth(4), 0u) << "/0 must mask every bit";
 }
 
 TEST(Prefix1d, KeyEncodesMaskedAddressAndDepth) {
@@ -173,6 +188,26 @@ TEST(TwoDimHierarchy, PatternIndexRoundTripsKeyAt) {
     const auto key = two_dim_hierarchy::key_at(p, i);
     EXPECT_EQ(two_dim_hierarchy::pattern_index(key), i);
     EXPECT_TRUE(two_dim_hierarchy::generalizes(key, two_dim_hierarchy::full_key(p)));
+  }
+}
+
+TEST(TwoDimHierarchy, MaterializeKeysMatchesKeyAtOracle) {
+  // The batch path's gathered materialization: idx repeats and skips
+  // packets, and every one of the 25 levels occurs.
+  xoshiro256 rng(66);
+  constexpr std::size_t kN = 101;
+  std::vector<packet> packets(kN);
+  std::vector<std::uint32_t> idx(kN);
+  std::vector<std::uint8_t> levels(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    packets[i] = {static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng())};
+    idx[i] = static_cast<std::uint32_t>(rng() % kN);
+    levels[i] = static_cast<std::uint8_t>(i % two_dim_hierarchy::hierarchy_size);
+  }
+  std::vector<prefix2d> out(kN, prefix2d{~0u, ~0u, 0xff, 0xff});
+  two_dim_hierarchy::materialize_keys(packets.data(), idx.data(), levels.data(), out.data(), kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(out[i], two_dim_hierarchy::key_at(packets[idx[i]], levels[i])) << "i=" << i;
   }
 }
 
