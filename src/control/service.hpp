@@ -99,7 +99,7 @@ class controller_service {
   /// Crash recovery: replaces the deployment from the latest checkpoint
   /// (host restore under the lock) and logs it. Returns the restored global
   /// stream length, 0 when no image was usable. Only instantiable against
-  /// hosts that support restore (front_host / pipeline_host).
+  /// hosts that support restore (pipeline_host).
   std::uint64_t restore() {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t len = host_->restore();

@@ -3,7 +3,7 @@
 // constant-time updates for detection of changes in the (hierarchical) heavy
 // hitters set".
 //
-// This module implements that mechanism for the prefix/flow-threshold set:
+// This module implements that mechanism for the flow-threshold set:
 // it maintains, incrementally and in O(1) amortized time per packet, the set
 // of keys whose window estimate is above the threshold, and emits an event
 // stream of enter/leave transitions. Two ingredients keep it both O(1) and
@@ -19,8 +19,7 @@
 //   * Hysteresis (enter at theta_high, leave at theta_low < theta_high)
 //     prevents flapping for flows hovering at the threshold.
 //
-// Works over any memento_sketch (plain HH) and, via h_memento's inner sketch
-// keys, over prefix sets (see h_change_detector below).
+// Works over any memento_sketch key type.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +27,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/h_memento.hpp"
 #include "core/memento.hpp"
-#include "trace/packet.hpp"
+#include "util/random.hpp"
 
 namespace memento {
 
@@ -44,7 +42,7 @@ struct change_event {
   double estimate = 0.0;        ///< the estimate that triggered the transition
 };
 
-/// Construction parameters for the detectors.
+/// Construction parameters for the detector.
 struct change_detector_config {
   double theta_high = 0.01;  ///< enter when estimate >= theta_high * W
   double theta_low = 0.008;  ///< leave when estimate < theta_low * W
@@ -171,52 +169,6 @@ class hh_change_detector {
   std::size_t probe_cursor_ = 0;
   std::size_t live_count_ = 0;
   std::vector<change_event<Key>> events_;
-};
-
-/// Hierarchical variant: monitors the *prefix-threshold* set (every prefix
-/// whose estimated window share is above theta), which is the signal the
-/// paper's mitigation application thresholds on. Entries are checked on the
-/// sampled prefix of each Full update; exits by round-robin probing, as
-/// above. (Maintaining the exact conditioned-frequency HHH set in O(1)
-/// remains open, as the paper notes; the threshold set is the constant-time
-/// approximation it calls for.)
-template <typename H>
-class h_change_detector {
- public:
-  using key_type = typename H::key_type;
-
-  h_change_detector(const h_memento_config& algo_config,
-                    const change_detector_config& config)
-      : inner_(memento_config{algo_config.window_size, algo_config.counters,
-                              algo_config.tau, algo_config.seed},
-               // The inner sketch sees one of H prefixes per sampled packet,
-               // so its estimates are 1/H of packet units: rescale the
-               // thresholds so callers express theta as a packet share.
-               change_detector_config{
-                   config.theta_high / static_cast<double>(H::hierarchy_size),
-                   config.theta_low / static_cast<double>(H::hierarchy_size)}),
-        rng_(algo_config.seed + 99) {}
-
-  void update(const packet& p) {
-    const auto i = static_cast<std::size_t>(rng_.bounded(H::hierarchy_size));
-    inner_.update(H::key_at(p, i));
-  }
-
-  [[nodiscard]] std::vector<change_event<key_type>> poll_events() {
-    auto events = inner_.poll_events();
-    // Rescale trigger estimates to packet units (the inner sketch sees one
-    // of H prefixes per sampled packet).
-    for (auto& e : events) e.estimate *= static_cast<double>(H::hierarchy_size);
-    return events;
-  }
-
-  [[nodiscard]] std::vector<key_type> current_set() const { return inner_.current_set(); }
-  [[nodiscard]] bool contains(const key_type& k) const { return inner_.contains(k); }
-  [[nodiscard]] std::size_t set_size() const noexcept { return inner_.set_size(); }
-
- private:
-  hh_change_detector<key_type> inner_;
-  xoshiro256 rng_;
 };
 
 }  // namespace memento

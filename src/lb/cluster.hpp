@@ -5,8 +5,8 @@
 // This composes the whole repository: traffic -> load_balancer (per-client
 // hashing) -> measurement hook -> netwide harness (Sample / Batch /
 // Aggregation under a byte budget) -> D-H-Memento controller -> HHH check ->
-// ACL push-down. It is the engine of the Fig. 10 HTTP-flood experiment and
-// the ddos_mitigation example.
+// ACL push-down. It drives the ddos_mitigation example; the Fig. 10
+// HTTP-flood bench drives netwide_harness directly.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +49,13 @@ class cluster {
   }
 
   /// Routes one request to its load balancer (stable per-client hashing, as
-  /// a cloud front-end would), runs detection periodically, and returns the
+  /// a cloud front-end would: the harness's vantage_of, so each balancer is
+  /// its clients' vantage), runs detection periodically, and returns the
   /// verdict. Detection happens on the controller's *stale* network-wide
   /// view - exactly the delay the Fig. 10 experiment quantifies.
   verdict handle(const http_request& request) {
     ++requests_;
-    const verdict v = balancers_[route(request)].process(request);
+    const verdict v = balancers_[harness_.vantage_of(request.pkt)].process(request);
     if (requests_ % config_.detect_stride == 0) run_detection();
     return v;
   }
@@ -112,12 +113,6 @@ class cluster {
     h.delta = c.delta;
     h.seed = c.seed;
     return h;
-  }
-
-  [[nodiscard]] std::size_t route(const http_request& request) const noexcept {
-    std::uint64_t z = request.client() + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>((z ^ (z >> 31)) % balancers_.size());
   }
 
   netwide::netwide_harness<source_hierarchy> harness_;

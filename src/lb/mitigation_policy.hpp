@@ -15,7 +15,8 @@
 //
 // The policy is pure decision logic over (prefix -> estimated share)
 // snapshots, so it is unit-testable without any network machinery and can
-// drive either the acl/rate_limiter pair or an external enforcement plane.
+// drive the pipeline's mitigate stage, the ACL or an external enforcement
+// plane.
 #pragma once
 
 #include <algorithm>

@@ -20,6 +20,7 @@
 #include "netwide/measurement_point.hpp"
 #include "netwide/summary_channel.hpp"
 #include "trace/packet.hpp"
+#include "util/random.hpp"
 
 namespace memento::netwide {
 
@@ -106,7 +107,7 @@ class netwide_harness {
   /// controller as the communication method dictates.
   void ingest(const packet& p) {
     ++packets_;
-    const std::size_t v = route(p);
+    const std::size_t v = vantage_of(p);
     if (config_.method == comm_method::aggregation) {
       if (auto report = agg_points_[v].observe(p)) {
         agg_controller_->on_report(std::move(*report));
@@ -180,15 +181,14 @@ class netwide_harness {
   [[nodiscard]] const harness_config& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t batch_size() const noexcept { return config_.batch_size; }
 
- private:
-  /// Client -> vantage routing: stable hash of the source address.
-  [[nodiscard]] std::size_t route(const packet& p) const noexcept {
-    std::uint64_t z = p.src + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>((z ^ (z >> 31)) % config_.num_points);
+  /// Client -> vantage routing: stable hash of the source address. The
+  /// load-balancer cluster routes with it too, so the balancer that serves
+  /// a client is the vantage that measures it.
+  [[nodiscard]] std::size_t vantage_of(const packet& p) const noexcept {
+    return static_cast<std::size_t>(mix64(p.src + 0x9e3779b97f4a7c15ULL) % config_.num_points);
   }
 
+ private:
   harness_config config_;
   std::vector<measurement_point> points_;
   std::vector<aggregating_point<H>> agg_points_;

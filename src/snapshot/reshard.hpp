@@ -291,7 +291,7 @@ class snapshot_builder {
 
 /// Elastic N -> M scale: reshards `old` onto `shards` shards with the rest
 /// of its global geometry (window, counters, tau, seed) unchanged - the
-/// one sequence every rescale hook runs (front_host, pipeline::rescale).
+/// sequence pipeline::rescale runs.
 /// Routing restarts on plain hashing, so a weighted table does not survive.
 /// nullopt when the transport refuses the geometry (e.g. shards == 0, or
 /// any change of shard count for the hierarchical frontend).

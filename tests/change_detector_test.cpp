@@ -1,13 +1,11 @@
 // Tests for the heavy-hitter change detector (the paper's future-work
-// mechanism): event correctness, hysteresis, bounded exit lag, and the
-// hierarchical variant.
+// mechanism): event correctness, hysteresis and bounded exit lag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 
 #include "core/change_detector.hpp"
-#include "trace/trace_generator.hpp"
 #include "util/random.hpp"
 
 namespace memento {
@@ -139,61 +137,6 @@ TEST(ChangeDetector, CurrentSetMatchesContains) {
   for (const auto& key : set) EXPECT_TRUE(detector.contains(key));
   EXPECT_TRUE(std::find(set.begin(), set.end(), 1u) != set.end());
   EXPECT_TRUE(std::find(set.begin(), set.end(), 2u) != set.end());
-}
-
-// --- hierarchical variant -------------------------------------------------------
-
-TEST(HChangeDetector, DetectsEmergingSubnet) {
-  h_memento_config cfg;
-  cfg.window_size = 30000;
-  cfg.counters = 2000;
-  cfg.tau = 1.0;
-  h_change_detector<source_hierarchy> detector(cfg, thresholds(0.10, 0.05));
-
-  xoshiro256 rng(19);
-  trace_generator background(trace_kind::backbone, 23);
-  // Background only.
-  for (int i = 0; i < 40000; ++i) detector.update(background.next());
-  (void)detector.poll_events();
-
-  // A /8 starts flooding at 30%.
-  for (int i = 0; i < 60000; ++i) {
-    if (rng.uniform01() < 0.3) {
-      detector.update({0x2A000000u | static_cast<std::uint32_t>(rng.bounded(1u << 24)),
-                       static_cast<std::uint32_t>(rng())});
-    } else {
-      detector.update(background.next());
-    }
-  }
-  const auto subnet_key = prefix1d::make_key(0x2A000000u, 3);
-  EXPECT_TRUE(detector.contains(subnet_key))
-      << "flooding /8 not in the detector's set";
-  bool entered = false;
-  for (const auto& e : detector.poll_events()) {
-    entered |= e.key == subnet_key && e.kind == change_kind::entered;
-  }
-  EXPECT_TRUE(entered);
-}
-
-TEST(HChangeDetector, SubnetLeavesAfterFloodStops) {
-  h_memento_config cfg;
-  cfg.window_size = 20000;
-  cfg.counters = 2000;
-  cfg.tau = 1.0;
-  h_change_detector<source_hierarchy> detector(cfg, thresholds(0.10, 0.05));
-  xoshiro256 rng(29);
-  trace_generator background(trace_kind::backbone, 31);
-  for (int i = 0; i < 50000; ++i) {
-    if (rng.uniform01() < 0.3) {
-      detector.update({0x2A000000u | static_cast<std::uint32_t>(rng.bounded(1u << 24)), 1});
-    } else {
-      detector.update(background.next());
-    }
-  }
-  const auto subnet_key = prefix1d::make_key(0x2A000000u, 3);
-  ASSERT_TRUE(detector.contains(subnet_key));
-  for (int i = 0; i < 60000; ++i) detector.update(background.next());
-  EXPECT_FALSE(detector.contains(subnet_key)) << "stale subnet never evicted";
 }
 
 }  // namespace

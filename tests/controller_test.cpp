@@ -1,8 +1,8 @@
 // Autonomic control-plane suite: the controller brain's decision semantics
-// against a scripted host + fake clock (exact event sequences pinned), the
-// host bindings against real frontends, and the kill/restore fault-injection
-// and elastic-scaling soaks against the threaded pipeline (run under TSan in
-// CI via -L controller).
+// against a scripted host + fake clock (exact event sequences pinned),
+// pipeline_host against an inline (never started) pipeline, and the
+// kill/restore fault-injection and elastic-scaling soaks against the
+// threaded pipeline (run under TSan in CI via -L controller).
 //
 // Load-bearing pins:
 //   * square-wave load oscillating inside the hysteresis band produces ZERO
@@ -34,13 +34,10 @@
 #include "control/events.hpp"
 #include "control/hosts.hpp"
 #include "control/service.hpp"
-#include "hierarchy/prefix1d.hpp"
 #include "pipeline/pipeline.hpp"
 #include "shard/rebalance.hpp"
-#include "shard/sharded_h_memento.hpp"
 #include "shard/sharded_memento.hpp"
 #include "trace/trace_generator.hpp"
-#include "util/random.hpp"
 
 namespace memento {
 namespace {
@@ -452,19 +449,20 @@ TEST(Controller, CounterRegressionRebaselinesInsteadOfWrapping) {
 // --- real hosts: scale round trip, checkpoint/restore -----------------------
 
 TEST(Controller, ScaleRoundTripNtoMtoNIsQueryStableWithExactStreamLength) {
-  // The controller itself drives 2 -> 4 -> 8 -> 4 -> 2 on a REAL frontend
-  // via front_host + watermarks. Global stream length must survive all four
-  // reshards exactly (the remainder-distribution fix), and a persistent
-  // elephant's estimate must stay within the transport's movement bound.
-  shard_config scfg;
-  scfg.window_size = 2u << 20;  // large window: nothing expires mid-test
-  scfg.counters = 512;
-  scfg.tau = 1.0;
-  scfg.seed = 7;
-  scfg.shards = 2;
-  sharded front(scfg);
+  // The controller itself drives 2 -> 4 -> 8 -> 4 -> 2 on an inline
+  // pipeline via pipeline_host + watermarks. Global stream length must
+  // survive all four reshards exactly (the remainder-distribution fix), and
+  // a persistent elephant's estimate must stay within the transport's
+  // movement bound.
+  pipeline_config pcfg;
+  pcfg.sharding.window_size = 2u << 20;  // large window: nothing expires mid-test
+  pcfg.sharding.counters = 512;
+  pcfg.sharding.tau = 1.0;
+  pcfg.sharding.seed = 7;
+  pcfg.sharding.shards = 2;
+  pipeline<> pipe(pcfg);
   checkpoint_store store;
-  front_host<sharded> host(front, store);
+  pipeline_host<> host(pipe, store);
 
   controller_config cfg;
   cfg.sample_interval_ns = 100'000'000;
@@ -487,7 +485,8 @@ TEST(Controller, ScaleRoundTripNtoMtoNIsQueryStableWithExactStreamLength) {
       ids[i] = kElephant;  // ~10% elephant, every arm of the round trip
       ++elephant_count;
     }
-    front.update_batch(ids.data(), ids.size());
+    const auto pkts = packets_of(ids);
+    pipe.process(pkts.data(), pkts.size());
     pushed += ids.size();
   };
 
@@ -495,14 +494,14 @@ TEST(Controller, ScaleRoundTripNtoMtoNIsQueryStableWithExactStreamLength) {
   ctl.tick(host);  // baseline
   std::uint64_t seed = 1000;
   // Heavy phase: 100k packets per 100 ms tick -> 500k pps/shard at N=2.
-  while (front.num_shards() < 8) {
+  while (pipe.cores() < 8) {
     ingest(100000, seed++);
     clk.advance_ms(100);
     ctl.tick(host);
     ASSERT_LT(seed, 1100u) << "scale-up never reached 8 shards";
   }
   // Light phase: 500 packets per tick -> 625 pps/shard at N=8.
-  while (front.num_shards() > 2) {
+  while (pipe.cores() > 2) {
     ingest(500, seed++);
     clk.advance_ms(100);
     ctl.tick(host);
@@ -510,15 +509,19 @@ TEST(Controller, ScaleRoundTripNtoMtoNIsQueryStableWithExactStreamLength) {
   }
   EXPECT_EQ(ctl.log().count(ev::scale_up), 2u);
   EXPECT_EQ(ctl.log().count(ev::scale_down), 2u);
+  EXPECT_FALSE(pipe.started());
 
   // Exact accounting through four reshard transports.
+  const sharded& front = pipe.frontend();
+  EXPECT_EQ(front.num_shards(), 2u);
   EXPECT_EQ(front.stream_length(), pushed);
+  EXPECT_EQ(pipe.report().ingested, pushed);
   // Query stability: the elephant moved shards up to four times; each hop
   // moves an estimate by <= one threshold unit, on top of the sketch's own
   // one-sided 2-unit width.
   const double unit =
       static_cast<double>(front.shard(0).overflow_threshold()) / front.shard(0).tau();
-  ASSERT_LE(pushed, scfg.window_size) << "test premise broken: window rolled";
+  ASSERT_LE(pushed, pcfg.sharding.window_size) << "test premise broken: window rolled";
   const double est = front.query(kElephant);
   EXPECT_NEAR(est, static_cast<double>(elephant_count), 6.0 * unit + 1e-9);
   const auto hh = front.heavy_hitters(0.015);
@@ -527,29 +530,28 @@ TEST(Controller, ScaleRoundTripNtoMtoNIsQueryStableWithExactStreamLength) {
       << "elephant lost across the scale round trip";
 }
 
-TEST(Controller, FrontHostCheckpointRestoreRoundTrips) {
-  shard_config scfg{40000, 128, 1.0, 3, 2};
-  sharded front(scfg);
+TEST(Controller, InlinePipelineHostCheckpointRestoreRoundTrips) {
+  pipeline_config pcfg;
+  pcfg.sharding = shard_config{40000, 128, 1.0, 3, 2};
+  pipeline<> pipe(pcfg);
   checkpoint_store store;
-  front_host<sharded> host(front, store);
+  pipeline_host<> host(pipe, store);
 
-  const auto ids = skewed_ids(120000, 1.0, 11);
-  front.update_batch(ids.data(), ids.size());
-  const sharded at_checkpoint = front;
+  pipe.process(packets_of(skewed_ids(120000, 1.0, 11)));
+  const sharded at_checkpoint = pipe.frontend();
   ASSERT_GT(host.checkpoint(), 0u);
   EXPECT_EQ(store.generation(), 1u);
   EXPECT_LE(store.peak_buffered(), 2 * wire::sink::kDefaultChunk)
       << "checkpoint capture must stream, not materialize";
 
-  const auto more = skewed_ids(60000, 1.0, 13);
-  front.update_batch(more.data(), more.size());
-  ASSERT_NE(front.stream_length(), at_checkpoint.stream_length());
+  pipe.process(packets_of(skewed_ids(60000, 1.0, 13)));
+  ASSERT_NE(pipe.frontend().stream_length(), at_checkpoint.stream_length());
 
   const std::uint64_t restored = host.restore();
   EXPECT_EQ(restored, at_checkpoint.stream_length());
-  EXPECT_EQ(front.stream_length(), at_checkpoint.stream_length());
+  EXPECT_EQ(pipe.frontend().stream_length(), at_checkpoint.stream_length());
   for (const auto& hh : at_checkpoint.heavy_hitters(0.01)) {
-    EXPECT_DOUBLE_EQ(front.query(hh.key), hh.estimate) << "key " << hh.key;
+    EXPECT_DOUBLE_EQ(pipe.frontend().query(hh.key), hh.estimate) << "key " << hh.key;
   }
 }
 
@@ -591,33 +593,6 @@ TEST(Controller, InlinePipelineHostSamplesIngestAndRebalances) {
   }
   EXPECT_FALSE(pipe.started());
   EXPECT_EQ(pipe.frontend().stream_length(), fed);
-}
-
-TEST(Controller, HierarchicalFrontHostRebalancesButCannotRescale) {
-  // The HHH frontend gets the same lifecycle except elastic scaling
-  // (reshard.hpp: HHH N -> M is future work): rescale reports unsupported
-  // and the brain logs scale_rejected instead of wedging.
-  using front_t = sharded_h_memento<source_hierarchy>;
-  const h_memento_config cfg{40000, 512, 1.0, 0.05, 21};
-  front_t front(hhh_shard_config{cfg, 2});
-  checkpoint_store store;
-  front_host<front_t> host(front, store);
-
-  xoshiro256 rng(17);
-  std::vector<packet> pkts;
-  for (int i = 0; i < 30000; ++i) {
-    pkts.push_back(packet{static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng())});
-  }
-  front.update_batch(pkts.data(), pkts.size());
-
-  EXPECT_FALSE(host.rescale(4));
-  EXPECT_EQ(front.num_shards(), 2u);
-  ASSERT_GT(host.checkpoint(), 0u);
-  const auto more = pkts;
-  front.update_batch(more.data(), more.size());
-  const std::uint64_t restored = host.restore();
-  EXPECT_EQ(restored, static_cast<std::uint64_t>(pkts.size()));
-  EXPECT_EQ(front.stream_length(), pkts.size());
 }
 
 // --- the fault-injection soak (runs under TSan in CI) ------------------------

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/h_memento.hpp"
-#include "hierarchy/bit_hierarchy.hpp"
 #include "hierarchy/hhh_solver.hpp"
 #include "hierarchy/prefix1d.hpp"
 #include "hierarchy/prefix2d.hpp"
@@ -519,10 +518,6 @@ std::size_t run_pruned_walk_trials(std::uint64_t seed, bool sound_lowers) {
 // admitted prefix below the survivor bar (positive calcPred).
 TEST(HhhSolver, PrunedWalkMatchesReferenceWalk) {
   EXPECT_GT(run_pruned_walk_trials<source_hierarchy>(11, false), 0u);
-}
-
-TEST(HhhSolver, PrunedWalkMatchesReferenceWalkBitHierarchy) {
-  EXPECT_GT(run_pruned_walk_trials<bit_source_hierarchy>(12, false), 0u);
 }
 
 TEST(HhhSolver, PrunedWalkMatchesReferenceWalkTwoDim) {

@@ -1,5 +1,6 @@
-// Tests for the load-balancer tier: ACL semantics, request processing, and
-// the cluster's controller-driven mitigation loop.
+// Tests for the load-balancer tier: ACL semantics, request processing, the
+// cluster's controller-driven mitigation loop, and the mitigation policy the
+// pipeline's mitigate stage runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,6 +142,29 @@ TEST(Cluster, SameClientAlwaysSameBalancer) {
   EXPECT_EQ(nonzero, 1);
 }
 
+TEST(Cluster, BalancerServingAClientIsItsVantage) {
+  cluster_config cfg;
+  cfg.num_balancers = 10;
+  cfg.window = 50000;
+  cfg.counters = 256;
+  cfg.detect_stride = 1u << 30;
+  cluster c(cfg);
+  xoshiro256 rng(41);
+  std::vector<std::uint64_t> received(c.size(), 0);
+  for (int i = 0; i < 10000; ++i) {
+    const packet p{static_cast<std::uint32_t>(rng()), ip(10, 0, 0, 1)};
+    (void)c.handle(request_from_packet(p));
+    std::size_t served = c.size();
+    for (std::size_t b = 0; b < c.size(); ++b) {
+      if (c.balancer(b).stats().received == received[b]) continue;
+      served = b;
+      received[b] = c.balancer(b).stats().received;
+    }
+    ASSERT_EQ(served, c.harness().vantage_of(p)) << "client " << format_ipv4(p.src);
+  }
+  for (std::size_t b = 0; b < c.size(); ++b) EXPECT_GT(received[b], 0u) << "balancer " << b;
+}
+
 TEST(Cluster, FloodSubnetsGetBlocked) {
   cluster_config cfg;
   cfg.num_balancers = 10;
@@ -195,6 +219,118 @@ TEST(Cluster, MitigationReducesForwardedAttackTraffic) {
   const auto without_detection = run(1u << 30);
   EXPECT_LT(with_detection, without_detection / 5)
       << "mitigation must stop the vast majority of attack requests";
+}
+
+// --- mitigation policy --------------------------------------------------------
+
+mitigation_config policy_config() {
+  mitigation_config c;
+  c.block_theta = 0.05;
+  c.limit_theta = 0.02;
+  c.release_theta = 0.01;
+  c.max_rules = 4;
+  return c;
+}
+
+TEST(MitigationPolicy, Validation) {
+  mitigation_config bad = policy_config();
+  bad.release_theta = 0.03;  // not < limit_theta
+  EXPECT_THROW(mitigation_policy{bad}, std::invalid_argument);
+  bad = policy_config();
+  bad.max_rules = 0;
+  EXPECT_THROW(mitigation_policy{bad}, std::invalid_argument);
+}
+
+TEST(MitigationPolicy, GraduatedResponse) {
+  mitigation_policy policy(policy_config());
+  const auto key = prefix1d::make_key(0x0A000000u, 3);
+  // 3% share: rate limited, not blocked.
+  auto decisions = policy.evaluate({{key, 0.03}});
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].to, mitigation_level::rate_limited);
+  EXPECT_EQ(policy.level_of(key), mitigation_level::rate_limited);
+  // 8% share: escalated to blocked.
+  decisions = policy.evaluate({{key, 0.08}});
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].from, mitigation_level::rate_limited);
+  EXPECT_EQ(decisions[0].to, mitigation_level::blocked);
+}
+
+TEST(MitigationPolicy, RecoveryOnQuietSubnet) {
+  mitigation_policy policy(policy_config());
+  const auto key = prefix1d::make_key(0x0A000000u, 3);
+  (void)policy.evaluate({{key, 0.10}});
+  ASSERT_EQ(policy.level_of(key), mitigation_level::blocked);
+  // Share collapses below release threshold: rule lifted entirely.
+  const auto decisions = policy.evaluate({{key, 0.005}});
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].to, mitigation_level::none);
+  EXPECT_EQ(policy.level_of(key), mitigation_level::none);
+  EXPECT_EQ(policy.active_rules(), 0u);
+}
+
+TEST(MitigationPolicy, BlockedDowngradesToLimitBeforeRelease) {
+  mitigation_policy policy(policy_config());
+  const auto key = prefix1d::make_key(0x0A000000u, 3);
+  (void)policy.evaluate({{key, 0.10}});
+  // Share drops between release and limit: downgraded, not released.
+  const auto decisions = policy.evaluate({{key, 0.015}});
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].to, mitigation_level::rate_limited);
+  EXPECT_EQ(policy.level_of(key), mitigation_level::rate_limited);
+}
+
+TEST(MitigationPolicy, HysteresisHoldsBetweenReleaseAndLimit) {
+  mitigation_policy policy(policy_config());
+  const auto key = prefix1d::make_key(0x0A000000u, 3);
+  (void)policy.evaluate({{key, 0.03}});
+  ASSERT_EQ(policy.level_of(key), mitigation_level::rate_limited);
+  // 1.5% is below limit_theta but above release_theta: keep the rule.
+  const auto decisions = policy.evaluate({{key, 0.015}});
+  EXPECT_TRUE(decisions.empty());
+  EXPECT_EQ(policy.level_of(key), mitigation_level::rate_limited);
+}
+
+TEST(MitigationPolicy, AbsentSubnetTreatedAsZeroShare) {
+  mitigation_policy policy(policy_config());
+  const auto key = prefix1d::make_key(0x0A000000u, 3);
+  (void)policy.evaluate({{key, 0.10}});
+  const auto decisions = policy.evaluate({});  // subnet vanished entirely
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].to, mitigation_level::none);
+}
+
+TEST(MitigationPolicy, RuleTableCapacityPrefersHeaviest) {
+  mitigation_policy policy(policy_config());  // max_rules = 4
+  std::unordered_map<std::uint64_t, double> shares;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    shares[prefix1d::make_key(i << 24, 3)] = 0.02 + 0.01 * static_cast<double>(i);
+  }
+  (void)policy.evaluate(shares);
+  EXPECT_EQ(policy.active_rules(), 4u);
+  // The four heaviest (i = 4..7) must hold the slots.
+  for (std::uint32_t i = 4; i < 8; ++i) {
+    EXPECT_NE(policy.level_of(prefix1d::make_key(i << 24, 3)), mitigation_level::none);
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(policy.level_of(prefix1d::make_key(i << 24, 3)), mitigation_level::none);
+  }
+}
+
+TEST(MitigationPolicy, ReleaseFreesCapacityForWaitingSubnets) {
+  mitigation_policy policy(policy_config());
+  std::unordered_map<std::uint64_t, double> shares;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    shares[prefix1d::make_key(i << 24, 3)] = 0.10;
+  }
+  (void)policy.evaluate(shares);
+  ASSERT_EQ(policy.active_rules(), 4u);
+  // All four quiet down; a new attacker appears.
+  std::unordered_map<std::uint64_t, double> next_shares;
+  next_shares[prefix1d::make_key(200u << 24, 3)] = 0.20;
+  (void)policy.evaluate(next_shares);
+  EXPECT_EQ(policy.level_of(prefix1d::make_key(200u << 24, 3)), mitigation_level::blocked);
+  EXPECT_EQ(policy.active_rules(), 1u);
 }
 
 // --- mitigation policy: allocation-free evaluate ------------------------------

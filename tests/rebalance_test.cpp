@@ -284,8 +284,8 @@ TEST(Rebalance, ControllerRecoversAdversarialSkewWithoutManualCall) {
   // Adversarial skew: EIGHT elephants, each ~10% of traffic, all hashed
   // onto shard 0 - that shard carries ~85% of the stream (80% elephant
   // mass + its quarter of the 20% Zipf background). Nobody calls
-  // rebalance(); the frontend is handed to the autonomic controller on a
-  // fake clock, which must notice, fire on its own, and recover the
+  // rebalance(); an inline pipeline is handed to the autonomic controller
+  // on a fake clock, which must notice, fire on its own, and recover the
   // per-segment balance to the ISSUE's bars: load ratio <= 1.1, coverage
   // spread <= 1.05, recall no worse than the static arm.
   constexpr std::uint64_t kWindow = 100000;
@@ -302,7 +302,12 @@ TEST(Rebalance, ControllerRecoversAdversarialSkewWithoutManualCall) {
   cfg.seed = 13;
   cfg.shards = 4;
 
-  sharded front(cfg);
+  // The controlled arm is an inline (never started) pipeline - the host
+  // the appliance runs, bit-identical to the frontend it owns.
+  pipeline_config pcfg;
+  pcfg.sharding = cfg;
+  pipeline<> pipe(pcfg);
+  const sharded& front = pipe.frontend();
   sharded static_front = front;  // keeps hashing forever; the control arm
   const auto elephants = elephants_on_shard(front.partitioner(), /*shard=*/0, 8);
   // 4 of every 5 packets round-robin the elephants (each ~10% of the
@@ -339,7 +344,7 @@ TEST(Rebalance, ControllerRecoversAdversarialSkewWithoutManualCall) {
   // Hand the other arm to the controller: chunked ingest with a monitor
   // tick after every chunk, exactly how a cooperative embedding runs.
   checkpoint_store store;
-  front_host<sharded> host(front, store);
+  pipeline_host<> host(pipe, store);
   controller_config ccfg;
   ccfg.sample_interval_ns = 100'000'000;
   ccfg.min_segment_packets = 4096;
@@ -353,7 +358,11 @@ TEST(Rebalance, ControllerRecoversAdversarialSkewWithoutManualCall) {
   ctl.tick(host);  // baseline
   const auto drive = [&](const std::vector<std::uint64_t>& ids) {
     for (std::size_t i = 0; i < ids.size(); i += kChunk) {
-      front.update_batch(ids.data() + i, std::min(kChunk, ids.size() - i));
+      std::vector<packet> pkts;
+      for (std::size_t j = i; j < std::min(i + kChunk, ids.size()); ++j) {
+        pkts.push_back(packet_of(ids[j]));
+      }
+      pipe.process(pkts.data(), pkts.size());
       clk.advance_ms(100);
       ctl.tick(host);
     }
