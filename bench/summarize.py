@@ -48,13 +48,18 @@ speedup of each N over the N=1 sharded row, the speedup of each N over
 the single-instance `_batch` baseline at the same args, and whether N
 exceeds the host's CPU count (`oversubscribed`) - the multicore scaling
 curve. The output is stable-sorted and pretty-printed so diffs
-across PRs read as a throughput trajectory.
+across PRs read as a throughput trajectory. A run with
+`--benchmark_repetitions` has one iteration row per repetition; the reducer
+folds them into one record per config whose every number is the median over
+the repetitions (Google Benchmark's own aggregate rows are ignored), so a
+speedup pairs two medians.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 
 # Per-checkpoint wall time each way, which the `snapshot` section must carry
@@ -85,6 +90,30 @@ def split_name(name: str) -> tuple[str, str]:
     return family, args
 
 
+def fold_repetitions(raw: dict) -> list:
+    """Iteration rows -> one row per benchmark name, in first-seen order.
+
+    Each numeric field is the median over the name's repetitions (a single
+    run is its own median); other fields come from the first repetition.
+    Aggregate rows are dropped.
+    """
+    runs = {}
+    for b in raw.get("benchmarks", []):
+        if b.get("run_type") != "aggregate":
+            runs.setdefault(b["name"], []).append(b)
+    rows = []
+    for reps in runs.values():
+        row = dict(reps[0])
+        for key, value in reps[0].items():
+            numbers = [r.get(key) for r in reps]
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and all(
+                isinstance(n, (int, float)) for n in numbers
+            ):
+                row[key] = statistics.median(numbers)
+        rows.append(row)
+    return rows
+
+
 def reduce_rebalance(raw: dict) -> list:
     """`fig5/hh_speed_rebalanced` rows -> the artifact's `rebalance` section.
 
@@ -97,9 +126,7 @@ def reduce_rebalance(raw: dict) -> list:
     """
     keep_prefixes = ("static_", "rebalanced_", "rebalance_ms")
     rows = []
-    for b in raw.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
+    for b in fold_repetitions(raw):
         family, args = split_name(b["name"])
         if not family.endswith("_rebalanced"):
             continue
@@ -118,9 +145,7 @@ def reduce_rebalance(raw: dict) -> list:
 
 def reduce_benchmarks(raw: dict) -> dict:
     entries = []
-    for b in raw.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
+    for b in fold_repetitions(raw):
         family, args = split_name(b["name"])
         mpps = b.get("Mpps")
         if mpps is None:  # fall back to items/s when the counter is absent

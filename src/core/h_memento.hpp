@@ -152,9 +152,7 @@ class h_memento {
   /// {query, query_lower} from one inner lookup - the bound oracle of the
   /// HHH output, bit-identical to calling the two separately.
   [[nodiscard]] freq_bounds query_bounds(const key_type& prefix) const {
-    const double h = static_cast<double>(H::hierarchy_size);
-    const double u = inner_.query(prefix);
-    return freq_bounds{h * u, h * std::max(0.0, u - inner_.estimate_width())};
+    return bounds_of(inner_.query(prefix));
   }
 
   /// Near-unbiased point estimate (see memento_sketch::query_midpoint).
@@ -175,10 +173,17 @@ class h_memento {
   /// pass 0 here.
   [[nodiscard]] hhh_result output(double theta, double compensation) const {
     const double threshold = theta * static_cast<double>(inner_.window_size());
+    const double h = static_cast<double>(H::hierarchy_size);
     return solve_hhh<H>(
-        inner_.monitored_keys(),
-        [this](const key_type& k) { return query_bounds(k); },
-        threshold, compensation);
+        [&](const auto& survives, const auto& emit) {
+          inner_.for_each_live_key([&](double u) { return survives(h * u); },
+                                   [&](const key_type& k, double u) { emit(k, bounds_of(u)); });
+        },
+        [&](const key_type& k) -> std::optional<freq_bounds> {
+          if (const std::optional<double> u = inner_.query_if_live(k)) return bounds_of(*u);
+          return std::nullopt;
+        },
+        [this](const key_type& k) { return query_bounds(k); }, threshold, compensation);
   }
 
   /// The Alg. 2 line 8 term: 2 Z_{1-delta} sqrt(V W), V = H / tau.
@@ -208,8 +213,8 @@ class h_memento {
 
   /// Visits every candidate prefix with its one-sided window estimate in
   /// prefix units - the same scaling query() applies. The rebalancer samples
-  /// per-bucket load from this; HHH output deliberately does NOT use it (the
-  /// lattice walk needs monitored_keys(), which includes in-frame-only keys).
+  /// per-bucket load from this. HHH output walks the inner sketch's
+  /// for_each_live_key instead, which also visits in-frame-only keys.
   template <typename Fn>
   void for_each_candidate(Fn&& fn) const {
     inner_.for_each_candidate([&](const key_type& key, double est) {
@@ -230,9 +235,6 @@ class h_memento {
   }
   /// Window-phase accessor (see memento_sketch::window_phase); lets a shard
   /// frontend monitor per-shard phase skew without reaching through inner().
-  /// (Candidate iteration for HHH output deliberately stays on
-  /// inner().monitored_keys(): the HHH candidate set must include keys with
-  /// only in-frame state, which the overflow-table hook does not visit.)
   [[nodiscard]] std::uint64_t window_phase() const noexcept { return inner_.window_phase(); }
   [[nodiscard]] const memento_sketch<key_type>& inner() const noexcept { return inner_; }
 
@@ -287,6 +289,12 @@ class h_memento {
   /// is H-Memento's packet sampler.
   [[nodiscard]] static constexpr std::uint64_t sampler_seed(std::uint64_t seed) noexcept {
     return seed ^ 0x9e3779b97f4a7c15ULL;
+  }
+
+  /// A prefix's {query, query_lower} from its inner estimate u.
+  [[nodiscard]] freq_bounds bounds_of(double u) const {
+    const double h = static_cast<double>(H::hierarchy_size);
+    return freq_bounds{h * u, h * std::max(0.0, u - inner_.estimate_width())};
   }
 
   /// Restore's constructor: adopts the already restored inner sketch

@@ -252,12 +252,16 @@ class memento_sketch {
   /// Algorithm 1 QUERY: one-sided (never undercounting) window-frequency
   /// estimate of x, already scaled to original-packet units.
   [[nodiscard]] double query(const Key& x) const {
-    const double residue = static_cast<double>(y_.query(x) % threshold_);
-    const double t = static_cast<double>(threshold_);
-    if (const std::uint32_t* b = overflows_.find(x)) {
-      return inv_tau_ * (t * static_cast<double>(*b + 2) + residue);
-    }
-    return inv_tau_ * (2.0 * t + residue);  // no overflows (line 25)
+    return estimate(overflows_.find(x), y_.query(x));
+  }
+
+  /// query(x) when x has live state (an overflow entry in B or an in-frame
+  /// counter in y), nullopt otherwise: the membership-aware lookup that
+  /// HHH output resolves non-candidate ancestors with.
+  [[nodiscard]] std::optional<double> query_if_live(const Key& x) const {
+    const std::uint32_t* b = overflows_.find(x);
+    if (b == nullptr && !y_.contains(x)) return std::nullopt;
+    return estimate(b, y_.query(x));
   }
 
   /// Lower bound companion to query(): the estimate minus the worst-case
@@ -335,15 +339,36 @@ class memento_sketch {
     return all;
   }
 
-  /// Keys with any live state (overflow entries plus in-frame counters);
-  /// the candidate set for hierarchical output (Algorithm 2 line 6).
+  /// Visits each key with live state once - B's keys, then the keys only y
+  /// counts - as fn(key, query(key)), at one table probe per visited key
+  /// (B's count comes from the slot in hand; a y-only key's probe of B is
+  /// its deduplication). A key is skipped with no probe when reaches()
+  /// rejects a ceiling of its estimate: tau^-1 T (B[x] + 3) for B's keys
+  /// (the residue is below T) and tau^-1 3T for the y-only ones, which skips
+  /// that whole pass. Both are exact integers scaled by the same tau^-1, so
+  /// for a monotone `reaches` a skipped key fails it on query(key) too.
+  template <typename Reach, typename Fn>
+  void for_each_live_key(Reach&& reaches, Fn&& fn) const {
+    const double t = static_cast<double>(threshold_);
+    overflows_.for_each([&](const Key& key, const std::uint32_t& b) {
+      if (reaches(inv_tau_ * (t * (static_cast<double>(b) + 3.0)))) {
+        fn(key, estimate(&b, y_.query(key)));
+      }
+    });
+    if (!reaches(inv_tau_ * (3.0 * t))) return;
+    y_.for_each([&](const Key& key, std::uint64_t count, std::uint64_t) {
+      if (!overflows_.contains(key)) fn(key, estimate(nullptr, count));
+    });
+  }
+
+  /// Keys with any live state (overflow entries plus in-frame counters), in
+  /// for_each_live_key's order: the candidate set for hierarchical output
+  /// (Algorithm 2 line 6).
   [[nodiscard]] std::vector<Key> monitored_keys() const {
     std::vector<Key> keys;
     keys.reserve(overflows_.size() + y_.size());
-    overflows_.for_each([&](const Key& key, std::uint32_t) { keys.push_back(key); });
-    y_.for_each([&](const Key& key, std::uint64_t, std::uint64_t) {
-      if (!overflows_.contains(key)) keys.push_back(key);
-    });
+    for_each_live_key([](double) { return true; },
+                      [&](const Key& key, double) { keys.push_back(key); });
     return keys;
   }
 
@@ -498,6 +523,15 @@ class memento_sketch {
   /// Packets per batch-kernel chunk: bounds the offset/key/bucket scratch
   /// (256 entries each, a few KB of stack) and the prefetch window.
   static constexpr std::size_t kBatchChunk = 256;
+
+  /// Algorithm 1 lines 22-25 from the two lookups: x's overflow count in B
+  /// (nullptr when absent) and y.query(x).
+  [[nodiscard]] double estimate(const std::uint32_t* b, std::uint64_t y_count) const {
+    const double residue = static_cast<double>(y_count % threshold_);
+    const double t = static_cast<double>(threshold_);
+    if (b != nullptr) return inv_tau_ * (t * static_cast<double>(*b + 2) + residue);
+    return inv_tau_ * (2.0 * t + residue);  // no overflows (line 25)
+  }
 
   /// The restored window clock, stream counters, ring head and sampler
   /// cursor (range-checked by the caller, except the cursor).

@@ -13,11 +13,11 @@
 // once.
 //
 // Pruning. A poll monitors thousands of prefixes and admits a few dozen, so
-// solve_hhh first bounds every candidate once and keeps only
+// solve_hhh walks the lattice over only
 //   - the *survivors*, upper + compensation >= threshold, and
 //   - the candidates that strictly generalize a survivor,
-// then walks the lattice over what is kept. The admitted set, its order and
-// every double are those of the walk over all candidates:
+// and the admitted set, its order and every double are those of the walk
+// over all candidates:
 //   - By induction over levels, every admitted prefix is a survivor or an
 //     ancestor of one: with G(q|P) empty, admission is exactly the survivor
 //     test; otherwise q strictly generalizes an admitted prefix.
@@ -27,10 +27,21 @@
 //     never admits it either, and P evolves identically in both walks.
 // This holds for any sign of the compensation and needs only that the bound
 // oracle is a pure function of the prefix.
+//
+// The survivors come from a visitor that may skip a candidate without
+// bounding it when the survivor test fails on a ceiling of its upper bound
+// (memento_sketch::for_each_live_key). The test is the same expression,
+// applied to the ceiling, and it is monotone under round-to-nearest, so a
+// skipped candidate fails it on its own upper bound too: it is no survivor.
+// The survivors' strict ancestors are collected once, deduplicated, and each
+// that is not a survivor is resolved by a membership lookup - its bounds iff
+// it is a candidate. Past the visitor's pass over its table, the cost
+// follows the survivors, not the candidates.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "hierarchy/prefix1d.hpp"
@@ -54,151 +65,167 @@ struct hhh_entry {
   double upper_estimate = 0.0;         ///< f-hat-plus of the prefix itself
 };
 
-/// Computes G(q|P) per Section 4.2: the subset of P strictly generalized by
-/// q, keeping only maximal elements (no other member of P strictly between).
-template <typename H>
-[[nodiscard]] std::vector<typename H::key_type> closest_descendants(
-    const typename H::key_type& q, const std::vector<typename H::key_type>& selected) {
-  using key_type = typename H::key_type;
-  std::vector<key_type> inside;
-  for (const auto& h : selected) {
-    if (H::strictly_generalizes(q, h)) inside.push_back(h);
-  }
-  std::vector<key_type> maximal;
-  for (const auto& h : inside) {
-    const bool dominated = std::any_of(inside.begin(), inside.end(), [&](const key_type& m) {
-      return !(m == h) && H::strictly_generalizes(m, h);
-    });
-    if (!dominated) maximal.push_back(h);
-  }
-  return maximal;
-}
-
-/// calcPred for one dimension (Algorithm 3): subtract the lower-bound
-/// frequency of every closest selected descendant.
-template <typename H, typename Bounds>
-[[nodiscard]] double calc_pred_1d(const std::vector<typename H::key_type>& g,
-                                  const Bounds& bounds) {
-  double r = 0.0;
-  for (const auto& h : g) r -= bounds(h).lower;
-  return r;
-}
-
-/// calcPred for two dimensions (Algorithm 4): subtract descendants, then add
-/// back each pairwise glb (inclusion-exclusion) unless the glb generalizes a
-/// third member of G(q|P) - in which case that mass is already accounted for.
-template <typename H, typename Bounds>
-[[nodiscard]] double calc_pred_2d(const std::vector<typename H::key_type>& g,
-                                  const Bounds& bounds) {
-  double r = 0.0;
-  for (const auto& h : g) r -= bounds(h).lower;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    for (std::size_t j = i + 1; j < g.size(); ++j) {
-      const auto common = prefix2::glb(g[i], g[j]);
-      if (!common) continue;
-      const bool covered_by_third =
-          std::any_of(g.begin(), g.end(), [&](const prefix2d& h3) {
-            return !(h3 == g[i]) && !(h3 == g[j]) && prefix2::generalizes(*common, h3);
-          });
-      if (!covered_by_third) r += bounds(*common).upper;
-    }
-  }
-  return r;
-}
-
 namespace detail {
 
-/// The pruning step of solve_hhh (see the file comment): reorders
-/// `candidates` in place and erases every one the lattice walk cannot admit,
-/// keeping the survivors and the candidates that strictly generalize one.
-/// Calls `bounds` once per candidate. The kept order is unspecified.
+/// A candidate prefix with its bounds.
+template <typename Key>
+struct bounded_key {
+  Key key{};
+  freq_bounds bounds{};
+};
+
+/// The walk order: bottom-up by level (fully specified first), key order
+/// within a level.
+template <typename H>
+[[nodiscard]] bool walk_order(const bounded_key<typename H::key_type>& a,
+                              const bounded_key<typename H::key_type>& b) {
+  const std::size_t da = H::depth(a.key);
+  const std::size_t db = H::depth(b.key);
+  return da != db ? da < db : a.key < b.key;
+}
+
+/// Algorithm 2 lines 3-10 over `kept` (distinct keys in walk_order) with
+/// their bounds. `bounds` is queried only for 2-D glb prefixes.
+///
+/// Admissions within a level are relative to lower levels only: P is the
+/// set selected at strictly lower levels plus earlier same-level picks,
+/// exactly as the sequential loop of Algorithm 2 produces it. G(q|P) keeps
+/// the maximal members of P that q strictly generalizes. Scanning P newest
+/// first finds every member's strict generalizations before the member
+/// itself (they sit at higher levels), and by transitivity a member is
+/// non-maximal iff a maximal one found so far strictly generalizes it.
+/// G(q|P) is then reversed into selection order, so calcPred (Algorithms 3
+/// and 4) sums in the same order as over a selection-ordered G(q|P).
 template <typename H, typename Bounds>
-void keep_admissible(std::vector<typename H::key_type>& candidates, const Bounds& bounds,
-                     double threshold, double compensation) {
+[[nodiscard]] std::vector<hhh_entry<typename H::key_type>> walk_lattice(
+    const std::vector<bounded_key<typename H::key_type>>& kept, const Bounds& bounds,
+    double threshold, double compensation) {
   using key_type = typename H::key_type;
-  const auto survivors_end =
-      std::partition(candidates.begin(), candidates.end(), [&](const key_type& k) {
-        return bounds(k).upper + compensation >= threshold;
+  std::vector<hhh_entry<key_type>> result;
+  std::vector<std::size_t> selected;  // indices into kept, in selection order
+  std::vector<std::size_t> g;         // G(q|P), reused across candidates
+  for (std::size_t qi = 0; qi < kept.size(); ++qi) {
+    const key_type& q = kept[qi].key;
+    g.clear();
+    for (auto it = selected.rbegin(); it != selected.rend(); ++it) {
+      const key_type& h = kept[*it].key;
+      if (!H::strictly_generalizes(q, h)) continue;
+      const bool dominated = std::any_of(g.begin(), g.end(), [&](std::size_t m) {
+        return H::strictly_generalizes(kept[m].key, h);
       });
-  // The survivors' strict ancestors, deduplicated in a set that is flushed
-  // - pulling the non-survivors it names forward into the kept prefix -
-  // whenever it fills to n/8 keys, so it stays smaller than the candidates.
-  // Survivors go most specific first: one already in the set is an
-  // ancestor of an earlier survivor, so all its ancestors are in there too.
-  std::sort(candidates.begin(), survivors_end, [](const key_type& a, const key_type& b) {
-    return H::depth(a) < H::depth(b);
-  });
-  auto kept_end = survivors_end;
-  const std::size_t cap = std::max(candidates.size() / 8, H::hierarchy_size);
-  flat_hash<key_type, std::uint8_t> ancestors;
-  const auto pull = [&] {
-    kept_end = std::partition(kept_end, candidates.end(),
-                              [&](const key_type& k) { return ancestors.contains(k); });
-    ancestors.clear();
-  };
-  for (auto it = candidates.begin(); it != survivors_end && kept_end != candidates.end(); ++it) {
-    if (ancestors.contains(*it)) continue;
-    if (ancestors.size() + H::hierarchy_size > cap) pull();
-    const packet member = H::representative(*it);
-    for (std::size_t i = 0; i < H::hierarchy_size; ++i) {
-      const key_type a = H::key_at(member, i);
-      if (H::strictly_generalizes(a, *it)) (void)ancestors.find_or_emplace(a, 0);
+      if (!dominated) g.push_back(*it);
+    }
+    std::reverse(g.begin(), g.end());
+
+    // calcPred: subtract the lower bound of every closest selected
+    // descendant; in 2-D add back each pairwise glb unless it generalizes a
+    // third member of G(q|P), whose mass is then already accounted for.
+    double pred = 0.0;
+    for (const std::size_t h : g) pred -= kept[h].bounds.lower;
+    if constexpr (H::two_dimensional) {
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        for (std::size_t j = i + 1; j < g.size(); ++j) {
+          const auto common = prefix2::glb(kept[g[i]].key, kept[g[j]].key);
+          if (!common) continue;
+          const bool covered_by_third = std::any_of(g.begin(), g.end(), [&](std::size_t h3) {
+            return h3 != g[i] && h3 != g[j] && prefix2::generalizes(*common, kept[h3].key);
+          });
+          if (!covered_by_third) pred += bounds(*common).upper;
+        }
+      }
+    }
+    const double upper = kept[qi].bounds.upper;
+    double conditioned = upper;
+    conditioned += pred;
+    conditioned += compensation;
+    if (conditioned >= threshold) {
+      selected.push_back(qi);
+      result.push_back({q, conditioned, upper});
     }
   }
-  pull();
-  candidates.erase(kept_end, candidates.end());
+  return result;
 }
 
 }  // namespace detail
 
-/// Full HHH output walk (Algorithm 2 lines 3-10).
+/// Full HHH output walk (Algorithm 2 lines 3-10) over a candidate set given
+/// by a visitor and a lookup.
 ///
-/// @param candidates    all monitored prefixes (any order, duplicates allowed).
-/// @param bounds        frequency-bound oracle, freq_bounds(const key_type&);
-///                      also queried for glb prefixes that may not be
-///                      monitored (return {0, 0} slack there). Must be pure:
-///                      the pruning step bounds each candidate once more.
+/// @param visit         visit(survives, emit): calls emit(key, freq_bounds)
+///                      at most once per candidate, for at least every
+///                      candidate with survives(upper); it may skip one whose
+///                      upper bound provably fails the monotone survives().
+/// @param lookup        std::optional<freq_bounds>(const key_type&): the
+///                      key's bounds iff it is a candidate.
+/// @param bounds        frequency-bound oracle, freq_bounds(const key_type&),
+///                      for 2-D glb prefixes that may not be candidates
+///                      (return {0, 0} slack there). All three must agree on
+///                      a candidate's bounds and be pure.
 /// @param threshold     admission threshold in packets (theta * W or theta * N).
 /// @param compensation  additive slack on the conditioned frequency
 ///                      (Alg. 2 line 8); zero for deterministic algorithms.
+template <typename H, typename Visit, typename Lookup, typename Bounds>
+[[nodiscard]] std::vector<hhh_entry<typename H::key_type>> solve_hhh(
+    const Visit& visit, const Lookup& lookup, const Bounds& bounds, double threshold,
+    double compensation) {
+  using key_type = typename H::key_type;
+  const auto survives = [&](double upper) { return upper + compensation >= threshold; };
+  std::vector<detail::bounded_key<key_type>> kept;
+  visit(survives, [&](const key_type& k, const freq_bounds& b) {
+    if (survives(b.upper)) kept.push_back({k, b});
+  });
+  std::sort(kept.begin(), kept.end(), detail::walk_order<H>);
+  const auto survivors = static_cast<std::ptrdiff_t>(kept.size());
+
+  // The survivors' strict ancestors, marked 1 when they are survivors
+  // themselves. Survivors go most specific first: one already in the set
+  // is an ancestor of an earlier survivor, so all its ancestors are in
+  // there too, and no later survivor can add it. Most survivors are no
+  // one's ancestor, so the set is sized for twice the survivors: a missing
+  // key's linear probe runs ~8.5 slots at the 3/4 maximum load, under 2 at
+  // 3/8.
+  flat_hash<key_type, std::uint8_t> ancestors(2 * kept.size());
+  for (auto it = kept.begin(); it != kept.begin() + survivors; ++it) {
+    if (std::uint8_t* mark = ancestors.find(it->key)) {
+      *mark = 1;
+      continue;
+    }
+    const packet member = H::representative(it->key);
+    for (std::size_t i = 0; i < H::hierarchy_size; ++i) {
+      const key_type a = H::key_at(member, i);
+      if (H::strictly_generalizes(a, it->key)) (void)ancestors.find_or_emplace(a, 0);
+    }
+  }
+  ancestors.for_each([&](const key_type& a, std::uint8_t survivor) {
+    if (survivor != 0) return;
+    if (const std::optional<freq_bounds> b = lookup(a)) kept.push_back({a, *b});
+  });
+  std::sort(kept.begin() + survivors, kept.end(), detail::walk_order<H>);
+  std::inplace_merge(kept.begin(), kept.begin() + survivors, kept.end(),
+                     detail::walk_order<H>);
+  return detail::walk_lattice<H>(kept, bounds, threshold, compensation);
+}
+
+/// solve_hhh over an explicit candidate list (any order, duplicates
+/// allowed), with `bounds` as the oracle for every prefix. Must be pure: a
+/// candidate that is a survivor's ancestor is bounded once more.
 template <typename H, typename Bounds>
 [[nodiscard]] std::vector<hhh_entry<typename H::key_type>> solve_hhh(
     std::vector<typename H::key_type> candidates, const Bounds& bounds, double threshold,
     double compensation) {
   using key_type = typename H::key_type;
-  detail::keep_admissible<H>(candidates, bounds, threshold, compensation);
-
-  // Bottom-up by level, key order within a level; drop duplicates so a
-  // prefix is considered once.
-  std::sort(candidates.begin(), candidates.end(), [](const key_type& a, const key_type& b) {
-    const std::size_t da = H::depth(a);
-    const std::size_t db = H::depth(b);
-    return da != db ? da < db : a < b;
-  });
+  std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-
-  std::vector<key_type> selected;
-  std::vector<hhh_entry<key_type>> result;
-
-  // Admissions within a level are relative to lower levels only: P is the
-  // set selected at strictly lower levels plus earlier same-level picks,
-  // exactly as the sequential loop of Algorithm 2 produces it.
-  for (const auto& q : candidates) {
-    const auto g = closest_descendants<H>(q, selected);
-    const double upper = bounds(q).upper;
-    double conditioned = upper;
-    if constexpr (H::two_dimensional) {
-      conditioned += calc_pred_2d<H>(g, bounds);
-    } else {
-      conditioned += calc_pred_1d<H>(g, bounds);
-    }
-    conditioned += compensation;
-    if (conditioned >= threshold) {
-      selected.push_back(q);
-      result.push_back({q, conditioned, upper});
-    }
-  }
-  return result;
+  return solve_hhh<H>(
+      [&](const auto&, const auto& emit) {
+        for (const key_type& k : candidates) emit(k, bounds(k));
+      },
+      [&](const key_type& k) {
+        return std::binary_search(candidates.begin(), candidates.end(), k)
+                   ? std::optional<freq_bounds>(bounds(k))
+                   : std::nullopt;
+      },
+      bounds, threshold, compensation);
 }
 
 }  // namespace memento

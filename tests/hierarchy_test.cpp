@@ -211,6 +211,58 @@ TEST(TwoDimHierarchy, MaterializeKeysMatchesKeyAtOracle) {
 }
 
 // --- G(q|P) -------------------------------------------------------------------
+// The reference walk's own lattice helpers, written straight from Section 4.2
+// and Algorithms 3 and 4 and independent of solve_hhh's walk.
+
+/// G(q|P): the subset of P strictly generalized by q, keeping only maximal
+/// elements (no other member of P strictly between).
+template <typename H>
+std::vector<typename H::key_type> closest_descendants(
+    const typename H::key_type& q, const std::vector<typename H::key_type>& selected) {
+  using key_type = typename H::key_type;
+  std::vector<key_type> inside;
+  for (const auto& h : selected) {
+    if (H::strictly_generalizes(q, h)) inside.push_back(h);
+  }
+  std::vector<key_type> maximal;
+  for (const auto& h : inside) {
+    const bool dominated = std::any_of(inside.begin(), inside.end(), [&](const key_type& m) {
+      return !(m == h) && H::strictly_generalizes(m, h);
+    });
+    if (!dominated) maximal.push_back(h);
+  }
+  return maximal;
+}
+
+/// calcPred for one dimension (Algorithm 3): subtract the lower-bound
+/// frequency of every closest selected descendant.
+template <typename H, typename Bounds>
+double calc_pred_1d(const std::vector<typename H::key_type>& g, const Bounds& bounds) {
+  double r = 0.0;
+  for (const auto& h : g) r -= bounds(h).lower;
+  return r;
+}
+
+/// calcPred for two dimensions (Algorithm 4): subtract descendants, then add
+/// back each pairwise glb (inclusion-exclusion) unless the glb generalizes a
+/// third member of G(q|P) - in which case that mass is already accounted for.
+template <typename H, typename Bounds>
+double calc_pred_2d(const std::vector<typename H::key_type>& g, const Bounds& bounds) {
+  double r = 0.0;
+  for (const auto& h : g) r -= bounds(h).lower;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    for (std::size_t j = i + 1; j < g.size(); ++j) {
+      const auto common = prefix2::glb(g[i], g[j]);
+      if (!common) continue;
+      const bool covered_by_third =
+          std::any_of(g.begin(), g.end(), [&](const prefix2d& h3) {
+            return !(h3 == g[i]) && !(h3 == g[j]) && prefix2::generalizes(*common, h3);
+          });
+      if (!covered_by_third) r += bounds(*common).upper;
+    }
+  }
+  return r;
+}
 
 TEST(ClosestDescendants, PaperExample) {
   // p = 142.14.*, P = {142.14.13.*, 142.14.13.14} -> G(p|P) = {142.14.13.*}.
@@ -554,23 +606,69 @@ std::vector<hhh_entry<typename H::key_type>> reference_output(const h_memento<H>
       theta * static_cast<double>(h.window_size()), h.sampling_compensation());
 }
 
-TEST(HhhSolver, TwoDimPollSequenceMatchesReferenceWalk) {
-  // The 2-D operator-poll geometry (W = 2^18, k = 4096, tau = 1/4, theta =
-  // 0.15, a poll every 16384 packets) on a shortened datacenter trace.
-  h_memento<two_dim_hierarchy> h(h_memento_config{std::uint64_t{1} << 18, 4096, 0.25, 1e-3, 1});
-  const auto trace = make_trace(trace_kind::datacenter, std::size_t{1} << 19, 1);
-  constexpr std::size_t kStride = std::size_t{1} << 14;
+/// Operator polls every `stride` packets of a datacenter trace, each compared
+/// with the reference walk over monitored_keys(). Returns the polls in which
+/// a key with no overflow entry (estimate below tau^-1 3T) survived, i.e.
+/// the visitor's Space-Saving-only pass ran and mattered.
+template <typename H>
+std::size_t run_poll_sequence(const h_memento_config& cfg, double theta, std::size_t packets,
+                              std::size_t stride) {
+  h_memento<H> h(cfg);
+  const auto trace = make_trace(trace_kind::datacenter, packets, 1);
+  const double threshold = theta * static_cast<double>(h.window_size());
   std::size_t polls = 0;
-  for (std::size_t at = 0; at < trace.size(); at += kStride) {
-    h.update_batch(trace.data() + at, std::min(kStride, trace.size() - at));
+  std::size_t polls_with_y_only_survivors = 0;
+  for (std::size_t at = 0; at < trace.size(); at += stride) {
+    h.update_batch(trace.data() + at, std::min(stride, trace.size() - at));
     SCOPED_TRACE("poll " + std::to_string(polls));
-    const auto got = h.output(0.15);
-    ASSERT_FALSE(got.empty());
-    expect_bitwise_equal(got, reference_output(h, 0.15));
+    const auto got = h.output(theta);
+    EXPECT_FALSE(got.empty());
+    expect_bitwise_equal(got, reference_output(h, theta));
+    const double y_only_bar = 1.5 * h.miss_baseline();
+    for (const auto& k : h.inner().monitored_keys()) {
+      const double upper = h.query(k);
+      if (upper < y_only_bar && upper + h.sampling_compensation() >= threshold) {
+        ++polls_with_y_only_survivors;
+        break;
+      }
+    }
     ++polls;
     if (::testing::Test::HasFailure()) break;
   }
-  EXPECT_EQ(polls, trace.size() / kStride);
+  EXPECT_EQ(polls, (trace.size() + stride - 1) / stride);
+  return polls_with_y_only_survivors;
+}
+
+TEST(HhhSolver, TwoDimPollSequenceMatchesReferenceWalk) {
+  // The 2-D operator-poll geometry (W = 2^18, k = 4096, theta = 0.15, a
+  // poll every 16384 packets) on a shortened datacenter trace, at the
+  // poll's tau = 1/4 and at both ends of the sampling range. At 1/64 the
+  // compensation exceeds the threshold, so every monitored key survives
+  // (all of them have an entry in B there: the overflow threshold T is 1).
+  using H = two_dim_hierarchy;
+  constexpr std::uint64_t kWindow = std::uint64_t{1} << 18;
+  EXPECT_EQ(run_poll_sequence<H>({kWindow, 4096, 0.25, 1e-3, 1}, 0.15, std::size_t{1} << 19,
+                                 std::size_t{1} << 14),
+            0u);
+  (void)run_poll_sequence<H>({kWindow, 4096, 1.0, 1e-3, 1}, 0.15, std::size_t{1} << 19,
+                             std::size_t{1} << 15);
+  (void)run_poll_sequence<H>({kWindow, 4096, 1.0 / 64, 1e-3, 1}, 0.15, std::size_t{1} << 19,
+                             std::size_t{1} << 16);
+}
+
+TEST(HhhSolver, OneDimPollSequenceMatchesReferenceWalk) {
+  using H = source_hierarchy;
+  constexpr std::uint64_t kWindow = std::uint64_t{1} << 16;
+  for (const double tau : {1.0, 0.25, 1.0 / 64}) {
+    SCOPED_TRACE("tau=" + std::to_string(tau));
+    (void)run_poll_sequence<H>({kWindow, 1024, tau, 1e-3, 1}, 0.15, std::size_t{1} << 18,
+                               std::size_t{1} << 13);
+  }
+  // theta = 0.02 at tau = 1: keys with only in-frame counts clear the
+  // visitor's ceiling and survive.
+  EXPECT_GT(run_poll_sequence<H>({kWindow, 1024, 1.0, 1e-3, 1}, 0.02, std::size_t{1} << 18,
+                                 std::size_t{1} << 13),
+            0u);
 }
 
 TEST(HhhSolver, ShardedOutputMatchesReferenceWalk) {

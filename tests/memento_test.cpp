@@ -13,10 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <optional>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/memento.hpp"
@@ -396,6 +402,96 @@ TEST(MementoWindow, ExplicitFullAndWindowUpdatesCompose) {
   // Flow 42 occupied every sampled slot of the final window: estimate ~ W.
   const double est = m.query(42);
   EXPECT_NEAR(est, static_cast<double>(m.window_size()), 0.15 * static_cast<double>(m.window_size()));
+}
+
+// --- the live-key visitor ------------------------------------------------------
+
+/// A mid-frame sketch over keys [0, kLiveUniverse): some keys sit only in B,
+/// some only in y, some in both, and the rest in neither.
+constexpr std::uint64_t kLiveUniverse = 3000;
+
+memento_sketch<std::uint64_t> live_key_sketch(double tau) {
+  memento_sketch<std::uint64_t> m(1 << 14, 256, tau, /*seed=*/3);
+  xoshiro256 rng(29);
+  for (int i = 0; i < 70000; ++i) {
+    const std::uint64_t key = rng.uniform01() < 0.6 ? rng.bounded(40) : rng.bounded(kLiveUniverse);
+    m.update(key);
+  }
+  return m;
+}
+
+bool same_bits(double a, double b) { return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b); }
+
+TEST(MementoLiveKeys, VisitorYieldsEveryLiveKeyOnceWithItsQuery) {
+  for (const double tau : {1.0, 0.25, 1.0 / 64}) {
+    SCOPED_TRACE("tau=" + std::to_string(tau));
+    const auto m = live_key_sketch(tau);
+    std::vector<std::uint64_t> visited;
+    std::unordered_set<std::uint64_t> seen;
+    m.for_each_live_key([](double) { return true; }, [&](std::uint64_t key, double u) {
+      EXPECT_TRUE(seen.insert(key).second) << "key " << key << " visited twice";
+      EXPECT_TRUE(same_bits(u, m.query(key))) << "key " << key;
+      visited.push_back(key);
+    });
+    EXPECT_EQ(visited, m.monitored_keys());
+    // The live set found by probing each key, independent of the walk.
+    std::size_t live = 0;
+    std::size_t y_only = 0;
+    for (std::uint64_t key = 0; key < kLiveUniverse; ++key) {
+      const std::optional<double> u = m.query_if_live(key);
+      EXPECT_EQ(u.has_value(), seen.count(key) == 1) << "key " << key;
+      if (!u) continue;
+      ++live;
+      EXPECT_TRUE(same_bits(*u, m.query(key))) << "key " << key;
+      y_only += *u < 1.5 * m.miss_baseline();  // below tau^-1 3T: no entry in B
+    }
+    EXPECT_EQ(live, visited.size());
+    // At T = 1 every counted packet overflows, so every y key is in B.
+    EXPECT_EQ(y_only > 0, m.overflow_threshold() > 1);
+    EXPECT_EQ(live, m.overflow_entries() + y_only);
+    EXPECT_LT(live, kLiveUniverse);  // and some keys have no live state
+  }
+}
+
+TEST(MementoLiveKeys, CeilingSkipNeverDropsAReachingKey) {
+  for (const double tau : {1.0, 0.25, 1.0 / 64}) {
+    SCOPED_TRACE("tau=" + std::to_string(tau));
+    const auto m = live_key_sketch(tau);
+    std::vector<std::pair<std::uint64_t, double>> all;
+    m.for_each_live_key([](double) { return true; },
+                        [&](std::uint64_t key, double u) { all.emplace_back(key, u); });
+    // Bars at every estimate, just above it, and on the tau^-1 T grid the
+    // ceilings are made of, through an H-scaled test with a compensation
+    // as in h_memento::output.
+    const double step = m.estimate_width() / 4.0;
+    std::vector<double> bars;
+    for (const auto& [key, u] : all) {
+      bars.push_back(u);
+      bars.push_back(std::nextafter(u, 1e300));
+    }
+    for (double b = 0.0; b <= 2.0 * static_cast<double>(m.window_size()); b += step) bars.push_back(b);
+    std::sort(bars.begin(), bars.end());
+    bars.erase(std::unique(bars.begin(), bars.end()), bars.end());
+    std::size_t skipped = 0;
+    for (const double h : {1.0, 5.0, 25.0}) {
+      for (const double comp : {0.0, -0.1, 1234.567}) {
+        for (const double bar : bars) {
+          const double threshold = h * bar + comp;
+          const auto reaches = [&](double u) { return h * u + comp >= threshold; };
+          std::unordered_map<std::uint64_t, double> got;
+          m.for_each_live_key(reaches, [&](std::uint64_t key, double u) { got.emplace(key, u); });
+          for (const auto& [key, u] : all) {
+            if (!reaches(u)) continue;
+            const auto it = got.find(key);
+            ASSERT_NE(it, got.end()) << "dropped key " << key << " u=" << u << " bar=" << bar;
+            ASSERT_TRUE(same_bits(it->second, u));
+          }
+          skipped += all.size() - got.size();
+        }
+      }
+    }
+    EXPECT_GT(skipped, 0u);
+  }
 }
 
 }  // namespace
